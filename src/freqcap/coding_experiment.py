@@ -4,13 +4,15 @@ Pipeline: build the integer input law, pick the common codeword sum from a
 pilot run, rejection-sample a fixed-sum random codebook, push codewords
 through the multinomial channel, and decode either by scan-order threshold
 on the Poisson-surrogate information density or by exact maximum
-likelihood. Reports compare the empirical error against the threshold
-(Feinstein) right-hand side.
+likelihood. Both score codewords with one matrix-vector product, S(y) =
+sum_i y_i ln(x_i / tau); the surrogate (gain n r / tau) adds a term in y
+alone. Reports compare the empirical error against the Feinstein bound.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +57,9 @@ class Codebook:
         self.input_pmf = input_pmf
         self.attempts = int(attempts)
         self.seed_info = seed_info
-        self._log_frequencies = None
         if np.any(self.matrix.sum(axis=1) != self.tau):
             raise ValueError("every codeword must sum to tau")
+        self._zero_free = bool(np.all(self.matrix > 0))
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -73,12 +75,24 @@ class Codebook:
     def codeword(self, m: int) -> CountVector:
         return CountVector(self.matrix[m])
 
-    @property
+    @cached_property
     def log_frequencies(self) -> np.ndarray:
-        if self._log_frequencies is None:
-            with np.errstate(divide="ignore"):
-                self._log_frequencies = np.log(self.matrix / self.tau)
-        return self._log_frequencies
+        with np.errstate(divide="ignore"):
+            return np.log(self.matrix / self.tau)
+
+    @cached_property
+    def _first_copy(self) -> np.ndarray:
+        """Each row's first copy: duplicate rows score alike only up to rounding."""
+        _, first, inverse = np.unique(self.matrix, axis=0, return_index=True, return_inverse=True)
+        return first[inverse.ravel()]
+
+    def _log_likelihoods(self, y: np.ndarray) -> np.ndarray:
+        """S(y) = sum_i y_i ln(x_mi / tau) for every codeword m; -inf where x_mi = 0 < y_i."""
+        if self._zero_free:
+            return self.log_frequencies @ y
+        # 0 * ln 0 would be nan: drop the outputs that are zero
+        mask = y > 0
+        return self.log_frequencies[:, mask] @ y[mask]
 
 
 def select_tau(input_pmf: DiscretePmf, n: int, pilot_samples: int, rng: RngStream):
@@ -145,48 +159,38 @@ def generate_codebook(
     )
 
 
-def decode_ml(y, codebook: Codebook, params: ChannelParams):
-    """Maximum-likelihood message under the multinomial read model.
-
-    Scores each codeword by sum_i y_i * ln(x_i(m) / tau); a codeword with a
-    zero where y is positive scores -inf. Ties break to the lowest index;
-    None signals that every codeword is impossible for this output.
-    """
+def _checked_counts(y, params: ChannelParams) -> np.ndarray:
     y = y.counts if isinstance(y, CountVector) else np.asarray(y, dtype=np.int64)
     if int(y.sum()) != params.reads:
         raise ValueError(f"output total {y.sum()} differs from the read count {params.reads}")
-    mask = y > 0
-    scores = codebook.log_frequencies[:, mask] @ y[mask]
+    return y
+
+
+def _density_offset(y: np.ndarray, spec: PoissonChannelSpec, tau: int) -> float:
+    """c(y) = -gain tau + reads ln(gain tau) - sum_i [ln y_i! + log P_Z(y_i)].
+
+    As lam_i = gain * x_i sums to gain * tau, S(y) + c(y) is the surrogate
+    density sum, sum_i -lam_i + y_i ln lam_i - ln y_i! - log P_Z(y_i).
+    """
+    counts = np.bincount(y)
+    z = np.flatnonzero(counts)
+    lam_total = spec.gain * tau
+    per_value = log_factorial(z) + spec.log_output_pmf_at(z)
+    return -lam_total + int(y.sum()) * math.log(lam_total) - float(counts[z] @ per_value)
+
+
+def decode_ml(y, codebook: Codebook, params: ChannelParams):
+    """Maximum-likelihood message under the multinomial read model.
+
+    Scores each codeword by S(y) = sum_i y_i * ln(x_i(m) / tau), the
+    statistic the threshold decoder shares; a codeword with a zero where y
+    is positive scores -inf. Ties, copies of one codeword included, break
+    to the lowest index; None signals that every codeword is impossible.
+    """
+    scores = codebook._log_likelihoods(_checked_counts(y, params))
     if not np.any(scores > -np.inf):
         return None
-    return int(scores.argmax())
-
-
-class _SurrogateDensityTable:
-    """Cached per-(support value, output count) surrogate information density."""
-
-    def __init__(self, spec: PoissonChannelSpec):
-        self.spec = spec
-        self._table = None
-        self._z_hi = -1
-
-    def table(self, z_hi: int) -> np.ndarray:
-        if z_hi > self._z_hi:
-            z_hi = max(z_hi, self.spec.z_max)
-            z = np.arange(z_hi + 1)
-            lam = self.spec._lams[:, None]
-            log_cond = -lam + z[None, :] * np.log(lam) - log_factorial(z)[None, :]
-            self._table = log_cond - self.spec.log_output_pmf_at(z)[None, :]
-            self._z_hi = z_hi
-        return self._table
-
-
-def _surrogate_scores(y, codebook, spec, density_cache=None):
-    """Raw surrogate density sums, one per codeword, for the output y."""
-    cache = density_cache or _SurrogateDensityTable(spec)
-    table = cache.table(int(y.max()))
-    idx = codebook.matrix - spec.input.support_offset
-    return table[idx, y[None, :]].sum(axis=1)
+    return int(codebook._first_copy[scores.argmax()])
 
 
 def decode_threshold(
@@ -200,21 +204,20 @@ def decode_threshold(
 
     Returns the first message whose density sum minus 0.5 * ln(6 pi n r)
     clears log_gamma, or None (an erasure, counted as an error by callers).
-    `input_law` may be the input PMF or a prebuilt PoissonChannelSpec.
+    The density sum is S(y) of `decode_ml` plus a term in y alone, so a
+    codeword with a zero where y is positive never passes. `input_law` is a
+    PoissonChannelSpec, whose gain is used, or the input PMF, for which the
+    gain is params.reads / codebook.tau as in `run_experiment`.
     """
-    y = y.counts if isinstance(y, CountVector) else np.asarray(y, dtype=np.int64)
-    if int(y.sum()) != params.reads:
-        raise ValueError(f"output total {y.sum()} differs from the read count {params.reads}")
-    spec = (
-        input_law
-        if isinstance(input_law, PoissonChannelSpec)
-        else PoissonChannelSpec(input_law, params.r / params.g)
-    )
-    scores = _surrogate_scores(y, codebook, spec) - density_correction(params.reads)
-    passing = scores > log_gamma
+    y = _checked_counts(y, params)
+    spec = input_law
+    if not isinstance(spec, PoissonChannelSpec):
+        spec = PoissonChannelSpec(input_law, params.reads / codebook.tau)
+    densities = codebook._log_likelihoods(y) + _density_offset(y, spec, codebook.tau)
+    passing = densities - density_correction(params.reads) > log_gamma
     if not np.any(passing):
         return None
-    return int(np.argmax(passing))
+    return int(codebook._first_copy[np.argmax(passing)])
 
 
 @dataclass(frozen=True)
@@ -413,7 +416,6 @@ def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
     )
     feinstein = feinstein_rhs(spectrum.cdf[0], m, log_gamma, p_hat)
 
-    density_cache = _SurrogateDensityTable(spec)
     message_stream = rng.substream(3)
     channel_root = rng.substream(4)
     true_messages = message_stream.generator.integers(0, m, size=config.trials)
@@ -426,21 +428,18 @@ def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
         x = codebook.codeword(true_m)
         if x.total != tau:
             raise RuntimeError(f"fixed-sum invariant violated at trial {t}")
-        y = transmit(x, params, channel_root.substream(t))
-        scores = _surrogate_scores(y.counts, codebook, spec, density_cache)
-        density_sum += scores[true_m] / config.n
-
+        y = transmit(x, params, channel_root.substream(t)).counts
         if config.decoder == "threshold":
-            passing = (scores - correction) > log_gamma
-            decoded = int(np.argmax(passing)) if np.any(passing) else None
+            decoded = decode_threshold(y, codebook, log_gamma, spec, params)
         else:
             decoded = decode_ml(y, codebook, params)
+        # finite: codewords drawn from the input law have no zero entry
+        density = (codebook.log_frequencies[true_m] @ y + _density_offset(y, spec, tau)) / config.n
+        density_sum += density
         if decoded != true_m:
             errors += 1
         if trace_path is not None:
-            trace_rows.append(
-                (t, true_m, -1 if decoded is None else decoded, scores[true_m] / config.n)
-            )
+            trace_rows.append((t, true_m, -1 if decoded is None else decoded, density))
 
     if trace_path is not None:
         with open(trace_path, "w") as fh:

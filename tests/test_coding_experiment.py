@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp, xlogy
 
+from freqcap import coding_experiment
 from freqcap.channel import ChannelParams, CountVector, transmit
 from freqcap.coding_experiment import (
     Codebook,
@@ -22,6 +26,28 @@ from freqcap.special_math import log_factorial as fc_log_factorial
 
 def point_mass(x0):
     return DiscretePmf(x0, np.array([0.0]))
+
+
+def reference_densities(y, matrix, spec):
+    """Surrogate density sums, term by term: sum_i -lam + y ln lam - ln y! - log P_Z(y)."""
+    lam_support = spec.gain * spec.input.support
+
+    def log_pz(z):
+        log_cond = -lam_support + xlogy(z, lam_support) - gammaln(z + 1.0)
+        return logsumexp(spec.input.log_weights + log_cond)
+
+    out = []
+    for row in matrix:
+        total = 0.0
+        for x, z in zip(row, y):
+            lam = spec.gain * x
+            total += -lam + xlogy(z, lam) - gammaln(z + 1.0) - log_pz(z)
+        out.append(total)
+    return np.array(out)
+
+
+def first_occurrence(matrix, m):
+    return next(k for k in range(len(matrix)) if np.array_equal(matrix[k], matrix[m]))
 
 
 class TestSelectTau:
@@ -96,6 +122,10 @@ class TestDecodeMl:
     def test_tie_breaks_low_index(self):
         cb = Codebook(np.array([[2, 2], [2, 2]]), 4, point_mass(2), 2, (0, 0))
         assert decode_ml(CountVector([3, 1]), cb, self.params()) == 0
+        # copies in different blocks of the matrix-vector product still tie
+        rows = np.array([[0, 3], [0, 3], [0, 3], [1, 2], [0, 3], [1, 2]])
+        cb = Codebook(rows, 3, point_mass(1), 6, (0, 0))
+        assert decode_ml(CountVector([9, 1]), cb, ChannelParams(2, 1.0, 5.0)) == 3
 
     def test_wrong_total_rejected(self):
         cb = Codebook(np.array([[2, 2]]), 4, point_mass(2), 1, (0, 0))
@@ -149,6 +179,81 @@ class TestDecodeThreshold:
         with pytest.raises(ValueError):
             decode_threshold(CountVector(y.counts[:-1].tolist() + [int(y.counts[-1]) + 1]), cb,
                              0.0, spec, ChannelParams(params.n, params.g, params.r + 1.0))
+
+    def test_input_law_gain_matches_codebook(self):
+        # the input-PMF route builds its surrogate at reads / tau, not r / g
+        y, cb, _, params = self.setup_small()
+        spec = PoissonChannelSpec(cb.input_pmf, params.reads / cb.tau)
+        assert spec.gain != params.r / params.g
+        correction = density_correction(params.reads)
+        densities = reference_densities(y.counts, cb.matrix, spec) - correction
+        low, high = np.sort(densities)[1:3]
+        log_gamma = 0.5 * (low + high)
+        expected = int(np.flatnonzero(densities > log_gamma)[0])
+        assert decode_threshold(y, cb, log_gamma, spec, params) == expected
+        assert decode_threshold(y, cb, log_gamma, cb.input_pmf, params) == expected
+
+    def test_zero_entry_never_decoded(self):
+        # a zero entry where y is positive makes the codeword impossible
+        cb = Codebook(np.array([[0, 8], [4, 4]]), 8, point_mass(4), 2, (0, 0))
+        params = ChannelParams(2, 4.0, 1.5)
+        spec = PoissonChannelSpec(point_mass(4), 0.375)
+        assert decode_threshold(CountVector([1, 2]), cb, -math.inf, spec, params) == 1
+        alone = Codebook(np.array([[0, 8]]), 8, point_mass(4), 1, (0, 0))
+        assert decode_threshold(CountVector([1, 2]), alone, -math.inf, spec, params) is None
+        assert decode_threshold(CountVector([0, 3]), alone, -math.inf, spec, params) == 0
+
+
+@st.composite
+def decoding_cases(draw):
+    """Small fixed-sum codebooks (zeros and duplicate rows allowed), a spec and an output."""
+    n = draw(st.integers(1, 5))
+    tau = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.lists(st.integers(0, tau), min_size=n - 1, max_size=n - 1)))
+        rows.append(np.diff([0, *cuts, tau]))
+    rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    matrix = np.array(draw(st.permutations(rows)), dtype=np.int64)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    spec = PoissonChannelSpec(
+        DiscretePmf.from_weights(draw(st.integers(1, 3)), weights), draw(st.floats(0.05, 3.0))
+    )
+    y = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        y[draw(st.integers(0, n - 1))] = spec.z_max + draw(st.integers(1, 40))
+    if y.sum() == 0:
+        y[0] = 1
+    return Codebook(matrix, tau, spec.input, len(matrix), (0, 0)), spec, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(decoding_cases())
+def test_decoders_match_term_by_term_reference(case):
+    cb, spec, y = case
+    params = ChannelParams(cb.n, 1.0, y.sum() / cb.n)
+    reference = reference_densities(y, cb.matrix, spec)
+    scores = cb._log_likelihoods(y) + coding_experiment._density_offset(y, spec, cb.tau)
+    assert np.array_equal(np.isneginf(scores), np.isneginf(reference))
+    finite = np.isfinite(reference)
+    np.testing.assert_allclose(scores[finite], reference[finite], rtol=0, atol=1e-9)
+
+    # ML: the log-likelihood is the density sum minus a term in y alone
+    decoded = decode_ml(y, cb, params)
+    if not finite.any():
+        assert decoded is None
+    else:
+        assert reference[decoded] >= reference[finite].max() - 1e-9
+        assert decoded == first_occurrence(cb.matrix, decoded)
+
+    # threshold: -inf, and every midpoint between well-separated distinct scores
+    correction = density_correction(params.reads)
+    levels = np.unique(reference[finite])
+    gaps = [0.5 * (a + b) for a, b in zip(levels, levels[1:]) if b - a > 1e-6]
+    for log_gamma in [-math.inf, *(g - correction for g in gaps)]:
+        passing = np.flatnonzero(reference - correction > log_gamma)
+        expected = int(passing[0]) if passing.size else None
+        assert decode_threshold(y, cb, log_gamma, spec, params) == expected
 
 
 class TestFeinsteinRhs:
