@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from .special_math import log_factorial, regularized_gamma_p
 
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _U64 = 2**64
+# cells per block of padded Poisson windows in poisson_entropy
+_ENTROPY_CHUNK = 1 << 20
 
 
 class RngStream:
@@ -172,30 +175,52 @@ def poisson_sample(lam: float, rng: RngStream, size=None):
     return out
 
 
-def poisson_entropy(lam: float, tail_tol: float = 1e-14) -> float:
+def poisson_entropy(lam, tail_tol: float = 1e-14):
     """Entropy of Poisson(lam) in nats, summed until the missed mass < tail_tol.
 
-    The missed mass outside the summation window is certified analytically
-    through the incomplete gamma function rather than by 1 - sum(p), which
-    drowns in float rounding at this tolerance.
+    `lam` is a scalar or an array of means; a scalar is the one-element case
+    and returns a float. Each mean gets its own window lam +- (12 sqrt(lam) +
+    35), widened until the missed mass outside it is certified analytically
+    through the regularized incomplete gamma functions (P above the window,
+    Q below it) rather than by 1 - sum(p), which drowns in float rounding at
+    this tolerance.
     """
-    if lam <= 0.0:
+    lams = np.asarray(lam, dtype=float)
+    if np.any(~(lams > 0.0)):
         raise ValueError(f"poisson_entropy needs lambda > 0, got {lam}")
-    half = 12.0 * math.sqrt(lam) + 35.0
-    lo = max(0, int(lam - half))
-    hi = int(lam + half) + 1
+    flat = lams.ravel()
+    half = 12.0 * np.sqrt(flat) + 35.0
+    lo = np.maximum(0, (flat - half).astype(np.int64))
+    hi = (flat + half).astype(np.int64) + 1
+    step = half.astype(np.int64)
     for _ in range(64):
-        # P[Z <= k] = 1 - P_reg(k + 1, lam); both window tails certified
-        tail_above = regularized_gamma_p(hi + 1.0, lam)
-        tail_below = 1.0 - regularized_gamma_p(lo, lam) if lo > 0 else 0.0
-        if tail_above + tail_below < tail_tol:
-            k = np.arange(lo, hi + 1)
-            logp = poisson_log_pmf(k, lam)
-            p = np.exp(logp)
-            return float(-(p * logp).sum())
-        lo = max(0, lo - int(half))
-        hi = hi + int(half) + 1
-    raise RuntimeError(f"poisson_entropy window failed to capture the mass at lambda={lam}")
+        # P[Z > hi] = P_reg(hi + 1, lam) and P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0
+        wide = gammainc(hi + 1.0, flat) + gammaincc(lo, flat) >= tail_tol
+        if not wide.any():
+            break
+        lo = np.where(wide, np.maximum(0, lo - step), lo)
+        hi = np.where(wide, hi + step + 1, hi)
+    else:
+        bad = flat[wide][0]
+        raise RuntimeError(f"poisson_entropy window failed to capture the mass at lambda={bad}")
+
+    # Windows padded to a common width per chunk; means sorted by width keep the padding small.
+    width = hi - lo + 1
+    order = np.argsort(width, kind="stable")
+    rows = max(1, _ENTROPY_CHUNK // int(width.max()))
+    log_fact = log_factorial(np.arange(int(lo.max() + width.max())))
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, rows):
+        idx = order[start : start + rows]
+        offset = np.arange(int(width[idx].max()))
+        k = lo[idx, None] + offset
+        mean = flat[idx, None]
+        logp = -mean + k * np.log(mean) - log_fact[k]
+        p = np.where(offset < width[idx, None], np.exp(logp), 0.0)
+        out[idx] = -(p * logp).sum(axis=1)
+    if np.ndim(lam) == 0:
+        return float(out[0])
+    return out.reshape(lams.shape)
 
 
 def gamma_half_sample(g: float, rng: RngStream, size=None):

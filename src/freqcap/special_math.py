@@ -154,6 +154,7 @@ def log_factorial(k):
     """log(k!) for non-negative integers, scalar or array.
 
     Exact cumulative-sum table for k <= 1024, log-gamma beyond; monotone in k.
+    The table is looked up first and log-gamma runs only on the entries above it.
     """
     arr = np.asarray(k)
     if np.any(arr < 0):
@@ -162,11 +163,14 @@ def log_factorial(k):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("log_factorial needs integer k")
         arr = arr.astype(np.int64)
-    small = np.minimum(arr, _TABLE_MAX)
-    out = np.where(arr <= _TABLE_MAX, _LOG_FACT_TABLE[small], gammaln(arr + 1.0))
+    flat = arr.ravel()
+    out = _LOG_FACT_TABLE[np.minimum(flat, _TABLE_MAX)]
+    big = flat > _TABLE_MAX
+    if big.any():
+        out[big] = gammaln(flat[big] + 1.0)
     if np.isscalar(k) or np.ndim(k) == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -145,6 +145,21 @@ class TestPoissonEntropy:
             bound = 0.5 * math.log(2 * math.pi * math.e * (lam + 1.0 / 12.0))
             assert poisson_entropy(lam) <= bound
 
+    def test_array_matches_scalar_calls(self):
+        grid = np.logspace(-9, 5, 57)
+        np.random.default_rng(3).shuffle(grid)
+        scalar = np.array([poisson_entropy(float(lam)) for lam in grid])
+        values = poisson_entropy(grid)
+        assert values.shape == grid.shape
+        assert np.max(np.abs(values - scalar)) <= 1e-13
+        square = poisson_entropy(grid.reshape(3, 19))
+        assert np.max(np.abs(square - scalar.reshape(3, 19))) <= 1e-13
+        assert isinstance(poisson_entropy(2.0), float)
+
+    def test_rejects_non_positive_entry(self):
+        with pytest.raises(ValueError):
+            poisson_entropy(np.array([1.0, 0.0, 3.0]))
+
 
 def test_v_log_v_expectation_bound():
     # E[V ln V] <= lam ln(1 + lam), checked by direct summation

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from freqcap.distributions import DiscretePmf, RngStream, poisson_entropy, truncated_rounded_input_pmf
 from freqcap.mutual_info import (
@@ -17,7 +17,7 @@ from freqcap.mutual_info import (
     spectrum_mc,
     truncation_loss_terms,
 )
-from freqcap.special_math import psi_max_entropy
+from freqcap.special_math import log_factorial, psi_max_entropy
 
 # frozen oracle values, computed before the build by direct double summation
 MI_TWO_POINT_12_GAIN1 = 0.07870919979452669
@@ -65,6 +65,65 @@ class TestPoissonChannelSpec:
     def test_window_certifies_tail(self):
         spec = PoissonChannelSpec(truncated_rounded_input_pmf(20.0, 0.1), 0.5)
         assert np.exp(spec.log_pz).sum() >= 1.0 - 1e-11
+
+
+def dense_tables(spec, z):
+    """Every input row at every z: (log P_Z, KL route MI) with no band."""
+    lam = spec.gain * spec.input.support.astype(float)
+    logw = spec.input.log_weights
+
+    def chunks():
+        for lo in range(0, lam.size, 500):
+            sl = slice(lo, lo + 500)
+            lp = -lam[sl, None] + z[None, :] * np.log(lam[sl, None]) - log_factorial(z)[None, :]
+            yield sl, lp
+
+    log_pz = np.full(z.size, -np.inf)
+    for sl, lp in chunks():
+        log_pz = np.logaddexp(log_pz, logsumexp(lp + logw[sl, None], axis=0))
+    mi = 0.0
+    for sl, lp in chunks():
+        mi += float(spec.input.probs[sl] @ (np.exp(lp) * (lp - log_pz[None, :])).sum(axis=1))
+    return log_pz, mi
+
+
+def far_two_point():
+    weights = np.zeros(400)
+    weights[[0, 399]] = 0.5
+    return DiscretePmf.from_weights(1, weights)
+
+
+BANDED_CASES = {
+    "point-mass": (lambda: point_mass(3), 1.0),
+    "two-point-1-3": (two_point_13, 1.0),
+    "two-point-1-400": (far_two_point, 1.0),
+    "trunc-gamma-20": (lambda: truncated_rounded_input_pmf(20.0, 0.5), 0.4),
+    "trunc-gamma-200": (lambda: truncated_rounded_input_pmf(200.0, 0.5), 0.4),
+    "trunc-gamma-500": (lambda: truncated_rounded_input_pmf(500.0, 0.5), 0.4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BANDED_CASES))
+def test_banded_spec_matches_dense_mixture(case):
+    make, gain = BANDED_CASES[case]
+    spec = PoissonChannelSpec(make(), gain)
+    assert 0.0 <= spec.band_missed_mass <= 1e-3 * spec.tail_mass
+    dense, dense_mi = dense_tables(spec, np.arange(spec.z_max + 1))
+    assert np.all(np.isfinite(spec.log_pz))
+    visible = dense >= -60.0
+    assert np.max(np.abs(spec.log_pz - dense)[visible]) <= 1e-12
+    assert np.max(np.abs(np.exp(spec.log_pz) - np.exp(dense))) <= 1e-15
+    assert abs(mutual_information(spec) - dense_mi) <= 1e-12
+
+    beyond = np.arange(spec.z_max + 1, spec.z_max + 51)
+    extended = spec.log_output_pmf_at(beyond)
+    assert np.allclose(extended, dense_tables(spec, beyond)[0], rtol=1e-14, atol=0.0)
+
+
+def test_band_certificate_refuses_a_tolerance_it_cannot_meet():
+    # the unit-mean row keeps z <= 57, whose tail (~1e-79) is far above 1e-303
+    with pytest.raises(RuntimeError, match="row bands"):
+        PoissonChannelSpec(two_point_12(), 1.0, tail_mass=1e-300)
 
 
 class TestOutputPmf:
@@ -323,6 +382,18 @@ def test_rounding_loss_gap_shrinks_with_budget():
             mi = mutual_information(PoissonChannelSpec(pmf, gain))
             gaps.append(0.5 * math.log(gain * g) - psi_max_entropy(gain) - mi)
         assert gaps[1] < gaps[0]
+
+
+def test_rounding_loss_gap_keeps_shrinking_at_large_budgets():
+    # the deficit 0.5 ln(r) - Psi(r/g) - I at rho = 0.1 past criterion 08's
+    # g <= 800; mutual_information raises if its entropy and KL routes disagree
+    gain = 0.4
+    deficits = []
+    for g in (800.0, 3200.0, 12800.0):
+        pmf = truncated_rounded_input_pmf(g, 0.1)
+        mi = mutual_information(PoissonChannelSpec(pmf, gain))
+        deficits.append(0.5 * math.log(gain * g) - psi_max_entropy(gain) - mi)
+    assert all(a >= b for a, b in zip(deficits, deficits[1:]))
 
 
 def test_conditional_log_likelihood_bracket_diagnostic():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from freqcap.special_math import (
     binary_entropy,
@@ -149,6 +150,24 @@ class TestLogFactorial:
     def test_monotone(self):
         vals = log_factorial(np.arange(0, 2000))
         assert np.all(np.diff(vals) >= 0)
+
+    def test_table_then_log_gamma_exactly(self):
+        # entries up to 1024 come from the cumulative-sum table and only the
+        # rest from log-gamma, element for element, whatever the input form
+        table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 1025)))))
+        ks = np.random.default_rng(7).integers(0, 5000, size=(40, 50))
+        ks[0, :4] = (1023, 1024, 1025, 0)
+        expect = np.where(ks <= 1024, table[np.minimum(ks, 1024)], gammaln(ks + 1.0))
+        got = log_factorial(ks)
+        assert got.shape == ks.shape
+        assert np.array_equal(got, expect)
+        assert np.array_equal(log_factorial(ks.astype(float)), expect)
+        assert np.array_equal(log_factorial(ks[0, :4].tolist()), expect[0, :4])
+        for k, value in zip(ks[0, :4], expect[0, :4]):
+            for scalar in (int(k), float(k), np.int64(k)):
+                result = log_factorial(scalar)
+                assert isinstance(result, float)
+                assert result == value
 
     def test_rejects_negative_and_fractional(self):
         with pytest.raises(ValueError):
