@@ -20,7 +20,7 @@ from .capacity_bounds import achievability_bound, converse_bound
 from .channel import ChannelParams, CountVector, transmit
 from .distributions import DiscretePmf, RngStream, truncated_rounded_input_pmf
 from .mutual_info import PoissonChannelSpec, mutual_information, spectrum_mc
-from .special_math import log_factorial
+from .special_math import log_factorial  # noqa: F401  (perfbench/spans.py traces this name)
 
 __all__ = [
     "Codebook",
@@ -167,15 +167,16 @@ def _checked_counts(y, params: ChannelParams) -> np.ndarray:
 
 
 def _density_offset(y: np.ndarray, spec: PoissonChannelSpec, tau: int) -> float:
-    """c(y) = -gain tau + reads ln(gain tau) - sum_i [ln y_i! + log P_Z(y_i)].
+    """c(y) = -gain tau + reads ln(gain tau) - sum_i T(y_i), T(z) = ln z! + log P_Z(z).
 
-    As lam_i = gain * x_i sums to gain * tau, S(y) + c(y) is the surrogate
-    density sum, sum_i -lam_i + y_i ln lam_i - ln y_i! - log P_Z(y_i).
+    T is the spec's per-output table (`density_offset`). As lam_i = gain * x_i
+    sums to gain * tau, S(y) + c(y) is the surrogate density sum,
+    sum_i -lam_i + y_i ln lam_i - ln y_i! - log P_Z(y_i).
     """
     counts = np.bincount(y)
     z = np.flatnonzero(counts)
     lam_total = spec.gain * tau
-    per_value = log_factorial(z) + spec.log_output_pmf_at(z)
+    per_value = spec.density_offset(z)
     return -lam_total + int(y.sum()) * math.log(lam_total) - float(counts[z] @ per_value)
 
 

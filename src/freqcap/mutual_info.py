@@ -13,12 +13,24 @@ it is far below any mass that matters (in the tested laws, below e^-60).
 Blocklength enters only through Monte-Carlo sampling of the information
 spectrum: the channel is memoryless under product inputs, so
 single-letter quantities scale.
+
+Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
+log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
+it. The spectrum draws letters (X, Z) from one letter table per call:
+each positive-weight row with lam < 10 gets one cell per z in
+0..floor(lam + 12 sqrt(lam + 1) + 40), each row with lam >= 10 one cell
+whose z is drawn afterwards by numpy's transformed-rejection Poisson
+sampler (10 is where numpy switches to it). One uniform per letter finds
+its cell through a Chen-Asau guide table. The mass the small rows' cells
+leave out is certified with the regularized incomplete gamma function
+and must stay below 2^-53, one step of the uniform draw.
 """
 
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,6 +61,10 @@ __all__ = [
 
 _Z_HARD_CAP = 10**6
 _CHUNK_ELEMENTS = 4_000_000
+# letters per spectrum chunk, each chunk drawn from its own substream
+_SPECTRUM_LETTERS = 1 << 19
+# numpy's Generator.poisson uses transformed rejection (PTRS) from this mean on
+_PTRS_MIN_MEAN = 10.0
 
 
 def _poisson_tail_above(z: int, lam: float) -> float:
@@ -195,6 +211,19 @@ class PoissonChannelSpec:
     def log_pz(self) -> np.ndarray:
         return self._log_pz
 
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """T[z] = ln z! + log P_Z(z) on 0..z_max; a density is z ln lam - lam - T[z]."""
+        return log_factorial(np.arange(self.z_max + 1)) + self._log_pz
+
+    def density_offset(self, z: np.ndarray) -> np.ndarray:
+        """T(z) = ln z! + log P_Z(z) for an array of z >= 0, exact past z_max."""
+        out = self._offsets[np.minimum(z, self.z_max)]
+        far = z > self.z_max
+        if far.any():
+            out[far] = log_factorial(z[far]) + self.log_output_pmf_at(z[far])
+        return out
+
     def __repr__(self):
         return (
             f"PoissonChannelSpec(support={self.input.support_offset}.."
@@ -254,8 +283,7 @@ def information_density(x: int, z: int, spec: PoissonChannelSpec) -> float:
         )
         return -math.inf
     lam = spec.gain * x
-    log_cond = -lam + z * math.log(lam) - float(log_factorial(z))
-    return log_cond - float(spec.log_pz[z])
+    return z * math.log(lam) - lam - float(spec._offsets[z])
 
 
 @dataclass(frozen=True)
@@ -283,6 +311,84 @@ class SpectrumEstimate:
         )
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen-Asau guide: entry k is the first cell whose CDF exceeds k / K.
+
+    K is the power of two at or above the number of cells, so u * K and
+    k / K are exact in floating point.
+    """
+    size = 1 << (cdf.size - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(size) / size, side="right")
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for u in [0, 1) and cdf[-1] == 1.
+
+    The guide entry of u's bucket is never past the answer; each letter
+    then steps forward while its cell's CDF is at most u.
+    """
+    idx = guide[(u * guide.size).astype(np.int64)]
+    todo = np.flatnonzero(cdf[idx] <= u)
+    while todo.size:
+        idx[todo] += 1
+        todo = todo[cdf[idx[todo]] <= u[todo]]
+    return idx
+
+
+@dataclass(frozen=True)
+class _LetterTable:
+    """Cells of the letter law (X, Z), with each cell's density.
+
+    A cell of a row with lam < 10 is one z; a row with lam >= 10 is a single
+    cell (`ptrs`) whose z is drawn by Generator.poisson once the row is known.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+    density: np.ndarray
+    ptrs: np.ndarray
+    lam: np.ndarray
+    log_lam: np.ndarray
+
+    @classmethod
+    def build(cls, spec: PoissonChannelSpec) -> "_LetterTable":
+        rows = np.flatnonzero(spec._ws > 0.0)
+        lam, w = spec._lams[rows], spec._ws[rows]
+        small = lam < _PTRS_MIN_MEAN
+        top = np.floor(lam[small] + _half_width(lam[small])).astype(np.int64)
+        missed = float(w[small] @ gammainc(top + 1.0, lam[small]))
+        if missed > 2.0**-53:
+            raise RuntimeError(
+                f"letter table drops mass {missed:g}, above one step 2^-53 of the uniform draw"
+            )
+
+        width = np.ones(rows.size, dtype=np.int64)
+        width[small] = top + 1
+        row = np.repeat(np.arange(rows.size), width)
+        z = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+        ptrs = ~small[row]
+        lam_c = lam[row]
+        log_lam = np.log(lam_c)
+        kernel = z * log_lam - lam_c
+        mass = w[row] * np.where(ptrs, 1.0, np.exp(kernel - log_factorial(z)))
+        cdf = np.cumsum(mass)
+        cdf /= cdf[-1]
+        density = np.where(ptrs, 0.0, kernel - spec._offsets[z])
+        return cls(cdf, _guide_table(cdf), density, ptrs, lam_c, log_lam)
+
+    def draw_density(self, spec: PoissonChannelSpec, gen: np.random.Generator, size: int):
+        """Densities of `size` letters: one uniform each, then Z for the PTRS rows."""
+        cell = _guided_search(self.cdf, self.guide, gen.random(size))
+        out = self.density[cell]
+        hit = np.flatnonzero(self.ptrs[cell])
+        if hit.size:
+            cell = cell[hit]
+            lam = self.lam[cell]
+            z = gen.poisson(lam)
+            out[hit] = z * self.log_lam[cell] - lam - spec.density_offset(z)
+        return out
+
+
 def spectrum_mc(
     spec: PoissonChannelSpec,
     n: int,
@@ -293,9 +399,11 @@ def spectrum_mc(
 ) -> SpectrumEstimate:
     """Sample (1/n) * sum_i density(X_i, Z_i) under the product input law.
 
-    Work is partitioned into `workers` deterministic sub-streams and merged
-    by count weighting, so results are bit-reproducible for a fixed
-    (seed, workers) pair.
+    Letters come from the spec's letter table (see the module docstring).
+    Samples are processed in chunks of whole samples, about 2^19 letters
+    each and at least one sample; chunk c draws from rng.substream(c). The
+    result is therefore bit-reproducible for a fixed seed and does not
+    depend on `workers`, which is only validated.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
@@ -305,22 +413,13 @@ def spectrum_mc(
         raise ValueError(f"workers must be >= 1, got {workers}")
     thresholds = tuple(float(t) for t in thresholds)
 
-    counts = [num_samples // workers] * workers
-    for i in range(num_samples % workers):
-        counts[i] += 1
-
-    samples = []
-    for w, count in enumerate(counts):
-        if count == 0:
-            continue
-        stream = rng.substream(w)
-        xs = spec.input.sample(stream, size=(count, n)).astype(float)
-        lam = spec.gain * xs
-        zs = stream.generator.poisson(lam)
-        log_cond = -lam + zs * np.log(lam) - log_factorial(zs.ravel()).reshape(zs.shape)
-        density = log_cond - spec.log_output_pmf_at(zs.ravel()).reshape(zs.shape)
-        samples.append(density.mean(axis=1))
-    values = np.concatenate(samples)
+    table = _LetterTable.build(spec)
+    per_chunk = max(1, _SPECTRUM_LETTERS // n)
+    values = np.empty(num_samples)
+    for c, first in enumerate(range(0, num_samples, per_chunk)):
+        count = min(per_chunk, num_samples - first)
+        density = table.draw_density(spec, rng.substream(c).generator, count * n)
+        values[first : first + count] = density.reshape(count, n).mean(axis=1)
 
     variance = float(values.var(ddof=1)) if values.size > 1 else 0.0
     cdf = tuple(float((values <= t).mean()) for t in thresholds)

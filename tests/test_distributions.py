@@ -222,6 +222,16 @@ class TestTruncatedRoundedInput:
             mass = pmf.probs[pmf.support <= cut].sum()
             assert mass <= 2.0 / g ** (rho / 2)
 
+    @pytest.mark.parametrize("g", [8.0, 20.0, 200.0, 500.0])
+    def test_matches_scalar_cdf_loop(self, g):
+        rho = 0.5
+        s_min, s_max = g ** -(1.0 + 3.0 * rho), g ** (1.0 + rho)
+        bounds = np.clip(np.arange(0, math.ceil(s_max) + 1, dtype=float), s_min, s_max)
+        cdf = np.array([regularized_gamma_p(0.5, b / (2.0 * g)) for b in bounds])
+        expected = np.clip(np.diff(cdf), 0.0, None) / (cdf[-1] - cdf[0])
+        pmf = truncated_rounded_input_pmf(g, rho)
+        np.testing.assert_allclose(pmf.probs, expected, rtol=0.0, atol=1e-13)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             truncated_rounded_input_pmf(8.0, 0.0)

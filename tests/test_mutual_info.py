@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
+
+from freqcap import mutual_info
 
 from freqcap.distributions import DiscretePmf, RngStream, poisson_entropy, truncated_rounded_input_pmf
 from freqcap.mutual_info import (
@@ -235,6 +239,98 @@ class TestSpectrumMc:
         a = spectrum_mc(spec, 50, 300, RngStream(5), thresholds=[0.05], workers=3)
         b = spectrum_mc(spec, 50, 300, RngStream(5), thresholds=[0.05], workers=3)
         assert a.to_json() == b.to_json()
+
+    def test_independent_of_worker_count(self):
+        spec = PoissonChannelSpec(far_two_point(), 1.0)
+        docs = {
+            spectrum_mc(spec, 300, 2000, RngStream(8), thresholds=[0.69], workers=w).to_json()
+            for w in (1, 2, 3)
+        }
+        assert len(docs) == 1
+
+    def test_table_and_transformed_rejection_rows_together(self):
+        # lam = 1 is drawn from the letter table, lam = 400 by Generator.poisson.
+        # Both rows' densities equal ln 2 up to rounding, so the standard error
+        # nearly vanishes; the exact MI itself carries about |z ln lam| * eps.
+        spec = PoissonChannelSpec(far_two_point(), 1.0)
+        mi = mutual_information(spec)
+        est = spectrum_mc(spec, 100, 4000, RngStream(21))
+        se = math.sqrt(est.variance / est.num_samples)
+        assert abs(est.mean - mi) <= 4.0 * se + 1e-11
+        assert abs(est.mean - math.log(2.0)) <= 1e-12
+
+    def test_mixed_rows_at_large_budget_match_mi(self):
+        # 24 table rows and 11,157 transformed-rejection rows with overlapping outputs
+        spec = PoissonChannelSpec(truncated_rounded_input_pmf(500.0, 0.5), 0.4)
+        mi = mutual_information(spec)
+        est = spectrum_mc(spec, 50, 2000, RngStream(3))
+        se = math.sqrt(est.variance / est.num_samples)
+        assert abs(est.mean - mi) <= 4.0 * se
+
+    def test_point_mass_on_the_rejection_path_is_degenerate(self):
+        spec = PoissonChannelSpec(point_mass(50), 1.0)
+        est = spectrum_mc(spec, 200, 300, RngStream(4), thresholds=[-0.1, 0.1])
+        assert est.mean == pytest.approx(0.0, abs=1e-12)
+        assert est.variance == pytest.approx(0.0, abs=1e-12)
+        assert est.cdf == (0.0, 1.0)
+
+    def test_letter_table_certificate_refuses(self, monkeypatch):
+        spec = PoissonChannelSpec(two_point_12(), 1.0)
+        monkeypatch.setattr(mutual_info, "_half_width", lambda lam: 10.0 + 0.0 * lam)
+        with pytest.raises(RuntimeError, match="letter table"):
+            spectrum_mc(spec, 10, 10, RngStream(1))
+
+    def test_chunk_edges(self):
+        spec = PoissonChannelSpec(two_point_12(), 1.0)
+        mi = mutual_information(spec)
+        chunk = mutual_info._SPECTRUM_LETTERS
+        # three chunks, the last one partial
+        n = 1000
+        per_chunk = chunk // n
+        num = 2 * per_chunk + 7
+        est = spectrum_mc(spec, n, num, RngStream(9), thresholds=[mi])
+        assert est.num_samples == num
+        assert est.cdf[0] * num == pytest.approx(round(est.cdf[0] * num), abs=1e-9)
+        assert abs(est.mean - mi) <= 4.0 * math.sqrt(est.variance / num)
+        # a chunk holds whole samples: one more sample leaves the first chunk as it
+        # was, so below every threshold the count grows by at most that sample
+        grid = np.linspace(mi - 0.05, mi + 0.05, 41)
+        head = spectrum_mc(spec, n, per_chunk, RngStream(9), thresholds=grid)
+        more = spectrum_mc(spec, n, per_chunk + 1, RngStream(9), thresholds=grid)
+        grown = np.round(np.array(more.cdf) * (per_chunk + 1) - np.array(head.cdf) * per_chunk)
+        assert set(grown) == {0.0, 1.0}
+        # and the second chunk draws from its own stream, not a replay of the first
+        two = spectrum_mc(spec, n, 2 * per_chunk, RngStream(9), thresholds=grid)
+        assert not np.allclose(two.cdf, head.cdf)
+        # a blocklength above the chunk size still gets one sample per chunk
+        long = spectrum_mc(PoissonChannelSpec(point_mass(3), 1.0), chunk + 1, 2, RngStream(2))
+        assert long.num_samples == 2 and long.mean == pytest.approx(0.0, abs=1e-12)
+        est = spectrum_mc(spec, chunk + 1, 2, RngStream(2))
+        assert abs(est.mean - mi) <= 0.01
+
+
+@st.composite
+def guided_cases(draw):
+    """A CDF over random masses (zeros allowed) and uniforms on its breakpoints and edges."""
+    masses = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=40))
+    )
+    if masses.sum() == 0.0:
+        masses[draw(st.integers(0, masses.size - 1))] = 1.0
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    extra = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    u = np.concatenate((cdf[cdf < 1.0], [0.0, np.nextafter(1.0, 0.0)], extra))
+    return masses, cdf, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(guided_cases())
+def test_guided_search_equals_searchsorted(case):
+    masses, cdf, u = case
+    idx = mutual_info._guided_search(cdf, mutual_info._guide_table(cdf), u)
+    assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
+    assert np.all(masses[idx] > 0.0)
 
     def test_json_shape(self):
         spec = PoissonChannelSpec(point_mass(2), 1.0)
