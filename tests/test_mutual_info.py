@@ -308,6 +308,12 @@ class TestSpectrumMc:
         est = spectrum_mc(spec, chunk + 1, 2, RngStream(2))
         assert abs(est.mean - mi) <= 0.01
 
+    def test_json_shape(self):
+        spec = PoissonChannelSpec(point_mass(2), 1.0)
+        est = spectrum_mc(spec, 10, 50, RngStream(6), thresholds=[0.0])
+        doc = est.to_json()
+        assert '"n": 10' in doc and '"num_samples": 50' in doc
+
 
 @st.composite
 def guided_cases(draw):
@@ -331,12 +337,6 @@ def test_guided_search_equals_searchsorted(case):
     idx = mutual_info._guided_search(cdf, mutual_info._guide_table(cdf), u)
     assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
     assert np.all(masses[idx] > 0.0)
-
-    def test_json_shape(self):
-        spec = PoissonChannelSpec(point_mass(2), 1.0)
-        est = spectrum_mc(spec, 10, 50, RngStream(6), thresholds=[0.0])
-        doc = est.to_json()
-        assert '"n": 10' in doc and '"num_samples": 50' in doc
 
 
 class TestLipschitzSeminorm:
