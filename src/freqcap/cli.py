@@ -8,6 +8,7 @@ variable, then 0.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -184,7 +185,7 @@ def _cmd_simulate(args):
 def _cmd_experiment(args):
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        config = ExperimentConfig(**{**config.to_dict(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config, trace_path=args.trace)
     print(report.to_json())
     return 0

@@ -11,8 +11,9 @@ alone. Reports compare the empirical error against the Feinstein bound.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from typing import get_args
 
 import numpy as np
 
@@ -288,29 +289,18 @@ class ExperimentConfig:
                     continue
                 key, _, raw = line.partition("=")
                 values[key.strip()] = raw.strip()
-        kwargs = {}
-        for name, typ in (
-            ("n", int), ("g", float), ("r", float), ("rho", float), ("delta", float),
-            ("m", int), ("decoder", str), ("trials", int), ("seed", int),
-            ("pilot_samples", int), ("spectrum_samples", int),
-            ("max_attempts_per_word", int),
-        ):
-            if name in values:
-                kwargs[name] = typ(values[name])
-        unknown = set(values) - set(kwargs)
+        # each key is parsed with its field's type; `int | None` reads as int
+        types = {
+            f.name: next((t for t in get_args(f.type) if t is not type(None)), f.type)
+            for f in fields(cls)
+        }
+        unknown = set(values) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**{name: types[name](raw) for name, raw in values.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "g": self.g, "r": self.r, "rho": self.rho,
-            "delta": self.delta, "m": self.m, "decoder": self.decoder,
-            "trials": self.trials, "seed": self.seed,
-            "pilot_samples": self.pilot_samples,
-            "spectrum_samples": self.spectrum_samples,
-            "max_attempts_per_word": self.max_attempts_per_word,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .channel import event_poissonization_factor, poissonization_identity_check
 from .distributions import (
+    DiscretePmf,
     RngStream,
     gamma_half_tail_bounds,
     poisson_chernoff_lower_tail,
@@ -20,7 +22,6 @@ from .distributions import (
     poisson_log_pmf,
 )
 from .mutual_info import PoissonChannelSpec, bobkov_ledoux_bound, lipschitz_seminorm
-from .distributions import DiscretePmf
 from .special_math import regularized_gamma_p
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
@@ -93,7 +94,7 @@ def _check_gamma_tails(seed):
     for g, eta, rho in ((100.0, 0.0, 0.5), (1000.0, 0.3, 0.3)):
         lower, upper = gamma_half_tail_bounds(g, eta, rho)
         exact_low = regularized_gamma_p(0.5, g**eta / (2 * g))
-        exact_up = 1.0 - regularized_gamma_p(0.5, g ** (1 + rho) / (2 * g))
+        exact_up = gammaincc(0.5, g ** (1 + rho) / (2 * g))
         ok = ok and exact_low <= lower + 1e-15 and exact_up <= upper + 1e-15
     return CheckResult("gamma-half-tails", ok, "exact CDF tails under the certified bounds")
 
@@ -135,19 +136,10 @@ def _check_bobkov_ledoux(seed):
 
     xs = support.sample(rng, size=n).astype(float)
     lam = spec.gain * xs
-    mean_density = float(
-        sum(
-            np.exp(poisson_log_pmf(np.arange(spec.z_max + 1), l))
-            @ (poisson_log_pmf(np.arange(spec.z_max + 1), l) - spec.log_pz)
-            for l in lam
-        )
-    )
+    log_cond = poisson_log_pmf(np.arange(spec.z_max + 1), lam[:, None])
+    mean_density = float((np.exp(log_cond) * (log_cond - spec.log_pz)).sum())
     zs = rng.generator.poisson(lam, size=(samples, n))
-    from .special_math import log_factorial
-
-    dens = (-lam + zs * np.log(lam) - log_factorial(zs.ravel()).reshape(zs.shape)) - spec.log_output_pmf_at(
-        zs.ravel()
-    ).reshape(zs.shape)
+    dens = poisson_log_pmf(zs, lam) - spec.log_output_pmf_at(zs.ravel()).reshape(zs.shape)
     totals = dens.sum(axis=1)
     freq = float((totals < mean_density - n * delta).mean())
     slack = 3.0 * math.sqrt(bound * (1 - bound) / samples + 1e-12)
@@ -181,7 +173,7 @@ _APPENDIX = (
     _check_sub_gamma,
 )
 
-SUITES = {"appendix": _APPENDIX, "all": _APPENDIX}
+SUITES = {"appendix": _APPENDIX}
 
 
 def run_suite(name: str, seed: int = 0):

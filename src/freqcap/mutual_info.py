@@ -41,6 +41,7 @@ from .distributions import (
     RngStream,
     TruncationInterval,
     poisson_entropy,
+    poisson_log_pmf,
 )
 from .special_math import log_factorial, regularized_gamma_p
 
@@ -65,16 +66,29 @@ _CHUNK_ELEMENTS = 4_000_000
 _SPECTRUM_LETTERS = 1 << 19
 # numpy's Generator.poisson uses transformed rejection (PTRS) from this mean on
 _PTRS_MIN_MEAN = 10.0
-
-
-def _poisson_tail_above(z: int, lam: float) -> float:
-    """P[Z > z] for Z ~ Poisson(lam)."""
-    return regularized_gamma_p(z + 1.0, lam)
+# i_mmpe_integral: Gauss-Legendre nodes per panel, the smallest gain, log-spaced panels per decade
+_QUAD_POINTS = 64
+_A_MIN = 1e-6
+_PANELS_PER_DECADE = 3
 
 
 def _half_width(lam):
     """Starting half-width of a Poisson(lam) window: 12 sqrt(lam + 1) + 40."""
     return 12.0 * np.sqrt(lam + 1.0) + 40.0
+
+
+def _window_end(lam: float, tail: float) -> int:
+    """Window end for Z ~ Poisson(lam): the first z with P[Z > z] < tail.
+
+    The candidates start at lam + half-width and step z -> 1.25 z + 10;
+    P[Z > z] = P_reg(z + 1, lam). A window past the hard cap of 1e6 raises.
+    """
+    z = int(lam + _half_width(lam))
+    while z <= _Z_HARD_CAP:
+        if gammainc(z + 1.0, lam) < tail:
+            return z
+        z = int(z * 1.25) + 10
+    raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -110,21 +124,9 @@ class PoissonChannelSpec:
         self._xs = input_pmf.support.astype(float)
         self._ws = input_pmf.probs
         self._lams = self.gain * self._xs
-        self.z_max = self._choose_z_max()
+        self.z_max = _window_end(float(self._lams.max()), self.tail_mass)
         self._bands = self._choose_bands()
         self._log_pz = self._banded_log_pmf()
-
-    def _choose_z_max(self) -> int:
-        lam_max = float(self._lams.max())
-        z = int(lam_max + _half_width(lam_max))
-        while True:
-            if z > _Z_HARD_CAP:
-                raise RuntimeError(
-                    f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}"
-                )
-            if _poisson_tail_above(z, lam_max) < self.tail_mass:
-                return z
-            z = int(z * 1.25) + 10
 
     def _choose_bands(self):
         """Certify the row bands and group the rows into chunks with a shared window.
@@ -161,25 +163,11 @@ class PoissonChannelSpec:
             a = b
         return chunks
 
-    def _chunks(self):
-        width = self.z_max + 1
-        step = max(1, _CHUNK_ELEMENTS // width)
-        for lo in range(0, self._xs.size, step):
-            yield slice(lo, lo + step)
-
-    def _log_cond_pmf(self, rows, z: np.ndarray) -> np.ndarray:
-        """log P[Z=z | X=x] for a chunk of support rows; shape (rows, z.size)."""
-        lam = self._lams[rows][:, None]
-        out = np.multiply(z[None, :], np.log(lam))
-        out -= lam
-        out -= log_factorial(z)[None, :]
-        return out
-
     def _banded_log_pmf(self) -> np.ndarray:
         out = np.full(self.z_max + 1, -np.inf)
         logw = self.input.log_weights
         for rows, z_lo, z_hi in self._bands:
-            lp = self._log_cond_pmf(rows, np.arange(z_lo, z_hi + 1))
+            lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), self._lams[rows, None])
             lp += logw[rows][:, None]
             window = slice(z_lo, z_hi + 1)
             out[window] = np.logaddexp(out[window], _logsumexp_rows(lp))
@@ -190,8 +178,9 @@ class PoissonChannelSpec:
         z = np.arange(z_lo, z_hi + 1)
         out = np.full(z.size, -np.inf)
         logw = self.input.log_weights
-        for sl in self._chunks():
-            chunk = logsumexp(self._log_cond_pmf(sl, z) + logw[sl][:, None], axis=0)
+        step = max(1, _CHUNK_ELEMENTS // (self.z_max + 1))
+        for sl in (slice(lo, lo + step) for lo in range(0, self._xs.size, step)):
+            chunk = logsumexp(poisson_log_pmf(z, self._lams[sl, None]) + logw[sl, None], axis=0)
             out = np.logaddexp(out, chunk)
         return out
 
@@ -252,7 +241,7 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
 
     kl = 0.0
     for rows, z_lo, z_hi in spec._bands:
-        lp = spec._log_cond_pmf(rows, np.arange(z_lo, z_hi + 1))
+        lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), spec._lams[rows, None])
         ratio = lp - log_pz[None, z_lo : z_hi + 1]
         ratio *= np.exp(lp, out=lp)
         kl += float(spec._ws[rows] @ ratio.sum(axis=1))
@@ -437,15 +426,14 @@ def lipschitz_seminorm(spec: PoissonChannelSpec) -> float:
     """Largest jump of the information density in the output coordinate.
 
     max over x in the support and z < z_max of |i(x, z+1) - i(x, z)|; for a
-    support inside {1, ..., s} this never exceeds ln(s).
+    support inside {1, ..., s} this never exceeds ln(s). The jump is
+    |ln lam_x - ln(z+1) - (log P_Z(z+1) - log P_Z(z))|; ln lam_x is monotone
+    in x and rounding is monotone, so the largest one sits at the smallest
+    or the largest x of the support.
     """
-    d_log_pz = np.diff(spec.log_pz)
-    best = 0.0
+    ends = np.log(spec._lams[[0, -1]])[:, None]
     z1 = np.log(np.arange(1, spec.z_max + 1))
-    for sl in spec._chunks():
-        jumps = np.abs(np.log(spec._lams[sl])[:, None] - z1[None, :] - d_log_pz[None, :])
-        best = max(best, float(jumps.max()))
-    return best
+    return float(np.abs(ends - z1[None, :] - np.diff(spec.log_pz)[None, :]).max())
 
 
 def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) -> float:
@@ -469,12 +457,8 @@ def _posterior_mean_table(input_pmf: DiscretePmf, a: float):
     xs = input_pmf.support.astype(float)
     ws = input_pmf.probs
     lam = a * xs
-    lam_max = float(lam.max())
-    z_hi = int(lam_max + _half_width(lam_max))
-    while _poisson_tail_above(z_hi, lam_max) >= 1e-13:
-        z_hi = int(z_hi * 1.25) + 10
-    z = np.arange(z_hi + 1)
-    cond = np.exp(-lam[:, None] + z[None, :] * np.log(lam)[:, None] - log_factorial(z)[None, :])
+    z = np.arange(_window_end(float(lam.max()), 1e-13) + 1)
+    cond = np.exp(poisson_log_pmf(z, lam[:, None]))
     pv, mean_mass, xlogx_mass = np.stack((ws, ws * xs, ws * xs * np.log(xs))) @ cond
     keep = pv > 0.0
     return pv[keep], mean_mass[keep] / pv[keep], xlogx_mass[keep]
@@ -497,20 +481,15 @@ def mmpe(input_pmf: DiscretePmf, a: float) -> float:
     return float(a * (xlogx_mass - pv * post_mean * np.log(post_mean)).sum())
 
 
-def i_mmpe_integral(
-    input_pmf: DiscretePmf,
-    gamma: float,
-    quad_points: int = 64,
-    a_min: float = 1e-6,
-    panels_per_decade: int = 3,
-) -> float:
+def i_mmpe_integral(input_pmf: DiscretePmf, gamma: float) -> float:
     """Mutual information at gain `gamma` as the integral of mmpe(a U) da / a.
 
-    Composite Gauss-Legendre quadrature on log-spaced panels over
-    [a_min, gamma]; below a_min the integrand is replaced by its analytic
-    gain-to-zero limit E[U ln U] - E[U] ln E[U] (the singularity at zero is
-    removable). Convergence is verified by panel doubling; disagreement
-    raises with the residual estimate.
+    Composite 64-point Gauss-Legendre quadrature on log-spaced panels, 3
+    per decade, over [a_min, gamma] with a_min = 1e-6; below a_min the
+    integrand is replaced by its analytic gain-to-zero limit
+    E[U ln U] - E[U] ln E[U] (the singularity at zero is removable).
+    Convergence is verified by panel doubling; disagreement raises with the
+    residual estimate.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -520,13 +499,13 @@ def i_mmpe_integral(
     mean = float(ws @ xs)
     limit0 = float(ws @ (xs * np.log(xs))) - mean * math.log(mean)
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
 
     def integrate(panels: int) -> float:
-        if gamma <= a_min:
+        if gamma <= _A_MIN:
             return limit0 * gamma
-        total = limit0 * a_min
-        edges = np.logspace(math.log10(a_min), math.log10(gamma), panels + 1)
+        total = limit0 * _A_MIN
+        edges = np.logspace(math.log10(_A_MIN), math.log10(gamma), panels + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             aa = mid + half * nodes
@@ -534,7 +513,7 @@ def i_mmpe_integral(
             total += half * float(weights @ vals)
         return total
 
-    base_panels = max(1, math.ceil(math.log10(max(gamma / a_min, 10.0)) * panels_per_decade))
+    base_panels = max(1, math.ceil(math.log10(max(gamma / _A_MIN, 10.0)) * _PANELS_PER_DECADE))
     coarse = integrate(base_panels)
     fine = integrate(2 * base_panels)
     residual = abs(fine - coarse)

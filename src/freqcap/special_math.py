@@ -1,14 +1,16 @@
-"""Self-contained special functions and scalar optimization.
+"""Special functions and scalar optimization.
 
-Everything here is a pure function of its arguments. All entropic
-quantities are in nats; conversion to bits happens only at the
-presentation layer.
+Everything here is a pure function of its arguments. Lambert W and the
+log-gamma tail of `log_factorial` are scipy's; `regularized_gamma_p` stays
+hand-rolled (series and continued fraction) because tests use it as an
+independent reference for scipy's `gammainc`. All entropic quantities are
+in nats; conversion to bits happens only at the presentation layer.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, lambertw
 
 __all__ = [
     "Nats",
@@ -26,7 +28,6 @@ Nats = float
 
 NATS_PER_BIT = math.log(2.0)
 
-_E = math.e
 _TABLE_MAX = 1024
 # log k! for k = 0..1024 as a cumulative sum of logs; exact to double rounding.
 _LOG_FACT_TABLE = np.concatenate(
@@ -59,44 +60,15 @@ def psi_max_entropy(mu: float) -> Nats:
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function: w with w*exp(w) = x.
 
-    Defined for x >= -1/e. Uses a log-based initial guess refined by
-    Halley iteration (Newton in log coordinates for large x, which avoids
-    overflow of exp(w)); the residual |w*exp(w) - x| stays below
-    1e-12 * max(1, |x|).
+    Defined for x >= -1/e; the real part of scipy's `lambertw` on branch 0.
+    Near -1/e the value is ill-conditioned: 1 + e*x cancels, so the error
+    grows like eps / sqrt(x + 1/e).
     """
-    if x < -1.0 / _E:
+    if x < -1.0 / math.e:
         raise ValueError(f"lambert_w0 needs x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-
-    if x >= _E:
-        # Solve w + ln(w) = ln(x) by Newton; quadratic and overflow-free.
-        lx = math.log(x)
-        w = lx - math.log(lx)
-        for _ in range(64):
-            step = (w + math.log(w) - lx) * w / (w + 1.0)
-            w -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(w)):
-                break
-        return w
-
-    # Moderate and near-branch-point arguments: Halley on w*exp(w) - x.
-    if x > 0.0:
-        w = x / (1.0 + x)  # crude but inside the basin for 0 < x < e
-    else:
-        p = math.sqrt(2.0 * (1.0 + _E * x))  # branch-point expansion
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    for _ in range(128):
-        ew = math.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        if denom == 0.0:
-            break
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
+    if x == -1.0 / math.e:
+        return -1.0  # the branch point; the double nearest -1/e makes scipy return nan
+    return float(lambertw(x).real)
 
 
 def regularized_gamma_p(k: float, x: float) -> float:

@@ -199,8 +199,9 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     def test_unknown_suite(self):
-        code, _, err = invoke(["verify", "--suite", "nope"])
-        assert code == 1 and "unknown suite" in err
+        for name in ("nope", "all"):
+            code, _, err = invoke(["verify", "--suite", name])
+            assert code == 1 and "unknown suite" in err
 
 
 class TestFigure2Command:

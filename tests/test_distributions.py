@@ -107,6 +107,25 @@ class TestPoissonLogPmf:
         with pytest.raises(ValueError):
             poisson_log_pmf(-1, 1.0)
 
+    def test_mean_column_matches_stacked_scalar_calls(self):
+        lams = np.array([1e-3, 0.05, 1.0, 3.7, 9.99, 400.0, 5.3e4, 1.3e5])
+        z = np.arange(0, 3000, 7)
+        table = poisson_log_pmf(z, lams[:, None])
+        assert table.shape == (lams.size, z.size)
+        rows = np.stack([poisson_log_pmf(z, float(lam)) for lam in lams])
+        assert np.array_equal(table, rows)
+        cells = np.array([[poisson_log_pmf(int(k), float(lam)) for k in z] for lam in lams])
+        assert np.array_equal(table, cells)
+
+    def test_rejects_non_positive_entry(self):
+        z = np.arange(5)
+        for bad in (0.0, -1.0, np.nan):
+            lams = np.array([2.0, bad, 3.0])
+            with pytest.raises(ValueError, match="lambda > 0"):
+                poisson_log_pmf(z, lams[:, None])
+            with pytest.raises(ValueError, match="lambda > 0"):
+                poisson_log_pmf(1, lams)
+
 
 class TestPoissonSample:
     def test_zero_rate(self):

@@ -339,7 +339,32 @@ def test_guided_search_equals_searchsorted(case):
     assert np.all(masses[idx] > 0.0)
 
 
+def dense_lipschitz_seminorm(spec):
+    """max over every support row and z < z_max of |i(x, z+1) - i(x, z)|, as one table."""
+    log_lam = np.log(spec.gain * spec.input.support)
+    z1 = np.log(np.arange(1, spec.z_max + 1))
+    return float(np.abs(log_lam[:, None] - z1[None, :] - np.diff(spec.log_pz)[None, :]).max())
+
+
+@st.composite
+def laws_with_zero_rows(draw):
+    """Input laws with zero-weight rows anywhere, the support ends included."""
+    size = draw(st.integers(1, 25))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 3.0]), min_size=size,
+                                     max_size=size)))
+    weights[draw(st.integers(0, size - 1))] = 1.0
+    pmf = DiscretePmf.from_weights(draw(st.integers(1, 40)), weights)
+    return pmf, draw(st.floats(0.02, 30.0))
+
+
 class TestLipschitzSeminorm:
+    @settings(max_examples=60, deadline=None)
+    @given(laws_with_zero_rows())
+    def test_matches_dense_reference(self, case):
+        pmf, gain = case
+        spec = PoissonChannelSpec(pmf, gain)
+        assert lipschitz_seminorm(spec) == dense_lipschitz_seminorm(spec)
+
     def test_point_mass_is_flat(self):
         spec = PoissonChannelSpec(point_mass(5), 1.0)
         assert lipschitz_seminorm(spec) == pytest.approx(0.0, abs=1e-12)

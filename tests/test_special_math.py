@@ -82,13 +82,24 @@ class TestLambertW:
             assert abs(w * math.exp(w) - x) / x <= 1e-10
 
     def test_negative_branch_region(self):
-        for x in (-0.05, -0.2, -1 / math.e + 1e-9):
+        for x in (-0.05, -0.2, -1 / math.e + 1e-9, -1 / math.e):
             w = lambert_w0(x)
             assert abs(w * math.exp(w) - x) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
             lambert_w0(-1 / math.e - 1e-6)
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # closer to -1/e than 1e-5 the cancellation in 1 + e*x costs digits in any double method
+        near_branch = -1 / math.e + np.logspace(-5, -1, 41)
+        for x in np.concatenate(
+            (np.logspace(-300, 300, 601), -np.logspace(-300, -1, 300), near_branch)
+        ):
+            ref = mpmath.lambertw(mpmath.mpf(float(x)))
+            assert ref.imag == 0
+            assert abs(lambert_w0(float(x)) - float(ref.real)) <= 1e-14 * abs(float(ref.real))
 
 
 class TestRegularizedGammaP:
