@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammainc, gammaln, logsumexp
 
 from freqcap import mutual_info
 
@@ -435,6 +436,62 @@ class TestMmpe:
         with pytest.raises(ValueError):
             mmpe(DiscretePmf.from_weights(0, [0.5, 0.5]), 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(laws_with_zero_rows(), st.floats(-10.0, math.log10(5.0)),
+           st.sampled_from([mutual_info._CHUNK_ELEMENTS, 3000, 200]))
+    def test_matches_bruteforce(self, case, log_gain, chunk_elements):
+        # small chunk sizes split the rows, and the gains, over many tables
+        pmf, _ = case
+        gain = 10.0**log_gain
+        lam = gain * float(pmf.support[-1])
+        z_hi = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+        assert gammainc(z_hi, lam) < 1e-16
+        expect = mmpe_bruteforce(pmf.support, pmf.probs, gain, z_hi)
+        with mock.patch.object(mutual_info, "_CHUNK_ELEMENTS", chunk_elements):
+            value = mmpe(pmf, gain)
+            values = mmpe(pmf, gain * np.array([0.5, 1.0]))
+        assert abs(value - expect) <= 1e-12 * max(1.0, expect)
+        assert abs(values[1] - expect) <= 1e-12 * max(1.0, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws_with_zero_rows(), st.lists(st.floats(-10.0, math.log10(5.0)), min_size=1,
+                                           max_size=16))
+    def test_array_gains_match_scalar_calls(self, case, log_gains):
+        # mmpe = a sum_z (E[U ln U; V=z] - P_V m ln m) cancels terms that sum to
+        # a E[U ln U], so rounding is relative to that or to the value, the larger
+        pmf, _ = case
+        gains = 10.0 ** np.array(log_gains)
+        values = mmpe(pmf, gains)
+        assert isinstance(values, np.ndarray) and values.shape == gains.shape
+        assert isinstance(mmpe(pmf, gains[0]), float)
+        single = np.array([mmpe(pmf, a) for a in gains])
+        xs = pmf.support.astype(float)
+        scale = np.maximum(np.abs(single), gains * float(pmf.probs @ (xs * np.log(xs))))
+        assert np.all(np.abs(values - single) <= 1e-14 * scale)
+
+    def test_output_window_hard_cap(self):
+        with pytest.raises(RuntimeError, match="hard cap"):
+            mmpe(point_mass(2_000_000), np.array([0.5, 1.0]))
+
+    def test_tables_capped_at_large_budget(self, monkeypatch):
+        # g=500, rho=0.5 at gain 5: one dense table would be 11,181 x ~58,000 cells
+        pmf = truncated_rounded_input_pmf(500.0, 0.5)
+        sizes = []
+        kernel = mutual_info.poisson_log_pmf
+
+        def recording(k, lam):
+            out = kernel(k, lam)
+            sizes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+        value = mmpe(pmf, 5.0)
+        xs, ws = pmf.support.astype(float), pmf.probs
+        mean = float(ws @ xs)
+        assert sizes and max(sizes) <= mutual_info._CHUNK_ELEMENTS
+        # the prior mean as estimator bounds the error: a (E[U ln U] - E[U] ln E[U])
+        assert 0.0 <= value <= 5.0 * (float(ws @ (xs * np.log(xs))) - mean * math.log(mean))
+
 
 class TestIMmpeIntegral:
     def test_point_mass_zero(self):
@@ -456,6 +513,20 @@ class TestIMmpeIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             i_mmpe_integral(two_point_13(), 0.0)
+
+    @pytest.mark.parametrize(
+        "pmf, gamma",
+        [
+            (truncated_rounded_input_pmf(20.0, 0.1), 0.4),
+            (truncated_rounded_input_pmf(200.0, 0.1), 0.4),
+            (two_point_13(), 0.5),
+            (two_point_13(), 1.0),
+            (two_point_13(), 2.0),
+        ],
+    )
+    def test_agrees_with_mutual_information_to_1e12(self, pmf, gamma):
+        mi = mutual_information(PoissonChannelSpec(pmf, gamma))
+        assert abs(i_mmpe_integral(pmf, gamma) - mi) <= 1e-12
 
 
 class TestTruncationLoss:
