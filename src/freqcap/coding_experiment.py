@@ -1,12 +1,14 @@
 """Desk-scale random-coding experiments on the frequency channel.
 
 Pipeline: build the integer input law, pick the common codeword sum from a
-pilot run, rejection-sample a fixed-sum random codebook, push codewords
-through the multinomial channel, and decode either by scan-order threshold
-on the Poisson-surrogate information density or by exact maximum
-likelihood. Both score codewords with one matrix-vector product, S(y) =
-sum_i y_i ln(x_i / tau); the surrogate (gain n r / tau) adds a term in y
-alone. Reports compare the empirical error against the Feinstein bound.
+pilot run, sample a fixed-sum random codebook (rejection on n - 8 letters,
+the last 8 drawn from their exact law given the sum they must make up),
+push codewords through the multinomial channel, and decode either by
+scan-order threshold on the Poisson-surrogate information density or by
+exact maximum likelihood. Both score codewords with one matrix-vector
+product, S(y) = sum_i y_i ln(x_i / tau); the surrogate (gain n r / tau)
+adds a term in y alone. Reports compare the empirical error against the
+Feinstein bound.
 """
 
 import json
@@ -36,6 +38,9 @@ __all__ = [
     "run_experiment",
     "density_correction",
 ]
+
+# letters of each codeword drawn from their exact law given the rest's sum
+_COMPLETED_LETTERS = 8
 
 
 def density_correction(reads: int) -> float:
@@ -84,8 +89,8 @@ class Codebook:
     @cached_property
     def _first_copy(self) -> np.ndarray:
         """Each row's first copy: duplicate rows score alike only up to rounding."""
-        _, first, inverse = np.unique(self.matrix, axis=0, return_index=True, return_inverse=True)
-        return first[inverse.ravel()]
+        first = {}
+        return np.array([first.setdefault(row.tobytes(), m) for m, row in enumerate(self.matrix)])
 
     def _log_likelihoods(self, y: np.ndarray) -> np.ndarray:
         """S(y) = sum_i y_i ln(x_mi / tau) for every codeword m; -inf where x_mi = 0 < y_i."""
@@ -104,12 +109,48 @@ def select_tau(input_pmf: DiscretePmf, n: int, pilot_samples: int, rng: RngStrea
     """
     if pilot_samples < 1000:
         raise ValueError(f"pilot_samples must be >= 1000, got {pilot_samples}")
-    probs = input_pmf.probs / input_pmf.probs.sum()
-    counts = rng.generator.multinomial(n, probs, size=pilot_samples)
+    counts = rng.generator.multinomial(n, input_pmf.probs, size=pilot_samples)
     sums = counts @ input_pmf.support
     freq = np.bincount(sums)
     tau = int(freq.argmax())
     return tau, float(freq[tau] / pilot_samples)
+
+
+def _completion_laws(probs: np.ndarray, k: int) -> list:
+    """P_0, ..., P_k, the j-fold convolutions of the letter pmf: P_j[s] is the
+    probability that j IID letters sum to j * offset + s, offset being the
+    support's lowest value."""
+    laws = [np.ones(1)]
+    for _ in range(k):
+        laws.append(np.convolve(laws[-1], probs))
+    return laws
+
+
+def _at(law: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """law[index], and 0 where index falls outside law."""
+    inside = (index >= 0) & (index < law.size)
+    return np.where(inside, law[np.where(inside, index, 0)], 0.0)
+
+
+def _complete(index, laws, probs, gen) -> np.ndarray:
+    """Support indices of k = len(laws) - 1 letters per row, drawn from their
+    law given that their sum sits at `index` in P_k.
+
+    Letters go backwards: letter j is drawn from i ∝ p(i) P_{j-1}(index - i),
+    and index - i is what it leaves for the j - 1 letters before it. Every
+    row needs P_k(index) > 0; one uniform per row per letter.
+    """
+    k = len(laws) - 1
+    letters = np.empty((index.size, k), dtype=np.int64)
+    for j in range(k, 0, -1):
+        weights = probs * _at(laws[j - 1], index[:, None] - np.arange(probs.size))
+        cdf = np.cumsum(weights, axis=1)
+        # a uniform below 1 times the total stays below it, so i has weight
+        u = gen.random(index.size) * cdf[:, -1]
+        i = (cdf <= u[:, None]).sum(axis=1)
+        letters[:, j - 1] = i
+        index = index - i
+    return letters
 
 
 def generate_codebook(
@@ -120,26 +161,43 @@ def generate_codebook(
     rng: RngStream,
     max_attempts_per_word: int = 200_000,
 ) -> Codebook:
-    """Rejection-sample M IID codewords from the product law conditioned on sum tau.
+    """Sample M IID codewords from the product law conditioned on sum tau.
 
-    A candidate block is drawn as a multiset (multinomial over the support)
-    and kept when its weighted sum hits tau; the kept multiset is then
-    arranged uniformly at random, which reproduces the conditional law
-    exactly. Duplicates are allowed. Raises with the observed acceptance
-    rate if the attempt budget runs out.
+    A candidate draws the multiset of n - k letters (multinomial over the
+    support), k = min(8, n), leaving t = tau minus its sum for the last k
+    letters. It is kept with probability P_k(t) / max_s P_k(s), where P_k
+    is the law of a sum of k letters. A kept candidate's k letters are
+    drawn from their exact law given sum t, prod_j p(x_j) / P_k(t), and
+    the whole multiset is arranged uniformly at random.
+
+    Why this is exact: read a candidate as n - k IID letters, whose order
+    the final shuffle discards, drawn with probability prod_i p(x_i).
+    Keeping it multiplies that by P_k(t) / max_s P_k(s), and the completion
+    by prod_j p(x_j) / P_k(t). P_k(t) cancels, so a codeword comes out with
+    probability proportional to prod p(x_i) over all n letters, restricted
+    to sum tau: the IID law conditioned on the sum, the same target as
+    rejection on the full sum, at 1 / max_s P_k(s) times its acceptance
+    rate. Duplicates are allowed. `attempts` counts candidates. Raises with
+    the observed acceptance rate if the attempt budget runs out.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     support = input_pmf.support
-    probs = input_pmf.probs / input_pmf.probs.sum()
+    probs = input_pmf.probs
+    k = min(_COMPLETED_LETTERS, n)
+    laws = _completion_laws(probs, k)
+    tail = laws[k]
+    tail_max = tail.max()
     gen = rng.generator
     budget = max_attempts_per_word * M
     batch = 4096
     words = []
     attempts = 0
     while len(words) < M:
-        counts = gen.multinomial(n, probs, size=batch)
-        hits = np.flatnonzero(counts @ support == tau)
+        counts = gen.multinomial(n - k, probs, size=batch)
+        # index into P_k of what the last k letters must add up to
+        index = tau - counts @ support - k * support[0]
+        hits = np.flatnonzero(gen.random(batch) * tail_max < _at(tail, index))
         needed = M - len(words)
         if hits.size >= needed:
             # stop counting attempts at the draw that completed the codebook
@@ -147,8 +205,9 @@ def generate_codebook(
             hits = hits[:needed]
         else:
             attempts += batch
-        for row in hits:
-            word = np.repeat(support, counts[row])
+        completions = support[_complete(index[hits], laws, probs, gen)]
+        for row, last in zip(hits, completions):
+            word = np.concatenate([np.repeat(support, counts[row]), last])
             words.append(gen.permutation(word))
         if len(words) < M and attempts > budget:
             raise RuntimeError(

@@ -113,8 +113,7 @@ class DiscretePmf:
         return float(-(p[mask] * self.log_weights[mask]).sum())
 
     def sample(self, rng: RngStream, size=None):
-        p = self._probs / self._probs.sum()
-        return rng.generator.choice(self.support, p=p, size=size)
+        return rng.generator.choice(self.support, p=self._probs, size=size)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -1,10 +1,13 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
+from scipy.stats import chi2
 
 from freqcap import coding_experiment
 from freqcap.channel import ChannelParams, CountVector, transmit
@@ -46,6 +49,39 @@ def reference_densities(y, matrix, spec):
     return np.array(out)
 
 
+def k_letter_sum_law(probs, k):
+    law = np.ones(1)
+    for _ in range(k):
+        law = np.convolve(law, probs)
+    return law
+
+
+def conditional_multiset_law(pmf, n, tau):
+    """Letter counts of n IID draws from pmf, given that they sum to tau, by enumeration."""
+    law = {}
+    for cut in itertools.combinations(range(n + pmf.size - 1), pmf.size - 1):
+        counts = np.diff([-1, *cut, n + pmf.size - 1]) - 1
+        if counts @ pmf.support == tau:
+            log_w = gammaln(n + 1) - gammaln(counts + 1).sum()
+            law[tuple(int(c) for c in counts)] = math.exp(log_w) * np.prod(pmf.probs ** counts)
+    total = sum(law.values())
+    return {c: w / total for c, w in law.items() if w > 0}
+
+
+def assert_chi2_fits(observed, probs, size):
+    """Pearson chi-square against size * probs, pooling cells expected below 5,
+    held to the level exceeded with probability 1e-6 under the law."""
+    observed = np.asarray(observed, dtype=float)
+    expected = size * np.asarray(probs)
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    if expected[-1] == 0:
+        observed, expected = observed[:-1], expected[:-1]
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert stat <= chi2.isf(1e-6, expected.size - 1), stat
+
+
 def first_occurrence(matrix, m):
     return next(k for k in range(len(matrix)) if np.array_equal(matrix[k], matrix[m]))
 
@@ -83,14 +119,48 @@ class TestGenerateCodebook:
         assert np.all(cb.matrix.sum(axis=1) == tau)
 
     def test_acceptance_rate_consistent_with_pilot(self):
+        # a candidate is kept with probability P[sum = tau] / max_s P_k(s)
         pmf = truncated_rounded_input_pmf(8.0, 0.5)
         n = 200
         tau, p_hat = select_tau(pmf, n, 20_000, RngStream(6))
         cb = generate_codebook(300, n, pmf, tau, RngStream(7))
-        sigma = math.sqrt(p_hat * (1 - p_hat) / cb.attempts) + math.sqrt(
+        tail_max = k_letter_sum_law(pmf.probs, coding_experiment._COMPLETED_LETTERS).max()
+        expected = p_hat / tail_max
+        sigma = math.sqrt(expected * (1 - expected) / cb.attempts) + math.sqrt(
             p_hat * (1 - p_hat) / 20_000
-        )
-        assert abs(cb.accept_rate - p_hat) <= 3.0 * sigma
+        ) / tail_max
+        assert abs(cb.accept_rate - expected) <= 3.0 * sigma
+
+    @pytest.mark.parametrize(
+        "weights, n, tau",
+        [
+            ((0.5, 0.3, 0.2), 4, 7),  # n <= k: every letter is completed
+            ((0.5, 0.3, 0.2), 11, 20),
+            ((0.4, 0.0, 0.35, 0.25), 20, 49),  # a zero-weight interior letter
+        ],
+    )
+    def test_matches_conditional_law(self, weights, n, tau):
+        pmf = DiscretePmf.from_weights(1, weights)
+        cb = generate_codebook(100_000, n, pmf, tau, RngStream(31))
+        law = conditional_multiset_law(pmf, n, tau)
+        counts = np.stack([(cb.matrix == v).sum(axis=1) for v in pmf.support], axis=1)
+        observed = Counter(map(tuple, counts.tolist()))
+        assert set(observed) <= set(law)
+        cells = list(law)
+        expected = np.array([law[c] for c in cells])
+        assert_chi2_fits([observed[c] for c in cells], expected, len(cb))
+        # the first letter, marginally
+        first = np.array([(cb.matrix[:, 0] == v).sum() for v in pmf.support])
+        marginal = sum(law[c] * np.array(c) for c in cells) / n
+        assert np.all(first[marginal == 0] == 0)
+        assert_chi2_fits(first[marginal > 0], marginal[marginal > 0], len(cb))
+        if n <= 4:
+            # few enough to test every ordered word, the uniform arrangement included
+            words = Counter(map(tuple, cb.matrix.tolist()))
+            seqs = [s for s in itertools.product(pmf.support, repeat=n) if sum(s) == tau]
+            probs = np.array([np.prod(pmf.probs[np.array(s) - 1]) for s in seqs])
+            assert set(words) <= set(seqs)
+            assert_chi2_fits([words[s] for s in seqs], probs / probs.sum(), len(cb))
 
     def test_budget_exhaustion_reports_rate(self):
         pmf = truncated_rounded_input_pmf(8.0, 0.5)
