@@ -47,6 +47,7 @@ from .distributions import (
     gamma_half_tail_bounds,
     geometric_max_entropy_pmf,
     multinomial_sample,
+    poisson_band,
     poisson_chernoff_lower_tail,
     poisson_entropy,
     poisson_log_pmf,

@@ -20,6 +20,7 @@ __all__ = [
     "DiscretePmf",
     "TruncationInterval",
     "poisson_log_pmf",
+    "poisson_band",
     "poisson_sample",
     "poisson_entropy",
     "gamma_half_sample",
@@ -174,6 +175,18 @@ def poisson_log_pmf(k, lam):
     return out
 
 
+def poisson_band(lam):
+    """Integer band (lo, hi) = lam -+ (12 sqrt(lam + 1) + 40) of Poisson(lam), lo clipped at 0.
+
+    The one window rule of the exact output tables, as int64 arrays shaped
+    like `lam`. Its two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30
+    for every mean from 1e-9 to 1e6; callers certify what they drop.
+    """
+    half = 12.0 * np.sqrt(lam + 1.0) + 40.0
+    lo = np.maximum(0.0, np.ceil(lam - half)).astype(np.int64)
+    return lo, np.floor(lam + half).astype(np.int64)
+
+
 def poisson_sample(lam: float, rng: RngStream, size=None):
     """Poisson draw(s); inversion for small means, transformed rejection for large."""
     if lam < 0.0:
@@ -185,33 +198,25 @@ def poisson_sample(lam: float, rng: RngStream, size=None):
 
 
 def poisson_entropy(lam, tail_tol: float = 1e-14):
-    """Entropy of Poisson(lam) in nats, summed until the missed mass < tail_tol.
+    """Entropy of Poisson(lam) in nats, summed over the band of each mean.
 
     `lam` is a scalar or an array of means; a scalar is the one-element case
-    and returns a float. Each mean gets its own window lam +- (12 sqrt(lam) +
-    35), widened until the missed mass outside it is certified analytically
-    through the regularized incomplete gamma functions (P above the window,
-    Q below it) rather than by 1 - sum(p), which drowns in float rounding at
-    this tolerance.
+    and returns a float. Each mean is summed over its `poisson_band`. The
+    mass left outside is certified analytically through the regularized
+    incomplete gamma functions (P above the band, Q below it) rather than by
+    1 - sum(p), which drowns in float rounding at this tolerance; a mean
+    whose band leaves out tail_tol or more raises.
     """
     lams = np.asarray(lam, dtype=float)
     if np.any(~(lams > 0.0)):
         raise ValueError(f"poisson_entropy needs lambda > 0, got {lam}")
     flat = lams.ravel()
-    half = 12.0 * np.sqrt(flat) + 35.0
-    lo = np.maximum(0, (flat - half).astype(np.int64))
-    hi = (flat + half).astype(np.int64) + 1
-    step = half.astype(np.int64)
-    for _ in range(64):
-        # P[Z > hi] = P_reg(hi + 1, lam) and P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0
-        wide = gammainc(hi + 1.0, flat) + gammaincc(lo, flat) >= tail_tol
-        if not wide.any():
-            break
-        lo = np.where(wide, np.maximum(0, lo - step), lo)
-        hi = np.where(wide, hi + step + 1, hi)
-    else:
-        bad = flat[wide][0]
-        raise RuntimeError(f"poisson_entropy window failed to capture the mass at lambda={bad}")
+    lo, hi = poisson_band(flat)
+    # P[Z > hi] = P_reg(hi + 1, lam) and P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0
+    missed = gammainc(hi + 1.0, flat) + gammaincc(lo, flat)
+    if np.any(missed >= tail_tol):
+        i = int(np.argmax(missed))
+        raise RuntimeError(f"poisson_entropy band misses mass {missed[i]:g} at lambda={flat[i]}")
 
     # Windows padded to a common width per chunk; means sorted by width keep the padding small.
     width = hi - lo + 1

@@ -1,24 +1,25 @@
 """Exact and Monte-Carlo information quantities for the integer-input Poisson channel.
 
 The channel is scalar: Z | X=x ~ Poisson(gain * x) with X supported on
-{1, ..., s}. Everything exact is computed by finite summation over an
-output window whose missed mass is certified below a tolerance; the
-window keeps truncation errors in entropies and mutual information below
-1e-9 nats. Inside the window each input row is summed only over its band
-lam +- (12 sqrt(lam + 1) + 40), stretched to meet its neighbours so that
-every output value has a row; the mass the bands drop is certified with
-the regularized incomplete gamma functions (`band_missed_mass`, at most
-1e-3 of the window's tail tolerance). The bands change log P_Z only where
-it is far below any mass that matters (in the tested laws, below e^-60).
+{1, ..., s}. Everything exact is computed by finite summation over one
+band per input row, lam +- (12 sqrt(lam + 1) + 40) (`poisson_band`),
+stretched to meet its neighbours so that every output value has a row.
+The output window 0..z_max ends at the band end of the largest mean. The
+mass the bands drop, below each band and above it (past z_max too), is
+certified with the regularized incomplete gamma functions
+(`band_missed_mass`, at most 1e-3 of the tail tolerance), which keeps
+truncation errors in entropies and mutual information below 1e-9 nats.
+The bands change log P_Z only where it is far below any mass that matters
+(in the tested laws, below e^-60).
 Blocklength enters only through Monte-Carlo sampling of the information
 spectrum: the channel is memoryless under product inputs, so
 single-letter quantities scale.
 
 Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
 log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
-it. The spectrum draws letters (X, Z) from one letter table per call:
-each positive-weight row with lam < 10 gets one cell per z in
-0..floor(lam + 12 sqrt(lam + 1) + 40), each row with lam >= 10 one cell
+it, so a density is exact at every z. The spectrum draws letters (X, Z)
+from one letter table per call: each positive-weight row with lam < 10
+gets one cell per z from 0 to its band end, each row with lam >= 10 one cell
 whose z is drawn afterwards by numpy's transformed-rejection Poisson
 sampler (10 is where numpy switches to it). One uniform per letter finds
 its cell through a Chen-Asau guide table. The mass the small rows' cells
@@ -28,7 +29,6 @@ and must stay below 2^-53, one step of the uniform draw.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +40,7 @@ from .distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    poisson_band,
     poisson_entropy,
     poisson_log_pmf,
 )
@@ -72,11 +73,6 @@ _A_MIN = 1e-10
 _PANELS_PER_DECADE = 3
 # mmpe: mass each input row may leave out of its table on either side, at every gain
 _MMPE_TAIL = 1e-16
-
-
-def _half_width(lam):
-    """Starting half-width of a Poisson(lam) window: 12 sqrt(lam + 1) + 40."""
-    return 12.0 * np.sqrt(lam + 1.0) + 40.0
 
 
 def _bernstein_window(lam_lo, lam_hi, tail: float):
@@ -118,22 +114,6 @@ def _poisson_window(lam_lo, lam_hi, tail: float):
     return lo_ok, hi_ok
 
 
-def _window_end(lam: float, tail: float) -> int:
-    """Window end for Z ~ Poisson(lam): the first candidate z with P[Z > z] < tail.
-
-    The candidates start at lam + half-width and step z -> 1.25 z + 10;
-    P[Z > z] falls with z, so the first candidate at or above the tail
-    quantile is the answer. A window past the hard cap of 1e6 raises.
-    """
-    quantile = _poisson_window(lam, lam, tail)[1]
-    z = int(lam + _half_width(lam))
-    while z < quantile:
-        z = int(z * 1.25) + 10
-    if z > _Z_HARD_CAP:
-        raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
-    return z
-
-
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """log sum_rows exp(a) for a finite 2-D array; overwrites `a`."""
     top = a.max(axis=0)
@@ -145,15 +125,15 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 class PoissonChannelSpec:
     """Input law plus gain, with a certified output-support cutoff.
 
-    z_max is the smallest window end keeping the mixture output tail mass
-    below `tail_mass` (default 1e-12), hard-capped at 1e6 with an explicit
-    failure. Each input row with positive weight keeps a band [lo, hi] of
-    0..z_max around its mean (the z_max half-width), stretched to meet its
-    neighbours' bands so every z has a row. The mixture mass that the bands
-    drop inside the window, `band_missed_mass`, is certified with the
-    regularized incomplete gamma functions and must stay below
-    1e-3 * tail_mass. The raw (unnormalized) log output PMF is tabulated
-    once from the bands.
+    Each input row with positive weight keeps its `poisson_band` [lo, hi],
+    stretched to meet its neighbours' bands so every z in 0..z_max has a
+    row. z_max is the band end of the largest mean with positive weight,
+    hard-capped at 1e6 with an explicit failure. The mixture mass that the
+    bands drop, below each band and above it (past z_max too),
+    `band_missed_mass`, is certified with the regularized incomplete gamma
+    functions and must stay below 1e-3 * tail_mass (default 1e-12). The raw
+    (unnormalized) log output PMF is tabulated once from the bands; past
+    z_max it and every density are extended exactly on demand.
     """
 
     def __init__(self, input_pmf: DiscretePmf, gain: float, tail_mass: float = 1e-12):
@@ -167,32 +147,31 @@ class PoissonChannelSpec:
         self._xs = input_pmf.support.astype(float)
         self._ws = input_pmf.probs
         self._lams = self.gain * self._xs
-        self.z_max = _window_end(float(self._lams.max()), self.tail_mass)
-        self._bands = self._choose_bands()
+        rows = np.flatnonzero(self._ws > 0.0)
+        lo, hi = poisson_band(self._lams[rows])
+        self.z_max = int(hi[-1])
+        if self.z_max > _Z_HARD_CAP:
+            raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
+        self._bands = self._choose_bands(rows, lo, hi)
         self._log_pz = self._banded_log_pmf()
 
-    def _choose_bands(self):
+    def _choose_bands(self, rows, lo, hi):
         """Certify the row bands and group the rows into chunks with a shared window.
 
         Returns a list of (row indices, z_lo, z_hi); a chunk's window is the
         union of its rows' bands, at most a quarter wider than the first row's band.
         """
-        rows = np.flatnonzero(self._ws > 0.0)
         lam = self._lams[rows]
-        half = _half_width(lam)
-        lo = np.maximum(0, np.ceil(lam - half)).astype(np.int64)
-        hi = np.minimum(self.z_max, np.floor(lam + half)).astype(np.int64)
-        lo[0], hi[-1] = 0, self.z_max
+        lo[0] = 0
         # rows are sorted by mean, so stretching neighbours across each gap covers 0..z_max
         lo[1:], hi[:-1] = np.minimum(lo[1:], hi[:-1] + 1), np.maximum(hi[:-1], lo[1:] - 1)
 
-        # P[Z < lo] + P[hi < Z <= z_max] per row; gammaincc(0, lam) = 0
-        above = gammainc(hi + 1.0, lam) - gammainc(self.z_max + 1.0, lam)
-        missed = gammaincc(lo, lam) + np.maximum(above, 0.0)
+        # P[Z < lo] + P[Z > hi] per row; gammaincc(0, lam) = 0
+        missed = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
         self.band_missed_mass = float(self._ws[rows] @ missed)
         if self.band_missed_mass > 1e-3 * self.tail_mass:
             raise RuntimeError(
-                f"row bands drop mass {self.band_missed_mass:g} inside the output window, "
+                f"row bands drop mass {self.band_missed_mass:g}, "
                 f"above 1e-3 * tail_mass = {1e-3 * self.tail_mass:g}"
             )
 
@@ -298,24 +277,16 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
 def information_density(x: int, z: int, spec: PoissonChannelSpec) -> float:
     """Single-letter information density log P[Z=z|X=x] / P_Z(z) in nats.
 
-    Requires P_X(x) > 0. Beyond the tabulated output window the value is
-    returned as -inf and flagged with a warning; the mass out there is
-    below the channel's tail tolerance but the caller decides what to do.
+    Requires P_X(x) > 0. Exact at every z >= 0: past z_max the output law is
+    summed on demand (`PoissonChannelSpec.density_offset`).
     """
     idx = x - spec.input.support_offset
     if idx < 0 or idx >= spec.input.size or spec._ws[idx] <= 0.0:
         raise ValueError(f"x={x} is outside the support of the input law")
     if z < 0:
         raise ValueError(f"z must be non-negative, got {z}")
-    if z > spec.z_max:
-        warnings.warn(
-            f"z={z} beyond the tabulated output window (z_max={spec.z_max}); "
-            "returning the -inf sentinel",
-            RuntimeWarning,
-        )
-        return -math.inf
     lam = spec.gain * x
-    return z * math.log(lam) - lam - float(spec._offsets[z])
+    return z * math.log(lam) - lam - float(spec.density_offset(np.array([z]))[0])
 
 
 @dataclass(frozen=True)
@@ -387,7 +358,7 @@ class _LetterTable:
         rows = np.flatnonzero(spec._ws > 0.0)
         lam, w = spec._lams[rows], spec._ws[rows]
         small = lam < _PTRS_MIN_MEAN
-        top = np.floor(lam[small] + _half_width(lam[small])).astype(np.int64)
+        top = poisson_band(lam[small])[1]
         missed = float(w[small] @ gammainc(top + 1.0, lam[small]))
         if missed > 2.0**-53:
             raise RuntimeError(
@@ -405,7 +376,7 @@ class _LetterTable:
         mass = w[row] * np.where(ptrs, 1.0, np.exp(kernel - log_factorial(z)))
         cdf = np.cumsum(mass)
         cdf /= cdf[-1]
-        density = np.where(ptrs, 0.0, kernel - spec._offsets[z])
+        density = np.where(ptrs, 0.0, kernel - spec.density_offset(z))
         return cls(cdf, _guide_table(cdf), density, ptrs, lam_c, log_lam)
 
     def draw_density(self, spec: PoissonChannelSpec, gen: np.random.Generator, size: int):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 
 from freqcap.distributions import (
     DiscretePmf,
@@ -11,6 +12,7 @@ from freqcap.distributions import (
     gamma_half_tail_bounds,
     geometric_max_entropy_pmf,
     multinomial_sample,
+    poisson_band,
     poisson_chernoff_lower_tail,
     poisson_entropy,
     poisson_log_pmf,
@@ -178,6 +180,37 @@ class TestPoissonEntropy:
     def test_rejects_non_positive_entry(self):
         with pytest.raises(ValueError):
             poisson_entropy(np.array([1.0, 0.0, 3.0]))
+
+    def test_band_certificate_refuses_a_tolerance_it_cannot_meet(self):
+        # the unit-mean band ends at z = 57, whose tail (~1e-79) is far above 1e-300
+        with pytest.raises(RuntimeError, match="band"):
+            poisson_entropy(1.0, tail_tol=1e-300)
+
+
+class TestPoissonBand:
+    def test_scalar_and_array(self):
+        lo, hi = poisson_band(1.0)
+        assert np.shape(lo) == np.shape(hi) == () and (lo, hi) == (0, 57)
+        lam = np.array([[1e-9, 1.0], [1000.0, 1e6]])
+        lo, hi = poisson_band(lam)
+        assert lo.shape == hi.shape == (2, 2) and lo.dtype == hi.dtype == np.int64
+        for mean, band in zip(lam.ravel(), zip(lo.ravel(), hi.ravel())):
+            assert band == poisson_band(mean)
+
+    def test_lower_end_clipped_at_zero(self):
+        lam = np.array([1e-9, 1.0, 100.0, 200.0, 300.0, 1e4])
+        lo, hi = poisson_band(lam)
+        half = 12.0 * np.sqrt(lam + 1.0) + 40.0
+        assert np.array_equal(lo, np.maximum(0, np.ceil(lam - half)))
+        assert np.array_equal(hi, np.floor(lam + half))
+        assert lo[0] == lo[3] == 0 and lo[4] > 0
+
+    def test_two_sided_tail_below_1e_minus_30(self):
+        lam = np.logspace(-9, 6, 2001)
+        lo, hi = poisson_band(lam)
+        # P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0; P[Z > hi] = P_reg(hi + 1, lam)
+        tail = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
+        assert np.all(tail < 1e-30)
 
 
 def test_v_log_v_expectation_bound():

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, and every private
+module-level name it defines is used somewhere in the package.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "freqcap"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -48,3 +50,64 @@ def test_checker_flags_only_unused_unmarked_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each private module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """`module:name` for each private module-level definition in `sources`
+    (module name -> source) that no code outside its own definition reads,
+    by name, as an attribute or through an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.append((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node.attr, module, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                reads.extend((alias.name, module, node.lineno) for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            if not any(
+                n == name and (m != module or not first <= line <= last) for n, m, line in reads
+            ):
+                unread.append(f"{module}:{name}")
+    return sorted(unread)
+
+
+def test_private_checker_flags_only_unread_definitions():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_DEAD = 2\n"
+            "__all__ = []\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) + _USED\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _via_attribute():\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _Imported\nimport a\na._via_attribute()\n",
+    }
+    assert unreferenced_privates(sources) == ["a:_DEAD", "a:_recursive"]
+
+
+def test_every_private_definition_is_used():
+    assert unreferenced_privates({path.stem: path.read_text() for path in PACKAGE}) == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -199,11 +200,16 @@ class TestInformationDensity:
             total += w * float((p * dens).sum())
         assert total == pytest.approx(mutual_information(spec), abs=1e-9)
 
-    def test_sentinel_beyond_window(self):
+    def test_exact_beyond_window(self):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
-        with pytest.warns(RuntimeWarning):
-            value = information_density(1, spec.z_max + 10, spec)
-        assert value == -math.inf
+        z = np.array([spec.z_max + 1, spec.z_max + 10, spec.z_max + 40])
+        log_pz = dense_tables(spec, z)[0]
+        for x in (1, 2):
+            expect = z * math.log(x) - x - log_factorial(z) - log_pz
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = [information_density(x, int(k), spec) for k in z]
+            assert np.max(np.abs(np.array(value) - expect)) <= 1e-12
 
     def test_rejects_off_support(self):
         spec = PoissonChannelSpec(two_point_13(), 1.0)
@@ -277,7 +283,12 @@ class TestSpectrumMc:
 
     def test_letter_table_certificate_refuses(self, monkeypatch):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
-        monkeypatch.setattr(mutual_info, "_half_width", lambda lam: 10.0 + 0.0 * lam)
+
+        def narrow(lam):
+            lo = np.maximum(0.0, np.ceil(lam - 10.0)).astype(np.int64)
+            return lo, np.floor(lam + 10.0).astype(np.int64)
+
+        monkeypatch.setattr(mutual_info, "poisson_band", narrow)
         with pytest.raises(RuntimeError, match="letter table"):
             spectrum_mc(spec, 10, 10, RngStream(1))
 
