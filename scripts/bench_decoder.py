@@ -1,0 +1,126 @@
+"""Micro-benchmark of the decoder's per-trial scoring, with and without BLAS.
+
+Times STEPS draw+score steps on the seed-1 `coding` benchmark codebook
+(n=2000, g=8, r=3.2, rho=0.5, M=256): each step draws one trial's output
+through `channel.transmit` and scores all 256 codewords, once with the BLAS
+matrix-vector product `log_frequencies @ y` and once with the einsum that
+`Codebook._log_likelihoods` uses. Each (BLAS threads, method) pair runs in
+its own fresh process, since OpenBLAS reads its thread count at start-up.
+
+    python scripts/bench_decoder.py > BENCH_decoder.json
+
+The children import freqcap from the `src/` next to this script.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+STEPS = 1000
+REPEATS = 5
+THREADS = ("1", "2")
+METHODS = ("matmul", "einsum")
+CONFIG = dict(n=2000, g=8.0, r=3.2, rho=0.5, delta=0.3, m=256, seed=1)
+
+
+def _child(method):
+    import numpy as np
+
+    from freqcap.channel import ChannelParams, transmit
+    from freqcap.coding_experiment import ExperimentConfig, generate_codebook, select_tau
+    from freqcap.distributions import RngStream, truncated_rounded_input_pmf
+
+    # the codebook `run_experiment` builds for this config
+    config = ExperimentConfig(**CONFIG)
+    rng = RngStream(config.seed)
+    pmf = truncated_rounded_input_pmf(config.g, config.rho)
+    tau, _ = select_tau(pmf, config.n, config.pilot_samples, rng.substream(1))
+    codebook = generate_codebook(config.m, config.n, pmf, tau, rng.substream(2))
+    params = ChannelParams(config.n, config.g, config.r)
+    log_freq = codebook.log_frequencies
+    if method == "matmul":
+        def score(y):
+            return log_freq @ y
+    else:
+        def score(y):
+            return np.einsum("mi,i->m", log_freq, y.astype(float))
+
+    def steps():
+        channel_root = rng.substream(4)
+        correct = 0
+        for t in range(STEPS):
+            m = t % config.m
+            y = transmit(codebook.codeword(m), params, channel_root.substream(t)).counts
+            correct += int(score(y).argmax()) == m
+        return correct
+
+    steps()  # warm-up: BLAS threads started, caches filled
+    cpu, wall = [], []
+    for _ in range(REPEATS):
+        c0, w0 = time.process_time(), time.perf_counter()
+        correct = steps()
+        cpu.append(time.process_time() - c0)
+        wall.append(time.perf_counter() - w0)
+    return {"cpu_s": cpu, "wall_s": wall, "correct": correct}
+
+
+def _blas_version():
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def main():
+    import numpy as np
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in THREADS:
+        for method in METHODS:
+            env = {**os.environ, "PYTHONPATH": path,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, __file__, "--child", method],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            result = json.loads(done.stdout)
+            runs.append({
+                "blas_threads": int(threads),
+                "method": method,
+                "cpu_s_median": statistics.median(result["cpu_s"]),
+                "wall_s_median": statistics.median(result["wall_s"]),
+                **result,
+            })
+    if len({run["correct"] for run in runs}) != 1:
+        raise RuntimeError("the scoring methods decoded differently")
+    doc = {
+        "benchmark": f"{STEPS} draw+score steps, median of {REPEATS} repeats after one warm-up",
+        "codebook": {**CONFIG, "shape": [CONFIG["m"], CONFIG["n"]]},
+        "environment": {
+            "cpus": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": _blas_version(),
+        },
+        "runs": runs,
+    }
+    print(json.dumps(doc, indent=2))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(_child(sys.argv[2])))
+    else:
+        main()

@@ -2,9 +2,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freqcap
 from freqcap.cli import run
 from freqcap.special_math import NATS_PER_BIT
 
@@ -189,6 +194,30 @@ class TestExperimentCommand:
         _, other, _ = invoke(["experiment", "--config", str(cfg), "--seed", "10"])
         assert json.loads(base)["config"]["seed"] == 9
         assert json.loads(other)["config"]["seed"] == 10
+
+    @pytest.mark.parametrize("decoder", ["threshold", "ml"])
+    def test_independent_of_blas_threads(self, tmp_path, decoder):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"n=200\ng=8\nr=3.2\nrho=0.5\ndelta=0.3\nm=16\ndecoder={decoder}\n"
+            "trials=50\nseed=1\npilot_samples=2000\nspectrum_samples=400\n"
+        )
+        src = str(Path(freqcap.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            trace = tmp_path / f"trace-{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": path,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-m", "freqcap.cli", "experiment", "--config", str(cfg),
+                 "--trace", str(trace)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((done.stdout, trace.read_text()))
+        assert json.loads(outputs[0][0])["trials"] == 50
+        assert outputs[0] == outputs[1]
 
 
 class TestVerifyCommand:

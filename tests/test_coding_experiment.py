@@ -169,6 +169,47 @@ class TestGenerateCodebook:
             generate_codebook(2, 50, pmf, 1, RngStream(8), max_attempts_per_word=5000)
 
 
+def fsum_scores(y, matrix, tau):
+    """S(y) for every row by math.fsum; -inf where x_mi = 0 < y_i, zero counts skipped."""
+    out = []
+    for row in matrix:
+        if np.any((row == 0) & (y > 0)):
+            out.append(-math.inf)
+        else:
+            out.append(math.fsum(int(z) * math.log(x / tau) for x, z in zip(row, y) if z > 0))
+    return np.array(out)
+
+
+class TestLogLikelihoods:
+    def assert_matches_fsum(self, cb, y):
+        reference = fsum_scores(y, cb.matrix, cb.tau)
+        scores = cb._log_likelihoods(y)
+        assert np.array_equal(np.isneginf(scores), np.isneginf(reference))
+        finite = np.isfinite(reference)
+        np.testing.assert_allclose(scores[finite], reference[finite], rtol=1e-12, atol=0)
+        return finite
+
+    def test_zero_free_codebook(self):
+        gen = np.random.default_rng(3)
+        n, tau = 2000, 16000
+        matrix = 1 + gen.multinomial(tau - n, np.full(n, 1.0 / n), size=64)
+        cb = Codebook(matrix, tau, point_mass(8), 64, (0, 0))
+        assert cb._zero_free
+        y = gen.multinomial(6400, matrix[5] / tau)
+        assert self.assert_matches_fsum(cb, y).all()
+
+    def test_zero_entries(self):
+        gen = np.random.default_rng(4)
+        n, tau = 500, 1500
+        matrix = gen.multinomial(tau, np.full(n, 1.0 / n), size=32)
+        cb = Codebook(matrix, tau, point_mass(3), 32, (0, 0))
+        assert not cb._zero_free
+        # y is zero wherever row 0 is: row 0 stays finite, rows with a zero under y > 0 do not
+        y = gen.multinomial(3000, matrix[0] / tau)
+        finite = self.assert_matches_fsum(cb, y)
+        assert finite[0] and not finite.all()
+
+
 class TestDecodeMl:
     def params(self, n=2, g=4.0, r=2.0):
         return ChannelParams(n, g, r)
@@ -192,7 +233,7 @@ class TestDecodeMl:
     def test_tie_breaks_low_index(self):
         cb = Codebook(np.array([[2, 2], [2, 2]]), 4, point_mass(2), 2, (0, 0))
         assert decode_ml(CountVector([3, 1]), cb, self.params()) == 0
-        # copies in different blocks of the matrix-vector product still tie
+        # copies of a row tie to the first, even where alignment rounds their scores apart
         rows = np.array([[0, 3], [0, 3], [0, 3], [1, 2], [0, 3], [1, 2]])
         cb = Codebook(rows, 3, point_mass(1), 6, (0, 0))
         assert decode_ml(CountVector([9, 1]), cb, ChannelParams(2, 1.0, 5.0)) == 3
