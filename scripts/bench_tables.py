@@ -1,0 +1,106 @@
+"""Layer benchmark of the banded Poisson tables behind the exact surrogate MI.
+
+Times five fixed cases, each in its own fresh process, for one or more
+source trees, and prints the median CPU seconds of REPEATS runs after one
+warm-up run:
+
+- `poisson_entropy` over the means of g=500, rho=0.5, gain 0.4;
+- the `PoissonChannelSpec` build for that law;
+- `mutual_information` of that spec (built once, outside the timing);
+- `i_mmpe_integral` at g=200, rho=0.1, gain 0.4;
+- one top `mmpe` panel at g=500, rho=0.5: the 16 Gauss-Legendre gains in
+  [0.2, 0.4].
+
+    python scripts/bench_tables.py                       # this checkout's src/
+    python scripts/bench_tables.py parent=/path/to/other/src change=src > BENCH_tables.json
+
+Each argument is `label=path` to a directory that holds the `freqcap`
+package; results are keyed by label. The trees take turns case by case,
+so drift over the run falls on every tree alike. Each case also records
+the value it computed. BLAS threads follow the environment
+(OPENBLAS_NUM_THREADS), as in the CLI.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+REPEATS = 5
+CASES = ("poisson_entropy_g500", "spec_build_g500", "mutual_information_g500",
+         "i_mmpe_integral_g200", "mmpe_panel_g500")
+
+
+def _child(case):
+    import numpy as np
+
+    from freqcap.distributions import poisson_entropy, truncated_rounded_input_pmf
+    from freqcap.mutual_info import PoissonChannelSpec, i_mmpe_integral, mmpe, mutual_information
+
+    g500 = truncated_rounded_input_pmf(500.0, 0.5)
+    g200 = truncated_rounded_input_pmf(200.0, 0.1)
+    means = 0.4 * g500.support.astype(float)
+    gains = 0.3 + 0.1 * np.polynomial.legendre.leggauss(16)[0]
+    spec = PoissonChannelSpec(g500, 0.4) if case == "mutual_information_g500" else None
+    run = {
+        "poisson_entropy_g500": lambda: float(poisson_entropy(means).sum()),
+        "spec_build_g500": lambda: float(np.exp(PoissonChannelSpec(g500, 0.4).log_pz).sum()),
+        "mutual_information_g500": lambda: mutual_information(spec),
+        "i_mmpe_integral_g200": lambda: i_mmpe_integral(g200, 0.4),
+        "mmpe_panel_g500": lambda: float(mmpe(g500, gains).sum()),
+    }[case]
+    run()  # warm-up: imports, tables and caches
+    cpu = []
+    for _ in range(REPEATS):
+        c0 = time.process_time()
+        value = run()
+        cpu.append(time.process_time() - c0)
+    return {"cpu_s": cpu, "value": value}
+
+
+def _environment():
+    import numpy as np
+    import scipy
+
+    return {
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+    }
+
+
+def main(trees):
+    results = {label: {} for label in trees}
+    for case in CASES:
+        for label, src in trees.items():
+            path = os.pathsep.join(filter(None, [os.path.abspath(src),
+                                                 os.environ.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, __file__, "--child", case],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True,
+            )
+            run = json.loads(done.stdout)
+            results[label][case] = {"cpu_s_median": statistics.median(run["cpu_s"]), **run}
+    doc = {
+        "benchmark": f"CPU s per case, median of {REPEATS} runs after one warm-up, "
+                     "each case in its own process",
+        "environment": _environment(),
+        "results": results,
+    }
+    print(json.dumps(doc, indent=2))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(_child(sys.argv[2])))
+    else:
+        here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        pairs = [arg.partition("=") for arg in sys.argv[1:]] or [("src", "", here)]
+        main({label: path for label, _, path in pairs})

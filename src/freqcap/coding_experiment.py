@@ -492,7 +492,8 @@ def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
         else:
             decoded = decode_ml(y, codebook, params)
         # finite: codewords drawn from the input law have no zero entry
-        density = (codebook.log_frequencies[true_m] @ y + _density_offset(y, spec, tau)) / config.n
+        score = np.einsum("i,i->", codebook.log_frequencies[true_m], y.astype(float))
+        density = (score + _density_offset(y, spec, tau)) / config.n
         density_sum += density
         if decoded != true_m:
             errors += 1

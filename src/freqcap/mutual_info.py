@@ -10,7 +10,11 @@ certified with the regularized incomplete gamma functions
 (`band_missed_mass`, at most 1e-3 of the tail tolerance), which keeps
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
-(in the tested laws, below e^-60).
+(in the tested laws, below e^-60). Every banded table (the output law, also
+past z_max, both MI routes and `mmpe`) walks one row planner,
+`distributions._row_runs`, under one cell budget, _CHUNK_ELEMENTS. Sums
+over the input support are einsum reductions, not BLAS dot products, so the
+exact MI does not depend on the BLAS thread count.
 Blocklength enters only through Monte-Carlo sampling of the information
 spectrum: the channel is memoryless under product inputs, so
 single-letter quantities scale.
@@ -34,12 +38,14 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc, logsumexp
+from scipy.special import gammainc, gammaincc
 
 from .distributions import (
+    _CHUNK_ELEMENTS,
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _row_runs,
     poisson_band,
     poisson_entropy,
     poisson_log_pmf,
@@ -62,7 +68,6 @@ __all__ = [
 ]
 
 _Z_HARD_CAP = 10**6
-_CHUNK_ELEMENTS = 4_000_000
 # letters per spectrum chunk, each chunk drawn from its own substream
 _SPECTRUM_LETTERS = 1 << 19
 # numpy's Generator.poisson uses transformed rejection (PTRS) from this mean on
@@ -114,14 +119,6 @@ def _poisson_window(lam_lo, lam_hi, tail: float):
     return lo_ok, hi_ok
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum_rows exp(a) for a finite 2-D array; overwrites `a`."""
-    top = a.max(axis=0)
-    a -= top
-    np.exp(a, out=a)
-    return top + np.log(a.sum(axis=0))
-
-
 class PoissonChannelSpec:
     """Input law plus gain, with a certified output-support cutoff.
 
@@ -132,8 +129,9 @@ class PoissonChannelSpec:
     bands drop, below each band and above it (past z_max too),
     `band_missed_mass`, is certified with the regularized incomplete gamma
     functions and must stay below 1e-3 * tail_mass (default 1e-12). The raw
-    (unnormalized) log output PMF is tabulated once from the bands; past
-    z_max it and every density are extended exactly on demand.
+    (unnormalized) log output PMF is tabulated once, one `_row_runs` run of
+    rows at a time; past z_max it and every density are extended exactly on
+    demand by the same log-mixture over every row with positive weight.
     """
 
     def __init__(self, input_pmf: DiscretePmf, gain: float, tail_mass: float = 1e-12):
@@ -153,13 +151,13 @@ class PoissonChannelSpec:
         if self.z_max > _Z_HARD_CAP:
             raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
         self._bands = self._choose_bands(rows, lo, hi)
-        self._log_pz = self._banded_log_pmf()
+        self._log_pz = self._log_mixture(self._bands, 0, self.z_max)
 
     def _choose_bands(self, rows, lo, hi):
-        """Certify the row bands and group the rows into chunks with a shared window.
+        """Certify the row bands and group the rows into `_row_runs` runs.
 
-        Returns a list of (row indices, z_lo, z_hi); a chunk's window is the
-        union of its rows' bands, at most a quarter wider than the first row's band.
+        Returns a list of (row indices, z_lo, z_hi); a run's window is the
+        union of its rows' bands.
         """
         lam = self._lams[rows]
         lo[0] = 0
@@ -168,42 +166,27 @@ class PoissonChannelSpec:
 
         # P[Z < lo] + P[Z > hi] per row; gammaincc(0, lam) = 0
         missed = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
-        self.band_missed_mass = float(self._ws[rows] @ missed)
+        self.band_missed_mass = float(np.einsum("i,i->", self._ws[rows], missed))
         if self.band_missed_mass > 1e-3 * self.tail_mass:
             raise RuntimeError(
                 f"row bands drop mass {self.band_missed_mass:g}, "
                 f"above 1e-3 * tail_mass = {1e-3 * self.tail_mass:g}"
             )
 
-        chunks = []
-        a = 0
-        while a < rows.size:
-            span = int(hi[a] - lo[a] + 1) * 5 // 4
-            b = int(np.searchsorted(hi, lo[a] + span - 1, side="right"))
-            b = max(a + 1, min(b, a + _CHUNK_ELEMENTS // span))
-            chunks.append((rows[a:b], int(lo[a:b].min()), int(hi[a:b].max())))
-            a = b
-        return chunks
+        return [(rows[a:b], z_lo, z_hi) for a, b, z_lo, z_hi in _row_runs(lo, hi, _CHUNK_ELEMENTS)]
 
-    def _banded_log_pmf(self) -> np.ndarray:
-        out = np.full(self.z_max + 1, -np.inf)
+    def _log_mixture(self, runs, z_lo: int, z_hi: int) -> np.ndarray:
+        """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window."""
+        out = np.full(z_hi - z_lo + 1, -np.inf)
         logw = self.input.log_weights
-        for rows, z_lo, z_hi in self._bands:
-            lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), self._lams[rows, None])
+        for rows, lo, hi in runs:
+            lp = poisson_log_pmf(np.arange(lo, hi + 1), self._lams[rows, None])
             lp += logw[rows][:, None]
-            window = slice(z_lo, z_hi + 1)
-            out[window] = np.logaddexp(out[window], _logsumexp_rows(lp))
-        return out
-
-    def _mixture_log_pmf(self, z_hi: int, z_lo: int = 0) -> np.ndarray:
-        """Raw log P_Z on z_lo..z_hi summed over every row, with no band."""
-        z = np.arange(z_lo, z_hi + 1)
-        out = np.full(z.size, -np.inf)
-        logw = self.input.log_weights
-        step = max(1, _CHUNK_ELEMENTS // (self.z_max + 1))
-        for sl in (slice(lo, lo + step) for lo in range(0, self._xs.size, step)):
-            chunk = logsumexp(poisson_log_pmf(z, self._lams[sl, None]) + logw[sl, None], axis=0)
-            out = np.logaddexp(out, chunk)
+            top = lp.max(axis=0)
+            lp -= top
+            np.exp(lp, out=lp)
+            window = slice(lo - z_lo, hi - z_lo + 1)
+            out[window] = np.logaddexp(out[window], top + np.log(lp.sum(axis=0)))
         return out
 
     def log_output_pmf_at(self, z) -> np.ndarray:
@@ -213,9 +196,12 @@ class PoissonChannelSpec:
         inside = z <= self.z_max
         out[inside] = self._log_pz[z[inside]]
         if np.any(~inside):
-            extra = np.unique(z[~inside])
-            table = self._mixture_log_pmf(int(extra.max()), int(extra.min()))
-            out[~inside] = table[z[~inside] - int(extra.min())]
+            # every row with positive weight, on the whole requested window
+            z_lo, z_hi = int(z[~inside].min()), int(z[~inside].max())
+            rows = np.flatnonzero(self._ws > 0.0)
+            window = np.full(rows.size, z_lo), np.full(rows.size, z_hi)
+            runs = [(rows[a:b], z_lo, z_hi) for a, b, _, _ in _row_runs(*window, _CHUNK_ELEMENTS)]
+            out[~inside] = self._log_mixture(runs, z_lo, z_hi)[z[~inside] - z_lo]
         return out
 
     @property
@@ -258,7 +244,7 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
     log_pz = spec.log_pz
     pz = np.exp(log_pz)
     h_z = float(-(pz * log_pz).sum())
-    h_z_given_x = float(spec._ws @ poisson_entropy(spec._lams))
+    h_z_given_x = float(np.einsum("i,i->", spec._ws, poisson_entropy(spec._lams)))
     mi = h_z - h_z_given_x
 
     kl = 0.0
@@ -266,7 +252,7 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
         lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), spec._lams[rows, None])
         ratio = lp - log_pz[None, z_lo : z_hi + 1]
         ratio *= np.exp(lp, out=lp)
-        kl += float(spec._ws[rows] @ ratio.sum(axis=1))
+        kl += float(np.einsum("i,i->", spec._ws[rows], ratio.sum(axis=1)))
     if abs(mi - kl) > 1e-9:
         raise ArithmeticError(
             f"mutual information routes disagree: entropy-difference {mi} vs averaged KL {kl}"
@@ -465,32 +451,25 @@ def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) ->
 def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
     """Per gain, sum_z (E[U ln U; V=z] - P_V(z) m(z) ln m(z)) with m(z) = E[U | V=z].
 
-    The rows, sorted by u, go in chunks that fit in _CHUNK_ELEMENTS / len(gains)
-    cells of their Bernstein windows; a chunk's table then runs from its
-    first row's tight window start at the smallest gain to its last row's
-    window end at the largest, so every row at every gain misses less than
-    _MMPE_TAIL on each side. The columns (P_V, E[U | V], E[U ln U; V]) of
+    The rows, sorted by u, go in `_row_runs` runs planned on their Bernstein
+    windows with a budget of _CHUNK_ELEMENTS / len(gains) cells; a run's
+    table then runs from its first row's tight window start
+    (`_poisson_window`) at the smallest gain to its last row's window end
+    at the largest, so every row at every gain misses less than _MMPE_TAIL
+    on each side. The columns (P_V, E[U | V], E[U ln U; V]) of
     all gains come from one product of `moments` = (w, w u, w u ln u) with
-    each chunk's gains x rows x z table.
+    each run's gains x rows x z table.
     """
-    lo_bound, hi_bound = _bernstein_window(gains.min() * xs, gains.max() * xs, _MMPE_TAIL)
-    budget = _CHUNK_ELEMENTS // gains.size
-    firsts = [0]
-    while firsts[-1] < xs.size:
-        start = firsts[-1]
-        most = min(xs.size - start, budget // int(hi_bound[start] - lo_bound[start] + 1))
-        cells = np.arange(1, most + 1) * (hi_bound[start : start + most] - lo_bound[start] + 1)
-        firsts.append(start + max(1, int(np.searchsorted(cells, budget, side="right"))))
-    firsts = np.array(firsts)
-    z_lo, z_hi = _poisson_window(
-        gains.min() * xs[firsts[:-1]], gains.max() * xs[firsts[1:] - 1], _MMPE_TAIL
-    )
+    lam_lo, lam_hi = gains.min() * xs, gains.max() * xs
+    lo_bound, hi_bound = _bernstein_window(lam_lo, lam_hi, _MMPE_TAIL)
+    starts, stops = np.array(_row_runs(lo_bound, hi_bound, _CHUNK_ELEMENTS // gains.size)).T[:2]
+    z_lo, z_hi = _poisson_window(lam_lo[starts], lam_hi[stops - 1], _MMPE_TAIL)
     z_lo, z_hi = z_lo.astype(np.int64), z_hi.astype(np.int64)
     if z_hi[-1] > _Z_HARD_CAP:
         raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
 
     cols = np.zeros((gains.size, 3, int(z_hi.max()) + 1))
-    for start, stop, lo, hi in zip(firsts[:-1], firsts[1:], z_lo, z_hi):
+    for start, stop, lo, hi in zip(starts, stops, z_lo, z_hi):
         lam = gains[:, None, None] * xs[None, start:stop, None]
         cond = poisson_log_pmf(np.arange(lo, hi + 1), lam)
         np.exp(cond, out=cond)
@@ -512,7 +491,7 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     mmpe = a * sum_z (E[U ln U; V=z] - P_V(z) m(z) ln m(z)).
 
     `a` is a scalar gain or an array of gains; a scalar returns a float.
-    All gains share one gains x rows x z table per chunk of rows. A chunk's
+    All gains share one gains x rows x z table per run of rows. A run's
     z-window is tight: from the exact 1e-16 lower quantile of its first row
     at the smallest gain to the exact 1e-16 upper quantile of its last row
     at the largest (regularized incomplete gamma functions), so each row
@@ -561,8 +540,8 @@ def i_mmpe_integral(input_pmf: DiscretePmf, gamma: float) -> float:
 
     xs = input_pmf.support.astype(float)
     ws = input_pmf.probs
-    mean = float(ws @ xs)
-    limit0 = float(ws @ (xs * np.log(xs))) - mean * math.log(mean)
+    mean = float(np.einsum("i,i->", ws, xs))
+    limit0 = float(np.einsum("i,i->", ws, xs * np.log(xs))) - mean * math.log(mean)
 
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
 

@@ -21,6 +21,18 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def at_blas_threads(argv, threads):
+    """stdout of `python -m freqcap.cli argv` in a child process with `threads` BLAS threads."""
+    src = str(Path(freqcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    done = subprocess.run([sys.executable, "-m", "freqcap.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestBoundsCommand:
     def test_values(self):
         code, out, _ = invoke(["bounds", "--g", "100", "--r", "40"])
@@ -158,6 +170,11 @@ class TestMiCommand:
         assert doc["input_pmf"]["offset"] == 1
         assert len(doc["input_pmf"]["log_weights"]) == 2
 
+    def test_independent_of_blas_threads(self):
+        # 11,181 input rows: past the size from which OpenBLAS splits a dot product
+        argv = ["mi", "--g", "500", "--rho", "0.5", "--gain", "0.4"]
+        assert at_blas_threads(argv, "1") == at_blas_threads(argv, "2")
+
 
 class TestSpectrumCommand:
     def test_deterministic(self):
@@ -217,6 +234,21 @@ class TestExperimentCommand:
             assert done.returncode == 0, done.stderr
             outputs.append((done.stdout, trace.read_text()))
         assert json.loads(outputs[0][0])["trials"] == 50
+        assert outputs[0] == outputs[1]
+
+    def test_long_block_independent_of_blas_threads(self, tmp_path):
+        # n=20,000: past the size from which OpenBLAS splits a dot product
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "n=20000\ng=8\nr=3.2\nrho=0.5\ndelta=0.3\nm=16\ndecoder=threshold\n"
+            "trials=20\nseed=1\npilot_samples=1000\nspectrum_samples=200\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            trace = tmp_path / f"trace-{threads}.csv"
+            argv = ["experiment", "--config", str(cfg), "--trace", str(trace)]
+            outputs.append((at_blas_threads(argv, threads), trace.read_text()))
+        assert json.loads(outputs[0][0])["trials"] == 20
         assert outputs[0] == outputs[1]
 
 

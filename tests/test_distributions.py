@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from freqcap.distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _row_runs,
     gamma_half_sample,
     gamma_half_tail_bounds,
     geometric_max_entropy_pmf,
@@ -211,6 +214,32 @@ class TestPoissonBand:
         # P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0; P[Z > hi] = P_reg(hi + 1, lam)
         tail = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
         assert np.all(tail < 1e-30)
+
+
+@st.composite
+def monotone_windows(draw):
+    """Per-row windows [lo, hi] with lo and hi both never decreasing."""
+    steps = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 300)),
+                          min_size=1, max_size=80))
+    lo = np.cumsum([step for step, _ in steps])
+    hi = np.maximum.accumulate(lo + np.array([width for _, width in steps]))
+    return lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_windows(), st.integers(1, 20_000))
+def test_row_runs_cover_rows_within_cap_and_budget(windows, budget):
+    lo, hi = windows
+    runs = _row_runs(lo, hi, budget)
+    # consecutive, non-empty and in order: every row once
+    assert [a for a, _, _, _ in runs] == [0] + [b for _, b, _, _ in runs[:-1]]
+    assert runs[-1][1] == lo.size and all(a < b for a, b, _, _ in runs)
+    for a, b, z_lo, z_hi in runs:
+        assert z_lo <= lo[a:b].min() and hi[a:b].max() <= z_hi
+        if b - a > 1:
+            width = z_hi - z_lo + 1
+            assert 4 * width <= 5 * (hi[a] - lo[a] + 1)
+            assert (b - a) * width <= budget
 
 
 def test_v_log_v_expectation_bound():

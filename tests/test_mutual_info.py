@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaln, logsumexp
 
-from freqcap import mutual_info
+from freqcap import distributions, mutual_info
 
 from freqcap.distributions import DiscretePmf, RngStream, poisson_entropy, truncated_rounded_input_pmf
 from freqcap.mutual_info import (
@@ -124,6 +124,39 @@ def test_banded_spec_matches_dense_mixture(case):
     beyond = np.arange(spec.z_max + 1, spec.z_max + 51)
     extended = spec.log_output_pmf_at(beyond)
     assert np.allclose(extended, dense_tables(spec, beyond)[0], rtol=1e-14, atol=0.0)
+
+
+def test_far_output_tables_capped(monkeypatch):
+    # 12,000 outputs past z_max: one table of every row would hold 400 x 12,000 cells
+    spec = PoissonChannelSpec(far_two_point(), 1.0)
+    sizes = []
+    kernel = mutual_info.poisson_log_pmf
+
+    def recording(k, lam):
+        out = kernel(k, lam)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+    beyond = np.arange(spec.z_max + 1, spec.z_max + 12_001)
+    extended = spec.log_output_pmf_at(beyond)
+    assert sizes and max(sizes) <= mutual_info._CHUNK_ELEMENTS
+    assert np.allclose(extended, dense_tables(spec, beyond)[0], rtol=1e-14, atol=0.0)
+
+
+def test_small_chunk_budget_keeps_values():
+    # a budget of 300 cells puts nearly every row in a table of its own
+    pmf = truncated_rounded_input_pmf(20.0, 0.5)
+    lams = 0.4 * pmf.support.astype(float)
+    entropy, spec = poisson_entropy(lams), PoissonChannelSpec(pmf, 0.4)
+    with mock.patch.object(distributions, "_CHUNK_ELEMENTS", 300), \
+            mock.patch.object(mutual_info, "_CHUNK_ELEMENTS", 300):
+        small_entropy, small = poisson_entropy(lams), PoissonChannelSpec(pmf, 0.4)
+        small_mi = mutual_information(small)
+    assert len(small._bands) > 10 * len(spec._bands)
+    assert np.all(np.abs(small_entropy - entropy) <= 4 * np.spacing(entropy))
+    assert np.max(np.abs(np.exp(small.log_pz) - np.exp(spec.log_pz))) <= 1e-15
+    assert abs(small_mi - mutual_information(spec)) <= 1e-15
 
 
 def test_band_certificate_refuses_a_tolerance_it_cannot_meet():
