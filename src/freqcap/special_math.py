@@ -3,7 +3,8 @@
 Everything here is a pure function of its arguments. Lambert W and the
 log-gamma tail of `log_factorial` are scipy's; `regularized_gamma_p` stays
 hand-rolled (series and continued fraction) because tests use it as an
-independent reference for scipy's `gammainc`. All entropic quantities are
+independent reference for scipy's `gammainc`; the truncation-loss term t1
+and the `gamma-half-tails` check call it too. All entropic quantities are
 in nats; conversion to bits happens only at the presentation layer.
 """
 

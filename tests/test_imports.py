@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in it, and every private
-module-level name it defines is used somewhere in the package.
+"""Every name a library module imports is used in it, every private
+module-level name it defines is used somewhere in the package, and
+importing the CLI loads none of scipy's heavy subpackages.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,18 @@ def test_private_checker_flags_only_unread_definitions():
 
 def test_every_private_definition_is_used():
     assert unreferenced_privates({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+# subpackages a freqcap process has no use for; scipy.integrate alone pulls in the first six
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+               "scipy.fft", "scipy.spatial", "scipy.stats")
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, freqcap.cli; print(*sys.modules, sep='\\n')"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    loaded = done.stdout.split()
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in HEAVY_SCIPY] == []

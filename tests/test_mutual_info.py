@@ -601,6 +601,23 @@ class TestTruncationLoss:
             assert loss.t2 <= loss.t2_bound
             assert loss.t3 <= loss.t3_bound
 
+    @pytest.mark.parametrize("g, rho", [(1e2, 0.1), (1e4, 0.5), (1e24, 0.1), (1e28, 0.1)])
+    def test_tail_terms_match_mpmath(self, g, rho):
+        # u = g^rho / 2 runs from 0.79 to 316
+        mpmath = pytest.importorskip("mpmath")
+        window = distributions.TruncationInterval.for_budget(g, rho)
+        loss = truncation_loss_terms(g, rho)
+        with mpmath.workdps(40):
+            u = mpmath.mpf(window.s_max) / (2 * mpmath.mpf(g))
+            scale = 2 * mpmath.mpf(g) / mpmath.sqrt(mpmath.pi)
+            upper = mpmath.gammainc(1.5, u)
+            # d/da Gamma(a, u) at a = 3/2 is int_u^inf sqrt(s) ln(s) e^-s ds
+            j_u = mpmath.diff(lambda a: mpmath.gammainc(a, u), 1.5)
+            t2 = scale * (mpmath.log(2 * mpmath.mpf(g)) * upper + j_u)
+            t3 = scale * mpmath.log(1 / mpmath.mpf(window.s_min)) * upper
+            assert abs((loss.t2 - t2) / t2) <= 1e-13
+            assert abs((loss.t3 - t3) / t3) <= 1e-13
+
     def test_domain(self):
         with pytest.raises(ValueError):
             truncation_loss_terms(1.0, 0.1)
