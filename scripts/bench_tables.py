@@ -1,12 +1,15 @@
 """Layer benchmark of the banded Poisson tables behind the exact surrogate MI.
 
-Times five fixed cases, each in its own fresh process, for one or more
+Times seven fixed cases, each in its own fresh process, for one or more
 source trees, and prints the median CPU seconds of REPEATS runs after one
 warm-up run:
 
 - `poisson_entropy` over the means of g=500, rho=0.5, gain 0.4;
 - the `PoissonChannelSpec` build for that law;
 - `mutual_information` of that spec (built once, outside the timing);
+- the spec build plus `mutual_information` for that law, and for g=1e4,
+  rho=0.1, gain 0.4: what a `mi` command spends on the exact MI, however
+  the work is split between the two;
 - `i_mmpe_integral` at g=200, rho=0.1, gain 0.4;
 - one top `mmpe` panel at g=500, rho=0.5: the 16 Gauss-Legendre gains in
   [0.2, 0.4].
@@ -31,7 +34,7 @@ import time
 
 REPEATS = 5
 CASES = ("poisson_entropy_g500", "spec_build_g500", "mutual_information_g500",
-         "i_mmpe_integral_g200", "mmpe_panel_g500")
+         "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200", "mmpe_panel_g500")
 
 
 def _child(case):
@@ -42,6 +45,7 @@ def _child(case):
 
     g500 = truncated_rounded_input_pmf(500.0, 0.5)
     g200 = truncated_rounded_input_pmf(200.0, 0.1)
+    g1e4 = truncated_rounded_input_pmf(1e4, 0.1)
     means = 0.4 * g500.support.astype(float)
     gains = 0.3 + 0.1 * np.polynomial.legendre.leggauss(16)[0]
     spec = PoissonChannelSpec(g500, 0.4) if case == "mutual_information_g500" else None
@@ -49,6 +53,8 @@ def _child(case):
         "poisson_entropy_g500": lambda: float(poisson_entropy(means).sum()),
         "spec_build_g500": lambda: float(np.exp(PoissonChannelSpec(g500, 0.4).log_pz).sum()),
         "mutual_information_g500": lambda: mutual_information(spec),
+        "spec_and_mi_g500": lambda: mutual_information(PoissonChannelSpec(g500, 0.4)),
+        "spec_and_mi_g1e4": lambda: mutual_information(PoissonChannelSpec(g1e4, 0.4)),
         "i_mmpe_integral_g200": lambda: i_mmpe_integral(g200, 0.4),
         "mmpe_panel_g500": lambda: float(mmpe(g500, gains).sum()),
     }[case]

@@ -14,6 +14,7 @@ from scipy.special import gammaincc
 
 from .channel import event_poissonization_factor, poissonization_identity_check
 from .distributions import (
+    _SERIES_MIN_MEAN,
     DiscretePmf,
     RngStream,
     gamma_half_tail_bounds,
@@ -60,7 +61,10 @@ def _check_event_poissonization(seed):
 
 
 def _check_poisson_entropy(seed):
-    grid = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 60.0, 150.0]
+    # band sums below the switch-over mean, the asymptotic series from it on
+    lam0 = _SERIES_MIN_MEAN
+    grid = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 60.0]
+    grid += [lam0 * (1.0 - 1e-9), lam0, lam0 * (1.0 + 1e-9), 1e4, 1e6]
     values = poisson_entropy(np.array(grid))
     mono = all(a <= b + 1e-10 for a, b in zip(values, values[1:]))
     upper = all(

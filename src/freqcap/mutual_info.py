@@ -11,10 +11,22 @@ certified with the regularized incomplete gamma functions
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). Every banded table (the output law, also
-past z_max, both MI routes and `mmpe`) walks one row planner,
-`distributions._row_runs`, under one cell budget, _CHUNK_ELEMENTS. Sums
-over the input support are einsum reductions, not BLAS dot products, so the
-exact MI does not depend on the BLAS thread count.
+past z_max, and `mmpe`) walks one row planner, `distributions._row_runs`,
+under one cell budget, _CHUNK_ELEMENTS. Sums over the input support are
+einsum reductions, not BLAS dot products, so the exact MI does not depend
+on the BLAS thread count.
+
+The exact MI has two routes that share H(Z). The band route subtracts the
+band conditional entropy sum_x w_x sum_z -p ln p over each row's window,
+which the spec's build sums from the very tables that give log P_Z, so
+each band cell is evaluated once. Because sum_x w_x p(z|x) over those
+windows is exactly P_Z(z), this route equals the averaged KL divergence of
+the conditional laws from the marginal; it is the one returned. The series
+route subtracts the average of `poisson_entropy`, the asymptotic series of
+the Poisson entropy from mean 150 on, and evaluates no table there. The
+two cancel z ln lam - ln z! differently at large means, so their residual
+(about 2e-12 at g=500) measures the kernel's rounding; it must stay below
+1e-9.
 Blocklength enters only through Monte-Carlo sampling of the information
 spectrum: the channel is memoryless under product inputs, so
 single-letter quantities scale.
@@ -73,6 +85,8 @@ __all__ = [
 ]
 
 _Z_HARD_CAP = 10**6
+# cells per block of the build's band conditional entropy
+_ENTROPY_BLOCK = 1 << 16
 # letters per spectrum chunk, each chunk drawn from its own substream
 _SPECTRUM_LETTERS = 1 << 19
 # numpy's Generator.poisson uses transformed rejection (PTRS) from this mean on
@@ -138,8 +152,10 @@ class PoissonChannelSpec:
     `band_missed_mass`, is certified with the regularized incomplete gamma
     functions and must stay below 1e-3 * tail_mass (default 1e-12). The raw
     (unnormalized) log output PMF is tabulated once, one `_row_runs` run of
-    rows at a time; past z_max it and every density are extended exactly on
-    demand by the same log-mixture over every row with positive weight.
+    rows at a time, and from the same tables the build sums
+    `band_conditional_entropy`; past z_max the log output PMF and every
+    density are extended exactly on demand by the same log-mixture over
+    every row with positive weight.
     """
 
     def __init__(self, input_pmf: DiscretePmf, gain: float, tail_mass: float = 1e-12):
@@ -159,7 +175,9 @@ class PoissonChannelSpec:
         if self.z_max > _Z_HARD_CAP:
             raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
         self._bands = self._choose_bands(rows, lo, hi)
-        self._log_pz = self._log_mixture(self._bands, 0, self.z_max)
+        row_entropy = np.zeros(self._ws.size)
+        self._log_pz = self._log_mixture(self._bands, 0, self.z_max, row_entropy)
+        self._band_entropy = float(np.einsum("i,i->", self._ws, row_entropy))
 
     def _choose_bands(self, rows, lo, hi):
         """Certify the row bands and group the rows into `_row_runs` runs.
@@ -183,12 +201,24 @@ class PoissonChannelSpec:
 
         return [(rows[a:b], z_lo, z_hi) for a, b, z_lo, z_hi in _row_runs(lo, hi, _CHUNK_ELEMENTS)]
 
-    def _log_mixture(self, runs, z_lo: int, z_hi: int) -> np.ndarray:
-        """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window."""
+    def _log_mixture(self, runs, z_lo: int, z_hi: int, row_entropy=None) -> np.ndarray:
+        """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window.
+
+        With `row_entropy`, also writes each row's -sum p ln p over its run's
+        window into row_entropy[row], from the same table, in blocks of
+        about _ENTROPY_BLOCK cells.
+        """
         out = np.full(z_hi - z_lo + 1, -np.inf)
         logw = self.input.log_weights
         for rows, lo, hi in runs:
             lp = poisson_log_pmf(np.arange(lo, hi + 1), self._lams[rows, None])
+            if row_entropy is not None:
+                step = max(1, _ENTROPY_BLOCK // lp.shape[1])
+                for a in range(0, rows.size, step):
+                    block = lp[a : a + step]
+                    plogp = np.exp(block)
+                    plogp *= block
+                    row_entropy[rows[a : a + step]] = -plogp.sum(axis=1)
             lp += logw[rows][:, None]
             top = lp.max(axis=0)
             lp -= top
@@ -215,6 +245,16 @@ class PoissonChannelSpec:
     @property
     def log_pz(self) -> np.ndarray:
         return self._log_pz
+
+    @property
+    def band_conditional_entropy(self) -> float:
+        """H(Z|X) over the row bands: sum_x w_x sum_z -p(z|x) ln p(z|x) on each row's run window.
+
+        Summed by the build from the tables that give `log_pz`, so
+        H(Z) - band_conditional_entropy is the averaged KL divergence of the
+        conditional output laws from the marginal over the same windows.
+        """
+        return self._band_entropy
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -243,27 +283,27 @@ def output_pmf(spec: PoissonChannelSpec) -> DiscretePmf:
 
 
 def mutual_information(spec: PoissonChannelSpec) -> float:
-    """I(X; Z) in nats, as output entropy minus mean conditional entropy.
+    """I(X; Z) in nats, as H(Z) minus the spec's band conditional entropy.
 
-    Cross-checked against the average KL divergence of the conditional
-    output laws from the marginal, summed over the spec's row bands; the
-    two routes must agree within 1e-9.
+    Over the row bands, sum_x w_x sum_z p(z|x) ln(p(z|x) / P_Z(z)) equals
+    H(Z) - `spec.band_conditional_entropy`, because sum_x w_x p(z|x) over
+    those windows is exactly P_Z(z); so this band route is the averaged KL
+    divergence and needs no table of its own. It is returned. The series
+    route, H(Z) minus the average of `poisson_entropy` (its asymptotic
+    series for large means), shares only H(Z) with it; the two must agree
+    within 1e-9, and the output law must sum to one within 1e-9.
     """
     log_pz = spec.log_pz
     pz = np.exp(log_pz)
+    mass = float(pz.sum())
+    if abs(mass - 1.0) > 1e-9:
+        raise ArithmeticError(f"output law sums to {mass!r}, not 1 within 1e-9")
     h_z = float(-(pz * log_pz).sum())
-    h_z_given_x = float(np.einsum("i,i->", spec._ws, poisson_entropy(spec._lams)))
-    mi = h_z - h_z_given_x
-
-    kl = 0.0
-    for rows, z_lo, z_hi in spec._bands:
-        lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), spec._lams[rows, None])
-        ratio = lp - log_pz[None, z_lo : z_hi + 1]
-        ratio *= np.exp(lp, out=lp)
-        kl += float(np.einsum("i,i->", spec._ws[rows], ratio.sum(axis=1)))
-    if abs(mi - kl) > 1e-9:
+    mi = h_z - spec.band_conditional_entropy
+    series = h_z - float(np.einsum("i,i->", spec._ws, poisson_entropy(spec._lams)))
+    if abs(mi - series) > 1e-9:
         raise ArithmeticError(
-            f"mutual information routes disagree: entropy-difference {mi} vs averaged KL {kl}"
+            f"mutual information routes disagree: band {mi} vs series {series}"
         )
     return mi
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
+from freqcap import distributions
 from freqcap.distributions import (
     DiscretePmf,
     RngStream,
@@ -24,6 +26,8 @@ from freqcap.distributions import (
 )
 from freqcap.special_math import regularized_gamma_p
 
+# the mean from which poisson_entropy sums its asymptotic series
+LAM0 = distributions._SERIES_MIN_MEAN
 # frozen before the main build by direct summation with tail_tol 1e-15
 H_POISSON_1 = 1.3048422422562516
 
@@ -183,6 +187,37 @@ class TestPoissonEntropy:
     def test_rejects_non_positive_entry(self):
         with pytest.raises(ValueError):
             poisson_entropy(np.array([1.0, 0.0, 3.0]))
+
+    @pytest.mark.parametrize("lam", [LAM0, 2 * LAM0, 1e3, 5e3, 2e4, 1e5, 1e6])
+    def test_series_matches_mpmath(self, lam):
+        # -sum p ln p at 40 digits over lam +- 40 sqrt(lam), one term from the last
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mean, half = mpmath.mpf(lam), int(40 * math.sqrt(lam))
+            log_mean, first = mpmath.log(mean), max(0, int(lam) - half)
+            log_p = first * log_mean - mean - mpmath.loggamma(first + 1)
+            exact = mpmath.mpf(0)
+            for z in range(first, int(lam) + half + 1):
+                exact -= mpmath.exp(log_p) * log_p
+                log_p += log_mean - mpmath.log(z + 1)
+            assert abs((poisson_entropy(lam) - exact) / exact) <= 1e-15
+
+    def test_series_meets_band_sum_at_the_switch(self):
+        for lam in (LAM0 * (1 - 1e-9), LAM0 * (1 + 1e-9)):
+            with mock.patch.object(distributions, "_SERIES_MIN_MEAN", 0.0):
+                series = poisson_entropy(lam)
+            with mock.patch.object(distributions, "_SERIES_MIN_MEAN", np.inf):
+                band = poisson_entropy(lam)
+            assert poisson_entropy(lam) == (series if lam >= LAM0 else band)
+            assert abs(series - band) <= 1e-12
+
+    def test_array_matches_scalar_calls_across_the_switch(self):
+        grid = np.concatenate((LAM0 * (1 + np.linspace(-1e-3, 1e-3, 21)), np.logspace(2, 7, 31)))
+        np.random.default_rng(5).shuffle(grid)
+        scalar = np.array([poisson_entropy(float(lam)) for lam in grid])
+        values = poisson_entropy(grid)
+        assert np.all(np.abs(values - scalar) <= 2 * np.spacing(scalar))
+        assert np.all(np.diff(poisson_entropy(np.sort(grid))) > 0.0)
 
     def test_band_certificate_refuses_a_tolerance_it_cannot_meet(self):
         # the unit-mean band ends at z = 57, whose tail (~1e-79) is far above 1e-300

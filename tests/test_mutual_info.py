@@ -10,7 +10,13 @@ from scipy.special import gammainc, gammaln, logsumexp
 
 from freqcap import distributions, mutual_info
 
-from freqcap.distributions import DiscretePmf, RngStream, poisson_entropy, truncated_rounded_input_pmf
+from freqcap.distributions import (
+    DiscretePmf,
+    RngStream,
+    poisson_entropy,
+    poisson_log_pmf,
+    truncated_rounded_input_pmf,
+)
 from freqcap.mutual_info import (
     PoissonChannelSpec,
     bobkov_ledoux_bound,
@@ -124,6 +130,53 @@ def test_banded_spec_matches_dense_mixture(case):
     beyond = np.arange(spec.z_max + 1, spec.z_max + 51)
     extended = spec.log_output_pmf_at(beyond)
     assert np.allclose(extended, dense_tables(spec, beyond)[0], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(BANDED_CASES))
+def test_build_evaluates_each_band_cell_once(case, monkeypatch):
+    make, gain = BANDED_CASES[case]
+    pmf = make()
+    sizes = []
+    kernel = mutual_info.poisson_log_pmf
+
+    def recording(k, lam):
+        out = kernel(k, lam)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+    spec = PoissonChannelSpec(pmf, gain)
+    assert sizes == [rows.size * (hi - lo + 1) for rows, lo, hi in spec._bands]
+    sizes.clear()
+    mutual_information(spec)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("case", sorted(BANDED_CASES))
+def test_band_conditional_entropy_matches_kl_walk(case):
+    # the averaged-KL loop over the spec's bands that the build replaced, as oracle
+    make, gain = BANDED_CASES[case]
+    spec = PoissonChannelSpec(make(), gain)
+    log_pz = spec.log_pz
+    kl = 0.0
+    for rows, z_lo, z_hi in spec._bands:
+        lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), spec._lams[rows, None])
+        ratio = lp - log_pz[None, z_lo : z_hi + 1]
+        ratio *= np.exp(lp)
+        kl += float(spec._ws[rows] @ ratio.sum(axis=1))
+    oracle = float(-(np.exp(log_pz) * log_pz).sum()) - kl
+    assert abs(spec.band_conditional_entropy - oracle) <= 1e-14 * oracle
+
+
+def test_route_and_mass_gates_refuse(monkeypatch):
+    spec = PoissonChannelSpec(truncated_rounded_input_pmf(20.0, 0.5), 0.4)
+    mutual_information(spec)
+    monkeypatch.setattr(spec, "_band_entropy", spec.band_conditional_entropy + 2e-9)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        mutual_information(spec)
+    monkeypatch.setattr(spec, "_log_pz", spec.log_pz + 2e-9)
+    with pytest.raises(ArithmeticError, match="sums to"):
+        mutual_information(spec)
 
 
 def test_far_output_tables_capped(monkeypatch):
