@@ -1,6 +1,6 @@
 """Layer benchmark of the banded Poisson tables behind the exact surrogate MI.
 
-Times seven fixed cases, each in its own fresh process, for one or more
+Times eight fixed cases, each in its own fresh process, for one or more
 source trees, and prints the median CPU seconds of REPEATS runs after one
 warm-up run:
 
@@ -12,16 +12,19 @@ warm-up run:
   the work is split between the two;
 - `i_mmpe_integral` at g=200, rho=0.1, gain 0.4;
 - one top `mmpe` panel at g=500, rho=0.5: the 16 Gauss-Legendre gains in
-  [0.2, 0.4].
+  [0.2, 0.4];
+- `mmpe` at g=500, rho=0.5 and the single gain 0.3.
 
     python scripts/bench_tables.py                       # this checkout's src/
     python scripts/bench_tables.py parent=/path/to/other/src change=src > BENCH_tables.json
 
 Each argument is `label=path` to a directory that holds the `freqcap`
-package; results are keyed by label. The trees take turns case by case,
-so drift over the run falls on every tree alike. Each case also records
-the value it computed. BLAS threads follow the environment
-(OPENBLAS_NUM_THREADS), as in the CLI.
+package. Every case runs at 2 BLAS threads (the cap of the end-to-end
+benchmark on its 2-CPU machine) and at 1, set through
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS in the child; results are keyed
+by that count, then by label. The trees take turns case by case, so drift
+over the run falls on every tree alike. Each case also records the value
+it computed, so a value that moves with the thread count shows.
 """
 
 import json
@@ -33,8 +36,10 @@ import sys
 import time
 
 REPEATS = 5
+BLAS_THREADS = ("2", "1")
 CASES = ("poisson_entropy_g500", "spec_build_g500", "mutual_information_g500",
-         "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200", "mmpe_panel_g500")
+         "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200", "mmpe_panel_g500",
+         "mmpe_gain_g500")
 
 
 def _child(case):
@@ -57,6 +62,7 @@ def _child(case):
         "spec_and_mi_g1e4": lambda: mutual_information(PoissonChannelSpec(g1e4, 0.4)),
         "i_mmpe_integral_g200": lambda: i_mmpe_integral(g200, 0.4),
         "mmpe_panel_g500": lambda: float(mmpe(g500, gains).sum()),
+        "mmpe_gain_g500": lambda: mmpe(g500, 0.3),
     }[case]
     run()  # warm-up: imports, tables and caches
     cpu = []
@@ -77,28 +83,30 @@ def _environment():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
     }
 
 
 def main(trees):
-    results = {label: {} for label in trees}
-    for case in CASES:
-        for label, src in trees.items():
-            path = os.pathsep.join(filter(None, [os.path.abspath(src),
-                                                 os.environ.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, __file__, "--child", case],
-                env={**os.environ, "PYTHONPATH": path},
-                capture_output=True, text=True, check=True,
-            )
-            run = json.loads(done.stdout)
-            results[label][case] = {"cpu_s_median": statistics.median(run["cpu_s"]), **run}
+    results = {threads: {label: {} for label in trees} for threads in BLAS_THREADS}
+    for threads in BLAS_THREADS:
+        blas = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for case in CASES:
+            for label, src in trees.items():
+                path = os.pathsep.join(filter(None, [os.path.abspath(src),
+                                                     os.environ.get("PYTHONPATH")]))
+                done = subprocess.run(
+                    [sys.executable, __file__, "--child", case],
+                    env={**os.environ, "PYTHONPATH": path, **blas},
+                    capture_output=True, text=True, check=True,
+                )
+                run = json.loads(done.stdout)
+                results[threads][label][case] = {
+                    "cpu_s_median": statistics.median(run["cpu_s"]), **run}
     doc = {
         "benchmark": f"CPU s per case, median of {REPEATS} runs after one warm-up, "
                      "each case in its own process",
         "environment": _environment(),
-        "results": results,
+        "results_by_blas_threads": results,
     }
     print(json.dumps(doc, indent=2))
 

@@ -58,12 +58,10 @@ def density_correction(reads: int) -> float:
 class Codebook:
     """Fixed-sum random codebook: M integer codewords, each summing to tau."""
 
-    def __init__(self, matrix, tau, input_pmf, attempts, seed_info):
+    def __init__(self, matrix, tau, attempts):
         self.matrix = np.asarray(matrix, dtype=np.int64)
         self.tau = int(tau)
-        self.input_pmf = input_pmf
         self.attempts = int(attempts)
-        self.seed_info = seed_info
         if np.any(self.matrix.sum(axis=1) != self.tau):
             raise ValueError("every codeword must sum to tau")
         self._zero_free = bool(np.all(self.matrix > 0))
@@ -222,9 +220,7 @@ def generate_codebook(
                 f"codebook rejection budget exhausted: {len(words)}/{M} words after "
                 f"{attempts} attempts (acceptance rate ~{(len(words) + 1) / attempts:.2e})"
             )
-    return Codebook(
-        np.stack(words), tau, input_pmf, attempts, (rng.seed, rng.stream_id)
-    )
+    return Codebook(np.stack(words), tau, attempts)
 
 
 def _checked_counts(y, params: ChannelParams) -> np.ndarray:
@@ -266,7 +262,7 @@ def decode_threshold(
     y,
     codebook: Codebook,
     log_gamma: float,
-    input_law,
+    spec: PoissonChannelSpec,
     params: ChannelParams,
 ):
     """Scan-order threshold decoder on the corrected Poisson-surrogate density.
@@ -274,14 +270,11 @@ def decode_threshold(
     Returns the first message whose density sum minus 0.5 * ln(6 pi n r)
     clears log_gamma, or None (an erasure, counted as an error by callers).
     The density sum is S(y) of `decode_ml` plus a term in y alone, so a
-    codeword with a zero where y is positive never passes. `input_law` is a
-    PoissonChannelSpec, whose gain is used, or the input PMF, for which the
-    gain is params.reads / codebook.tau as in `run_experiment`.
+    codeword with a zero where y is positive never passes. The surrogate is
+    `spec`, whose gain is used; `run_experiment` builds it once per run at
+    gain params.reads / codebook.tau.
     """
     y = _checked_counts(y, params)
-    spec = input_law
-    if not isinstance(spec, PoissonChannelSpec):
-        spec = PoissonChannelSpec(input_law, params.reads / codebook.tau)
     densities = codebook._log_likelihoods(y) + _density_offset(y, spec, codebook.tau)
     passing = densities - density_correction(params.reads) > log_gamma
     if not np.any(passing):

@@ -186,9 +186,12 @@ def poisson_log_pmf(k, lam):
 def poisson_band(lam):
     """Integer band (lo, hi) = lam -+ (12 sqrt(lam + 1) + 40) of Poisson(lam), lo clipped at 0.
 
-    The one window rule of the exact output tables, as int64 arrays shaped
-    like `lam`. Its two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30
-    for every mean from 1e-9 to 1e6; callers certify what they drop.
+    The one window formula of every banded Poisson table, as int64 arrays
+    shaped like `lam`: the exact output tables, `poisson_entropy` and the
+    row runs of `mutual_info.mmpe`, which then tightens each run's ends to
+    the exact 1e-16 quantiles with the band ends as its search bracket. Its
+    two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30 for every mean
+    from 1e-9 to 1e6; callers certify what they drop.
     """
     half = 12.0 * np.sqrt(lam + 1.0) + 40.0
     lo = np.maximum(0.0, np.ceil(lam - half)).astype(np.int64)

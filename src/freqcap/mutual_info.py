@@ -12,9 +12,10 @@ truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). Every banded table (the output law, also
 past z_max, and `mmpe`) walks one row planner, `distributions._row_runs`,
-under one cell budget, _CHUNK_ELEMENTS. Sums over the input support are
-einsum reductions, not BLAS dot products, so the exact MI does not depend
-on the BLAS thread count.
+on `poisson_band` windows under one cell budget, _CHUNK_ELEMENTS; `mmpe`
+then cuts each run's table to exact 1e-16 quantiles. Sums over the input
+support are einsum reductions, not BLAS products, so neither the exact MI
+nor `mmpe` (nor `i_mmpe_integral`) depends on the BLAS thread count.
 
 The exact MI has two routes that share H(Z). The band route subtracts the
 band conditional entropy sum_x w_x sum_z -p ln p over each row's window,
@@ -102,38 +103,24 @@ _TAIL_SPAN = 60
 _MMPE_TAIL = 1e-16
 
 
-def _bernstein_window(lam_lo, lam_hi, tail: float):
-    """Integer bounds (lo, hi) with P[Z < lo] < tail under mean lam_lo and P[Z > hi] < tail under lam_hi.
-
-    Bernstein's inequalities for Z ~ Poisson(lam), P[Z >= lam + t] <=
-    exp(-t^2 / (2 (lam + t/3))) and P[Z <= lam - t] <= exp(-t^2 / (2 lam)),
-    solved for the tail and padded by one step; never tighter than
-    `_poisson_window`.
-    """
-    lam_lo, lam_hi = np.asarray(lam_lo, dtype=float), np.asarray(lam_hi, dtype=float)
-    log_inv = -math.log(tail)
-    up = log_inv / 3.0 + np.sqrt(log_inv**2 / 9.0 + 2.0 * log_inv * lam_hi)
-    lo = np.maximum(0.0, np.floor(lam_lo - np.sqrt(2.0 * log_inv * lam_lo)) - 1.0)
-    return lo, np.ceil(lam_hi + up) + 1.0
-
-
 def _poisson_window(lam_lo, lam_hi, tail: float):
     """Tight window of Z ~ Poisson(lam) for every mean lam in [lam_lo, lam_hi], for tail < 1/2.
 
-    Returns float arrays (lo, hi) of integers: the largest lo with
-    P[Z < lo] = Q_reg(lo, lam_lo) < tail and the smallest hi with
-    P[Z > hi] = P_reg(hi + 1, lam_hi) < tail. Z grows stochastically with
-    its mean, so every mean in between leaves out less on each side. Both
-    ends are found by bisection between the Bernstein bounds and the
-    median, which lies in [floor(lam), ceil(lam)].
+    Returns int64 arrays (lo, hi): the largest lo with P[Z < lo] =
+    Q_reg(lo, lam_lo) < tail and the smallest hi with P[Z > hi] =
+    P_reg(hi + 1, lam_hi) < tail. Z grows stochastically with its mean, so
+    every mean in between leaves out less on each side. Both ends are found
+    by bisection between the median, which lies in [floor(lam), ceil(lam)],
+    and the `poisson_band` ends, whose tails are below 1e-30 <= tail.
     """
     lam_lo, lam_hi = np.asarray(lam_lo, dtype=float), np.asarray(lam_hi, dtype=float)
-    lo_ok, hi_ok = _bernstein_window(lam_lo, lam_hi, tail)
-    lo_bad, hi_bad = np.ceil(lam_lo) + 1.0, np.floor(lam_hi) - 1.0
+    lo_ok, hi_ok = poisson_band(lam_lo)[0], poisson_band(lam_hi)[1]
+    lo_bad = np.ceil(lam_lo).astype(np.int64) + 1
+    hi_bad = np.floor(lam_hi).astype(np.int64) - 1
     # each step takes a bracket of width w to at most ceil(w / 2)
     widest = max(np.max(lo_bad - lo_ok), np.max(hi_ok - hi_bad))
     for _ in range(math.ceil(math.log2(widest))):
-        lo_mid, hi_mid = np.floor(0.5 * (lo_ok + lo_bad)), np.floor(0.5 * (hi_ok + hi_bad))
+        lo_mid, hi_mid = (lo_ok + lo_bad) // 2, (hi_ok + hi_bad) // 2
         below = gammaincc(lo_mid, lam_lo) < tail
         above = gammainc(hi_mid + 1.0, lam_hi) < tail
         lo_ok, lo_bad = np.where(below, lo_mid, lo_ok), np.where(below, lo_bad, lo_mid)
@@ -499,20 +486,19 @@ def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) ->
 def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
     """Per gain, sum_z (E[U ln U; V=z] - P_V(z) m(z) ln m(z)) with m(z) = E[U | V=z].
 
-    The rows, sorted by u, go in `_row_runs` runs planned on their Bernstein
-    windows with a budget of _CHUNK_ELEMENTS / len(gains) cells; a run's
-    table then runs from its first row's tight window start
-    (`_poisson_window`) at the smallest gain to its last row's window end
-    at the largest, so every row at every gain misses less than _MMPE_TAIL
-    on each side. The columns (P_V, E[U | V], E[U ln U; V]) of
-    all gains come from one product of `moments` = (w, w u, w u ln u) with
-    each run's gains x rows x z table.
+    The rows, sorted by u, go in `_row_runs` runs planned on the
+    `poisson_band` starts at the smallest gain and band ends at the largest,
+    with a budget of _CHUNK_ELEMENTS / len(gains) cells. A run's table then
+    runs only from its first row's exact _MMPE_TAIL quantile at the smallest
+    gain to its last row's at the largest (`_poisson_window`), so every row
+    at every gain misses less than _MMPE_TAIL on each side. The columns
+    (P_V, E[U | V], E[U ln U; V]) of all gains are one einsum reduction of
+    `moments` = (w, w u, w u ln u) with each run's gains x rows x z table.
     """
     lam_lo, lam_hi = gains.min() * xs, gains.max() * xs
-    lo_bound, hi_bound = _bernstein_window(lam_lo, lam_hi, _MMPE_TAIL)
-    starts, stops = np.array(_row_runs(lo_bound, hi_bound, _CHUNK_ELEMENTS // gains.size)).T[:2]
+    lo_band, hi_band = poisson_band(lam_lo)[0], poisson_band(lam_hi)[1]
+    starts, stops = np.array(_row_runs(lo_band, hi_band, _CHUNK_ELEMENTS // gains.size)).T[:2]
     z_lo, z_hi = _poisson_window(lam_lo[starts], lam_hi[stops - 1], _MMPE_TAIL)
-    z_lo, z_hi = z_lo.astype(np.int64), z_hi.astype(np.int64)
     if z_hi[-1] > _Z_HARD_CAP:
         raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
 
@@ -521,7 +507,7 @@ def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
         lam = gains[:, None, None] * xs[None, start:stop, None]
         cond = poisson_log_pmf(np.arange(lo, hi + 1), lam)
         np.exp(cond, out=cond)
-        cols[:, :, lo : hi + 1] += moments[:, start:stop] @ cond
+        cols[:, :, lo : hi + 1] += np.einsum("kr,grz->gkz", moments[:, start:stop], cond)
     pv, mean_mass, xlogx_mass = cols.transpose(1, 0, 2)
     seen = pv > 0.0
     gap = np.zeros_like(pv)
@@ -539,14 +525,17 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     mmpe = a * sum_z (E[U ln U; V=z] - P_V(z) m(z) ln m(z)).
 
     `a` is a scalar gain or an array of gains; a scalar returns a float.
-    All gains share one gains x rows x z table per run of rows. A run's
-    z-window is tight: from the exact 1e-16 lower quantile of its first row
-    at the smallest gain to the exact 1e-16 upper quantile of its last row
-    at the largest (regularized incomplete gamma functions), so each row
-    leaves out less than 1e-16 of its mass on either side at every gain.
-    Each table, and each group of gains' columns, holds at most
-    _CHUNK_ELEMENTS cells, so memory stays bounded at any support size. A
-    window end past the hard cap of 1e6 raises.
+    All gains share one gains x rows x z table per run of rows, planned like
+    every banded table on `poisson_band` windows. A run's z-window is then
+    tightened: from the exact 1e-16 lower quantile of its first row at the
+    smallest gain to the exact 1e-16 upper quantile of its last row at the
+    largest (regularized incomplete gamma functions), so each row leaves out
+    less than 1e-16 of its mass on either side at every gain. Each table,
+    and each group of gains' columns on 0..the band end of the largest mean,
+    holds at most _CHUNK_ELEMENTS cells, so memory stays bounded at any
+    support size. A window end past the hard cap of 1e6 raises. The sums
+    over the rows are einsum reductions, so the result does not depend on
+    the BLAS thread count.
     """
     gains = np.asarray(a, dtype=float)
     if np.any(~(gains > 0.0)):
@@ -561,7 +550,7 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     flat = gains.ravel()
     # as many gains at once as keep their columns on 0..z_end within _CHUNK_ELEMENTS
     lam_max = flat.max() * xs[-1]
-    z_end = _bernstein_window(lam_max, lam_max, _MMPE_TAIL)[1]
+    z_end = poisson_band(lam_max)[1]
     step = max(1, _CHUNK_ELEMENTS // int(3 * (z_end + 1)))
     out = np.concatenate(
         [_jensen_gap_sums(xs, moments, flat[i : i + step]) for i in range(0, flat.size, step)]

@@ -193,7 +193,7 @@ class TestLogLikelihoods:
         gen = np.random.default_rng(3)
         n, tau = 2000, 16000
         matrix = 1 + gen.multinomial(tau - n, np.full(n, 1.0 / n), size=64)
-        cb = Codebook(matrix, tau, point_mass(8), 64, (0, 0))
+        cb = Codebook(matrix, tau, 64)
         assert cb._zero_free
         y = gen.multinomial(6400, matrix[5] / tau)
         assert self.assert_matches_fsum(cb, y).all()
@@ -202,7 +202,7 @@ class TestLogLikelihoods:
         gen = np.random.default_rng(4)
         n, tau = 500, 1500
         matrix = gen.multinomial(tau, np.full(n, 1.0 / n), size=32)
-        cb = Codebook(matrix, tau, point_mass(3), 32, (0, 0))
+        cb = Codebook(matrix, tau, 32)
         assert not cb._zero_free
         # y is zero wherever row 0 is: row 0 stays finite, rows with a zero under y > 0 do not
         y = gen.multinomial(3000, matrix[0] / tau)
@@ -215,31 +215,31 @@ class TestDecodeMl:
         return ChannelParams(n, g, r)
 
     def test_single_codeword(self):
-        cb = Codebook(np.array([[3, 1]]), 4, point_mass(1), 1, (0, 0))
+        cb = Codebook(np.array([[3, 1]]), 4, 1)
         params = self.params()
         assert decode_ml(CountVector([4, 0]), cb, params) == 0
 
     def test_disjoint_support_never_chosen(self):
-        cb = Codebook(np.array([[4, 0], [0, 4]]), 4, point_mass(1), 2, (0, 0))
+        cb = Codebook(np.array([[4, 0], [0, 4]]), 4, 2)
         params = self.params()
         assert decode_ml(CountVector([0, 4]), cb, params) == 1
         assert decode_ml(CountVector([4, 0]), cb, params) == 0
 
     def test_impossible_output_is_failure(self):
-        cb = Codebook(np.array([[4, 0, 0]]), 4, point_mass(1), 1, (0, 0))
+        cb = Codebook(np.array([[4, 0, 0]]), 4, 1)
         params = ChannelParams(3, 4.0, 2.0)
         assert decode_ml(CountVector([0, 3, 3]), cb, params) is None
 
     def test_tie_breaks_low_index(self):
-        cb = Codebook(np.array([[2, 2], [2, 2]]), 4, point_mass(2), 2, (0, 0))
+        cb = Codebook(np.array([[2, 2], [2, 2]]), 4, 2)
         assert decode_ml(CountVector([3, 1]), cb, self.params()) == 0
         # copies of a row tie to the first, even where alignment rounds their scores apart
         rows = np.array([[0, 3], [0, 3], [0, 3], [1, 2], [0, 3], [1, 2]])
-        cb = Codebook(rows, 3, point_mass(1), 6, (0, 0))
+        cb = Codebook(rows, 3, 6)
         assert decode_ml(CountVector([9, 1]), cb, ChannelParams(2, 1.0, 5.0)) == 3
 
     def test_wrong_total_rejected(self):
-        cb = Codebook(np.array([[2, 2]]), 4, point_mass(2), 1, (0, 0))
+        cb = Codebook(np.array([[2, 2]]), 4, 1)
         with pytest.raises(ValueError):
             decode_ml(CountVector([1, 1]), cb, self.params())
 
@@ -281,10 +281,6 @@ class TestDecodeThreshold:
         y, cb, spec, params = self.setup_small()
         assert decode_threshold(y, cb, math.inf, spec, params) is None
 
-    def test_accepts_plain_input_law(self):
-        y, cb, _, params = self.setup_small()
-        assert decode_threshold(y, cb, -math.inf, cb.input_pmf, params) == 0
-
     def test_wrong_total_rejected(self):
         y, cb, spec, params = self.setup_small()
         with pytest.raises(ValueError):
@@ -292,25 +288,23 @@ class TestDecodeThreshold:
                              0.0, spec, ChannelParams(params.n, params.g, params.r + 1.0))
 
     def test_input_law_gain_matches_codebook(self):
-        # the input-PMF route builds its surrogate at reads / tau, not r / g
-        y, cb, _, params = self.setup_small()
-        spec = PoissonChannelSpec(cb.input_pmf, params.reads / cb.tau)
-        assert spec.gain != params.r / params.g
+        # the surrogate runs at reads / tau, as `run_experiment` builds it, not r / g
+        y, cb, spec, params = self.setup_small()
+        assert spec.gain == params.reads / cb.tau != params.r / params.g
         correction = density_correction(params.reads)
         densities = reference_densities(y.counts, cb.matrix, spec) - correction
         low, high = np.sort(densities)[1:3]
         log_gamma = 0.5 * (low + high)
         expected = int(np.flatnonzero(densities > log_gamma)[0])
         assert decode_threshold(y, cb, log_gamma, spec, params) == expected
-        assert decode_threshold(y, cb, log_gamma, cb.input_pmf, params) == expected
 
     def test_zero_entry_never_decoded(self):
         # a zero entry where y is positive makes the codeword impossible
-        cb = Codebook(np.array([[0, 8], [4, 4]]), 8, point_mass(4), 2, (0, 0))
+        cb = Codebook(np.array([[0, 8], [4, 4]]), 8, 2)
         params = ChannelParams(2, 4.0, 1.5)
         spec = PoissonChannelSpec(point_mass(4), 0.375)
         assert decode_threshold(CountVector([1, 2]), cb, -math.inf, spec, params) == 1
-        alone = Codebook(np.array([[0, 8]]), 8, point_mass(4), 1, (0, 0))
+        alone = Codebook(np.array([[0, 8]]), 8, 1)
         assert decode_threshold(CountVector([1, 2]), alone, -math.inf, spec, params) is None
         assert decode_threshold(CountVector([0, 3]), alone, -math.inf, spec, params) == 0
 
@@ -335,7 +329,7 @@ def decoding_cases(draw):
         y[draw(st.integers(0, n - 1))] = spec.z_max + draw(st.integers(1, 40))
     if y.sum() == 0:
         y[0] = 1
-    return Codebook(matrix, tau, spec.input, len(matrix), (0, 0)), spec, y
+    return Codebook(matrix, tau, len(matrix)), spec, y
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.special import gammainc, gammaincc, gammaln, logsumexp
 
+import freqcap
 from freqcap import distributions, mutual_info
 
 from freqcap.distributions import (
@@ -38,6 +43,18 @@ MMPE_TWO_POINT_13_GAIN1 = 0.16998137768717558
 
 def point_mass(x0=3):
     return DiscretePmf(x0, np.array([0.0]))
+
+
+def python_at_blas_threads(code, threads):
+    """stdout of `python -c code` in a child process with `threads` BLAS threads."""
+    src = str(Path(freqcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def two_point_12():
@@ -565,6 +582,38 @@ class TestMmpe:
         xs = pmf.support.astype(float)
         scale = np.maximum(np.abs(single), gains * float(pmf.probs @ (xs * np.log(xs))))
         assert np.all(np.abs(values - single) <= 1e-14 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws_with_zero_rows(), st.lists(st.floats(-10.0, math.log10(5.0)), min_size=1,
+                                           max_size=16),
+           st.sampled_from([mutual_info._CHUNK_ELEMENTS, 3000, 200]))
+    def test_every_table_certifies_its_window(self, case, log_gains, chunk_elements):
+        # each mean of each table leaves out less than 1e-16 below and above the table's z
+        pmf, _ = case
+        tables = []
+        kernel = mutual_info.poisson_log_pmf
+
+        def recording(k, lam):
+            tables.append((k[0], k[-1], np.ravel(lam)))
+            return kernel(k, lam)
+
+        with mock.patch.object(mutual_info, "poisson_log_pmf", recording), \
+                mock.patch.object(mutual_info, "_CHUNK_ELEMENTS", chunk_elements):
+            mmpe(pmf, 10.0 ** np.array(log_gains))
+        assert tables
+        for first, last, lam in tables:
+            assert np.all(gammaincc(first, lam) < 1e-16)
+            assert np.all(gammainc(last + 1.0, lam) < 1e-16)
+
+    def test_independent_of_blas_threads(self):
+        # 11,181 input rows: a threaded BLAS product would split the run sums by thread count
+        code = (
+            "from freqcap.distributions import truncated_rounded_input_pmf as law\n"
+            "from freqcap.mutual_info import i_mmpe_integral, mmpe\n"
+            "print(repr(mmpe(law(500.0, 0.5), 0.3)), "
+            "repr(float(i_mmpe_integral(law(20.0, 0.1), 0.4))))\n"
+        )
+        assert python_at_blas_threads(code, "1") == python_at_blas_threads(code, "2")
 
     def test_output_window_hard_cap(self):
         with pytest.raises(RuntimeError, match="hard cap"):
