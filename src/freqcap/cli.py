@@ -80,6 +80,9 @@ def _parse_input_law(args):
             point, _, weight = item.partition(":")
             pairs.append((int(point), float(weight)))
         pairs.sort()
+        for (point, _), (following, _) in zip(pairs, pairs[1:]):
+            if point == following:
+                raise ValueError(f"--points repeats the point {point}")
         lo, hi = pairs[0][0], pairs[-1][0]
         weights = np.zeros(hi - lo + 1)
         for point, weight in pairs:

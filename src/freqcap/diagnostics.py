@@ -142,9 +142,14 @@ def _check_bobkov_ledoux(seed):
     lam = spec.gain * xs
     log_cond = poisson_log_pmf(np.arange(spec.z_max + 1), lam[:, None])
     mean_density = float((np.exp(log_cond) * (log_cond - spec.log_pz)).sum())
-    zs = rng.generator.poisson(lam, size=(samples, n))
-    dens = zs * np.log(lam) - lam - spec.density_offset(zs.ravel()).reshape(zs.shape)
-    totals = dens.sum(axis=1)
+    # the (samples, n) draw in blocks of rows: numpy fills an array in C order,
+    # so the blocks hold the same values as one draw, in a fraction of the memory
+    block, log_lam = 250, np.log(lam)
+    totals = np.empty(samples)
+    for start in range(0, samples, block):
+        zs = rng.generator.poisson(lam, size=(block, n))
+        dens = zs * log_lam - lam - spec.density_offset(zs.ravel()).reshape(zs.shape)
+        totals[start:start + block] = dens.sum(axis=1)
     freq = float((totals < mean_density - n * delta).mean())
     slack = 3.0 * math.sqrt(bound * (1 - bound) / samples + 1e-12)
     ok = freq <= bound + slack

@@ -170,6 +170,13 @@ class TestMiCommand:
         assert doc["input_pmf"]["offset"] == 1
         assert len(doc["input_pmf"]["log_weights"]) == 2
 
+    def test_repeated_point_is_domain_error(self):
+        code, out, err = invoke(
+            ["mi", "--input", "two-point", "--points", "1:0.3,1:0.2,3:0.5", "--gain", "1"]
+        )
+        assert code == 1 and out == ""
+        assert "repeats the point 1" in err
+
     def test_independent_of_blas_threads(self):
         # 11,181 input rows: past the size from which OpenBLAS splits a dot product
         argv = ["mi", "--g", "500", "--rho", "0.5", "--gain", "0.4"]
@@ -258,6 +265,10 @@ class TestVerifyCommand:
         assert code == 0
         assert "10/10 checks passed" in out
         assert "FAIL" not in out
+
+    def test_independent_of_blas_threads(self):
+        argv = ["verify", "--suite", "appendix"]
+        assert at_blas_threads(argv, "1") == at_blas_threads(argv, "2")
 
     def test_unknown_suite(self):
         for name in ("nope", "all"):
