@@ -42,7 +42,6 @@ COMMANDS = {
 }
 EXPERIMENT_CFG = (
     "n=500\ng=8.0\nr=3.2\nrho=0.5\ndelta=0.3\ndecoder=threshold\ntrials=200\nseed=11\n"
-    "pilot_samples=2000\n"
 )
 
 

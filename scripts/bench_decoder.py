@@ -38,7 +38,7 @@ def _child(method):
     config = ExperimentConfig(**CONFIG)
     rng = RngStream(config.seed)
     pmf = truncated_rounded_input_pmf(config.g, config.rho)
-    tau, _ = select_tau(pmf, config.n, config.pilot_samples, rng.substream(1))
+    tau, _ = select_tau(pmf, config.n)
     codebook = generate_codebook(config.m, config.n, pmf, tau, rng.substream(2))
     params = ChannelParams(config.n, config.g, config.r)
     log_freq = codebook.log_frequencies

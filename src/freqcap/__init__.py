@@ -71,7 +71,6 @@ from .special_math import (
     binary_entropy,
     lambert_w0,
     log_factorial,
-    maximize_unimodal,
     psi_max_entropy,
     regularized_gamma_p,
 )

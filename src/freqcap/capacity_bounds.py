@@ -14,13 +14,9 @@ nucleotide total K*L are tied through L solving L = beta * W(K L / beta).
 import math
 from dataclasses import dataclass, field
 
-from .special_math import (
-    NATS_PER_BIT,
-    lambert_w0,
-    log_factorial,
-    maximize_unimodal,
-    psi_max_entropy,
-)
+from scipy.special import lambertw
+
+from .special_math import NATS_PER_BIT, lambert_w0, log_factorial, psi_max_entropy
 
 __all__ = [
     "BoundReport",
@@ -103,17 +99,17 @@ def bound_report(g: float, r: float) -> BoundReport:
 def optimal_sampling_ratio():
     """Best read-to-budget ratio mu* for the achievability bound.
 
-    Maximizes mu -> 0.5 * ln(mu) - Psi(mu) over (0.01, e) by golden-section
-    search; returns (argmax, max). The result satisfies the stationarity
-    condition 1/(2 mu) = ln(1 + 1/mu) to within 1e-6.
+    mu -> 0.5 * ln(mu) - Psi(mu) is stationary where 1/(2 mu) = ln(1 + 1/mu).
+    With u = 1 + 1/mu that reads (-u/2) e^(-u/2) = -1/(2 sqrt(e)), so
+    u = -2 W_{-1}(-1/(2 sqrt(e))) and mu* = 1 / (u - 1) = 0.39795...
+    Returns (mu*, 0.5 * ln(mu*) - Psi(mu*)); the stationarity residual is
+    gated at 1e-12.
     """
-    mu, value = maximize_unimodal(
-        lambda m: 0.5 * math.log(m) - psi_max_entropy(m), 0.01, math.e, tol=1e-9
-    )
+    mu = 1.0 / (-2.0 * float(lambertw(-0.5 / math.sqrt(math.e), -1).real) - 1.0)
     residual = abs(1.0 / (2.0 * mu) - math.log1p(1.0 / mu))
-    if residual > 1e-6:
-        raise ArithmeticError(f"stationarity residual {residual:g} exceeds 1e-6")
-    return mu, value
+    if residual > 1e-12:
+        raise ArithmeticError(f"stationarity residual {residual:g} exceeds 1e-12")
+    return mu, 0.5 * math.log(mu) - psi_max_entropy(mu)
 
 
 def stars_and_bars_log_count(n: int, g_int: int) -> float:

@@ -228,7 +228,9 @@ def poissonization_identity_check(total_mean: float, probs) -> float:
     up to the largest total) are built once, the other axes are broadcast
     over a slab, and a running maximum of |lhs - rhs| is kept. The working
     set is a few slab-sized arrays, about 0.5 MB each at M = 20 in four
-    dimensions, instead of the 2M-point box.
+    dimensions, instead of the 2M-point box. Raises ArithmeticError unless
+    both sides sum to within 1e-12 of 1 over the box, so a box that leaves
+    mass out cannot pass.
     """
     if total_mean <= 0.0 or total_mean > 30.0:
         raise ValueError("exact enumeration is limited to total_mean in (0, 30]")
@@ -253,7 +255,7 @@ def poissonization_identity_check(total_mean: float, probs) -> float:
     rest_log_mult = sum(np.ix_(*log_mult_terms[1:]))
     rest_pmf = math.prod(np.ix_(*pmfs[1:]))
 
-    worst = 0.0
+    worst = mass_lhs = mass_rhs = 0.0
     for y0 in grids[0]:
         totals = y0 + rest_totals
         # joint law through the conditional multinomial, all in log space
@@ -261,6 +263,12 @@ def poissonization_identity_check(total_mean: float, probs) -> float:
         lhs = np.exp(log_poi_total[totals] + log_mult)
         rhs = pmfs[0][y0] * rest_pmf
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        mass_lhs += float(np.sum(lhs))
+        mass_rhs += float(np.sum(rhs))
+    if max(abs(mass_lhs - 1.0), abs(mass_rhs - 1.0)) > 1e-12:
+        raise ArithmeticError(
+            f"the box holds mass {mass_lhs!r} (lhs) and {mass_rhs!r} (rhs), not 1 within 1e-12"
+        )
     return worst
 
 

@@ -1,8 +1,8 @@
 """Desk-scale random-coding experiments on the frequency channel.
 
-Pipeline: build the integer input law, pick the common codeword sum from a
-pilot run, sample a fixed-sum random codebook (rejection on n - 8 letters,
-the last 8 drawn from their exact law given the sum they must make up),
+Pipeline: build the integer input law, take the common codeword sum as the
+exact mode of a block sum, sample a fixed-sum random codebook (rejection on
+n - 8 letters, the last 8 drawn from their exact law given their sum),
 push codewords through the multinomial channel, and decode either by
 scan-order threshold on the Poisson-surrogate information density or by
 exact maximum likelihood. Both score all codewords of a trial with one
@@ -107,19 +107,34 @@ class Codebook:
         return np.einsum("mi,i->m", log_frequencies, y.astype(float))
 
 
-def select_tau(input_pmf: DiscretePmf, n: int, pilot_samples: int, rng: RngStream):
-    """Pick the modal codeword sum from a pilot draw of IID blocks.
+def _sum_law(probs: np.ndarray, n: int) -> np.ndarray:
+    """Law of the sum of n IID letters: entry s is the probability that they
+    sum to n * offset + s, offset being the support's lowest value.
 
-    Returns (tau, p_hat) where p_hat is the empirical frequency of tau;
-    the mode maximizes rejection-sampling throughput downstream.
+    The n-fold convolution of the letter pmf, computed whole with one real
+    FFT of length L = 2^ceil(log2(n (len(probs) - 1) + 1)), long enough that
+    the circular convolution does not wrap. Its error is absolute, about
+    1e-16 times the law's maximum.
     """
-    if pilot_samples < 1000:
-        raise ValueError(f"pilot_samples must be >= 1000, got {pilot_samples}")
-    counts = rng.generator.multinomial(n, input_pmf.probs, size=pilot_samples)
-    sums = counts @ input_pmf.support
-    freq = np.bincount(sums)
-    tau = int(freq.argmax())
-    return tau, float(freq[tau] / pilot_samples)
+    size = n * (probs.size - 1) + 1
+    length = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(probs, length) ** n, length)[:size]
+
+
+def select_tau(input_pmf: DiscretePmf, n: int):
+    """The modal block sum tau and its probability P[F] = P[X_1 + ... + X_n = tau].
+
+    Both are read off the exact law of the block sum (`_sum_law`). On a law
+    symmetric about its mode, the FFT's noise must not choose between tied
+    bins, so tau is the first bin within a relative 1e-12 of the maximum.
+    The mode maximizes the codebook's acceptance rate downstream. Returns
+    (tau, P[F]).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    law = _sum_law(input_pmf.probs, n)
+    mode = int(np.argmax(law >= law.max() * (1.0 - 1e-12)))
+    return n * int(input_pmf.support[0]) + mode, float(law[mode])
 
 
 def _completion_laws(probs: np.ndarray, k: int) -> list:
@@ -326,7 +341,6 @@ class ExperimentConfig:
     decoder: str = "threshold"
     trials: int = 200
     seed: int = 0
-    pilot_samples: int = 2000
     spectrum_samples: int = 2000
     max_attempts_per_word: int = 200_000
 
@@ -372,7 +386,7 @@ class ExperimentReport:
     m: int
     m_clamped: bool
     tau: int
-    p_hat: float
+    p_f: float
     rate: float
     mutual_information: float
     achievability: float
@@ -422,10 +436,7 @@ def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
             raise RuntimeError(f"experiment stage '{name}' failed: {exc}") from exc
 
     input_pmf = stage("input-law", lambda: truncated_rounded_input_pmf(config.g, config.rho))
-    tau, p_hat = stage(
-        "tau-selection",
-        lambda: select_tau(input_pmf, config.n, config.pilot_samples, rng.substream(1)),
-    )
+    tau, p_f = stage("tau-selection", lambda: select_tau(input_pmf, config.n))
     # The codebook realizes the normalized budget tau/n, so the matched
     # Poisson surrogate has gain n*r/tau; it tends to r/g as g grows.
     gain = params.reads / tau
@@ -465,7 +476,7 @@ def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
             thresholds=[(log_gamma + correction) / config.n],
         ),
     )
-    feinstein = feinstein_rhs(spectrum.cdf[0], m, log_gamma, p_hat)
+    feinstein = feinstein_rhs(spectrum.cdf[0], m, log_gamma, p_f)
 
     message_stream = rng.substream(3)
     channel_root = rng.substream(4)
@@ -511,7 +522,7 @@ def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
         m=m,
         m_clamped=m_clamped,
         tau=tau,
-        p_hat=p_hat,
+        p_f=p_f,
         rate=math.log(m) / config.n,
         mutual_information=mi,
         achievability=achievability_bound(config.g, config.r),

@@ -1,16 +1,18 @@
 """Self-contained property checks runnable from the command line.
 
 Each check validates one certified identity, bound, or concentration
-inequality against exact enumeration or seeded Monte-Carlo with 3-sigma
-statistical slack. These back `freqcap verify`; the pytest suite covers
-the same ground with finer assertions.
+inequality against exact enumeration or exact CDFs (scipy's `bdtrc` and
+`gammaincc` for the binomial and gamma tails), with no slack. Only
+`bobkov-ledoux-mc` draws random numbers: a seeded Monte-Carlo sample, held
+to its bound with 3-sigma statistical slack. These back `freqcap verify`;
+the pytest suite covers the same ground with finer assertions.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import bdtrc, gammaincc
 
 from .channel import event_poissonization_factor, poissonization_identity_check
 from .distributions import (
@@ -103,30 +105,29 @@ def _check_gamma_tails(seed):
     return CheckResult("gamma-half-tails", ok, "exact CDF tails under the certified bounds")
 
 
+def _tail_check(name, pairs):
+    """Pass when no exact tail exceeds its bound; pairs are (tail, bound)."""
+    ratio = max(tail / bound for tail, bound in pairs)
+    return CheckResult(name, ratio <= 1.0, f"max exact tail / bound {ratio:.4f}")
+
+
+def _binomial_tail(n, p, t):
+    """P[X / n - p >= t] for X ~ Bin(n, p). The cut-off n (p + t) is rounded to
+    9 decimals first, so that one a hair above an integer does not skip it."""
+    return float(bdtrc(math.ceil(round(n * (p + t), 9)) - 1, n, p))
+
+
 def _check_hoeffding(seed):
-    rng = RngStream(seed, 101)
-    n, samples, p = 400, 20000, 0.3
-    draws = rng.generator.binomial(n, p, size=samples)
-    ok = True
-    for t in (0.03, 0.06):
-        freq = float((draws / n - p >= t).mean())
-        bound = math.exp(-2 * n * t * t)
-        slack = 3.0 * math.sqrt(bound * (1 - bound) / samples + 1e-12)
-        ok = ok and freq <= bound + slack
-    return CheckResult("hoeffding-mc", ok, "empirical tail under the bound + 3 sigma")
+    n, p = 400, 0.3
+    pairs = [(_binomial_tail(n, p, t), math.exp(-2 * n * t * t)) for t in (0.03, 0.06)]
+    return _tail_check("hoeffding-mc", pairs)
 
 
 def _check_relative_chernoff(seed):
-    rng = RngStream(seed, 102)
-    n, samples, p = 500, 20000, 0.05
-    draws = rng.generator.binomial(n, p, size=samples)
-    ok = True
-    for xi in (0.5, 1.0):
-        freq = float((draws / n - p >= xi * p).mean())
-        bound = math.exp(-xi * xi * p * n / (2 + xi))
-        slack = 3.0 * math.sqrt(bound * (1 - bound) / samples + 1e-12)
-        ok = ok and freq <= bound + slack
-    return CheckResult("relative-chernoff-mc", ok, "empirical tail under the bound + 3 sigma")
+    n, p = 500, 0.05
+    pairs = [(_binomial_tail(n, p, xi * p), math.exp(-xi * xi * p * n / (2 + xi)))
+             for xi in (0.5, 1.0)]
+    return _tail_check("relative-chernoff-mc", pairs)
 
 
 def _check_bobkov_ledoux(seed):
@@ -157,16 +158,12 @@ def _check_bobkov_ledoux(seed):
 
 
 def _check_sub_gamma(seed):
-    rng = RngStream(seed, 104)
-    k, theta, samples = 50.0, 2.0, 200000
-    draws = rng.generator.gamma(k, theta, size=samples)
-    ok = True
-    for t in (25.0, 50.0):
-        freq = float((draws >= k * theta + t).mean())
-        bound = math.exp(-t / (2 * theta)) + math.exp(-t * t / (4 * k * theta * theta))
-        slack = 3.0 * math.sqrt(max(freq, bound) / samples + 1e-12)
-        ok = ok and freq <= bound + slack
-    return CheckResult("sub-gamma-right-tail-mc", ok, "empirical tail under the bound + 3 sigma")
+    # X ~ Gamma(k, theta): P[X >= k theta + t] = Q(k, k + t / theta)
+    k, theta = 50.0, 2.0
+    pairs = [(float(gammaincc(k, k + t / theta)),
+              math.exp(-t / (2 * theta)) + math.exp(-t * t / (4 * k * theta * theta)))
+             for t in (25.0, 50.0)]
+    return _tail_check("sub-gamma-right-tail-mc", pairs)
 
 
 _APPENDIX = (

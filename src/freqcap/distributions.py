@@ -31,7 +31,7 @@ __all__ = [
     "gamma_half_tail_bounds",
 ]
 
-_U64 = 2**64
+_U32, _U64 = 2**32, 2**64
 # cells per banded Poisson table, the one budget of `_row_runs`' callers
 _CHUNK_ELEMENTS = 4_000_000
 # `poisson_entropy` sums its asymptotic series from this mean on, where the
@@ -45,30 +45,35 @@ _TWO_PI_E = 2.0 * math.pi * math.e
 
 
 class RngStream:
-    """Counter-based seeded random stream (Philox) with independent stream ids.
+    """Seeded random stream (Philox) at a path of stream indices.
 
-    Identical (seed, stream_id) pairs replay identical draw sequences,
-    regardless of how many other streams exist; this is what makes
-    experiment results reproducible across worker counts. A single stream
-    is stateful and must not be shared between concurrent workers.
+    The key comes from `np.random.SeedSequence(seed, spawn_key=path)`, so
+    streams at different paths are independent and identical (seed, path)
+    pairs replay identical draw sequences, regardless of how many other
+    streams exist; this is what makes experiment results reproducible across
+    worker counts. Every index is one 32-bit word of the key's entropy, so
+    two different paths never feed it the same words. A single stream is
+    stateful and must not be shared between concurrent workers.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int, *path: int):
         self.seed = int(seed) % _U64
-        self.stream_id = int(stream_id) % _U64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self.path = tuple(int(i) for i in path)
+        if not all(0 <= i < _U32 for i in self.path):
+            raise ValueError(f"stream indices must lie in [0, 2**32), got {self.path}")
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        self._generator = np.random.Generator(np.random.Philox(seq))
 
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
 
     def substream(self, index: int) -> "RngStream":
-        """Independent child stream; deterministic in (seed, stream_id, index)."""
-        return RngStream(self.seed, (self.stream_id * 1_000_003 + int(index) + 1) % _U64)
+        """Independent child stream at this stream's path extended by index."""
+        return RngStream(self.seed, *self.path, index)
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        return f"RngStream(seed={self.seed}, path={self.path})"
 
 
 class DiscretePmf:

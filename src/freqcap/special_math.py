@@ -1,4 +1,4 @@
-"""Special functions and scalar optimization.
+"""Special functions.
 
 Everything here is a pure function of its arguments. Lambert W and the
 log-gamma tail of `log_factorial` are scipy's; `regularized_gamma_p` stays
@@ -21,7 +21,6 @@ __all__ = [
     "lambert_w0",
     "regularized_gamma_p",
     "log_factorial",
-    "maximize_unimodal",
 ]
 
 # Entropies, information densities and bounds are plain floats in nats.
@@ -144,32 +143,3 @@ def log_factorial(k):
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out[0])
     return out.reshape(arr.shape)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def maximize_unimodal(f, lo: float, hi: float, tol: float):
-    """Golden-section search for the maximum of a unimodal f on [lo, hi].
-
-    Returns (argmax, max). The argmax is within tol of the true maximizer.
-    """
-    if not lo < hi:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

@@ -245,7 +245,7 @@ def test_criterion_10_end_to_end_experiment():
     start = time.perf_counter()
     base = fc.ExperimentConfig(
         n=500, g=8.0, r=3.2, rho=0.5, delta=0.3, decoder="threshold",
-        trials=200, seed=11, pilot_samples=2000, spectrum_samples=1000,
+        trials=200, seed=11, spectrum_samples=1000,
     )
     threshold_report = fc.run_experiment(base)
     again = fc.run_experiment(base)

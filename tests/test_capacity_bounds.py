@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -74,7 +75,16 @@ class TestOptimalSamplingRatio:
 
     def test_stationarity(self):
         mu, _ = optimal_sampling_ratio()
-        assert abs(1.0 / (2.0 * mu) - math.log1p(1.0 / mu)) <= 1e-6
+        assert abs(1.0 / (2.0 * mu) - math.log1p(1.0 / mu)) <= 1e-12
+
+    def test_closed_form_against_mpmath(self):
+        with mp.workdps(40):
+            mu_exact = 1 / (-2 * mp.lambertw(-1 / (2 * mp.sqrt(mp.e)), -1) - 1)
+            psi = (mu_exact + 1) * mp.log(mu_exact + 1) - mu_exact * mp.log(mu_exact)
+            value_exact = float(0.5 * mp.log(mu_exact) - psi)
+        mu, value = optimal_sampling_ratio()
+        assert abs(mu - float(mu_exact)) <= 1e-16
+        assert abs(value - value_exact) <= 1e-15
 
     def test_unit_ratio_value(self):
         # the objective at mu=1 is -2 ln 2, the historical -1.386 nats

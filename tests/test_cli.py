@@ -198,7 +198,7 @@ class TestExperimentCommand:
     def config_text(self):
         return (
             "n=24\ng=8.0\nr=0.5\nrho=0.5\ndelta=0.1\nm=32\ndecoder=ml\n"
-            "trials=60\nseed=9\npilot_samples=1500\nspectrum_samples=400\n"
+            "trials=60\nseed=9\nspectrum_samples=400\n"
         )
 
     def test_runs_and_reproduces(self, tmp_path):
@@ -224,7 +224,7 @@ class TestExperimentCommand:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             f"n=200\ng=8\nr=3.2\nrho=0.5\ndelta=0.3\nm=16\ndecoder={decoder}\n"
-            "trials=50\nseed=1\npilot_samples=2000\nspectrum_samples=400\n"
+            "trials=50\nseed=1\nspectrum_samples=400\n"
         )
         src = str(Path(freqcap.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -248,7 +248,7 @@ class TestExperimentCommand:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "n=20000\ng=8\nr=3.2\nrho=0.5\ndelta=0.3\nm=16\ndecoder=threshold\n"
-            "trials=20\nseed=1\npilot_samples=1000\nspectrum_samples=200\n"
+            "trials=20\nseed=1\nspectrum_samples=200\n"
         )
         outputs = []
         for threads in ("1", "2"):

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,22 +87,93 @@ def first_occurrence(matrix, m):
     return next(k for k in range(len(matrix)) if np.array_equal(matrix[k], matrix[m]))
 
 
+def log_domain_sum_law(probs, n):
+    """The n-fold convolution of probs by repeated squaring, carried in logs:
+    each product rescales both factors to a maximum of 1 before a direct
+    convolution, so nothing underflows near the mode."""
+
+    def log_convolve(a, b):
+        product = np.convolve(np.exp(a - a.max()), np.exp(b - b.max()))
+        with np.errstate(divide="ignore"):
+            return np.log(product) + a.max() + b.max()
+
+    with np.errstate(divide="ignore"):
+        power = np.log(probs)
+    law = np.zeros(1)
+    while n:
+        if n & 1:
+            law = log_convolve(law, power)
+        n >>= 1
+        if n:
+            power = log_convolve(power, power)
+    return np.exp(law)
+
+
 class TestSelectTau:
     def test_point_mass(self):
-        tau, p_hat = select_tau(point_mass(3), 40, 1000, RngStream(1))
+        tau, p_f = select_tau(point_mass(3), 40)
         assert tau == 120
-        assert p_hat == 1.0
+        assert p_f == 1.0
 
     def test_desk_scale_window(self):
         pmf = truncated_rounded_input_pmf(8.0, 0.5)
-        tau, p_hat = select_tau(pmf, 500, 2000, RngStream(2))
+        tau, p_f = select_tau(pmf, 500)
         assert 0.7 * 8.0 <= tau / 500 <= 1.3 * 8.0
         # far above the 1/(3 n g) floor at desk scale
-        assert p_hat >= 0.5 / (3 * 500 * 8.0)
+        assert p_f >= 0.5 / (3 * 500 * 8.0)
 
-    def test_requires_real_pilot(self):
+    def test_coding_config_value(self):
+        # the n = 2000, g = 8, rho = 0.5 experiment: no draw is involved
+        tau, p_f = select_tau(truncated_rounded_input_pmf(8.0, 0.5), 2000)
+        assert tau == 11_595
+        assert p_f == pytest.approx(0.0015948955730149556, rel=1e-12)
+
+    def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
-            select_tau(point_mass(2), 10, 999, RngStream(0))
+            select_tau(point_mass(2), 0)
+
+    def test_law_matches_log_domain_convolution(self):
+        pmf = truncated_rounded_input_pmf(8.0, 0.5)
+        n = 200
+        law = coding_experiment._sum_law(pmf.probs, n)
+        reference = log_domain_sum_law(pmf.probs, n)
+        assert law.size == reference.size
+        assert np.max(np.abs(law - reference)) <= 1e-15
+        tau, p_f = select_tau(pmf, n)
+        mode = int(reference.argmax())
+        assert tau == n * pmf.support[0] + mode
+        assert abs(p_f - reference[mode]) <= 1e-13 * reference[mode]
+
+    def test_law_matches_mpmath(self):
+        weights = [0.1, 0.0, 0.35, 0.2, 0.05, 0.3]
+        pmf = DiscretePmf.from_weights(2, weights)
+        n = 11
+        with mp.workdps(50):
+            exact = [mp.mpf(1)]
+            letter = [mp.mpf(p) for p in pmf.probs]
+            for _ in range(n):
+                exact = [
+                    mp.fsum(exact[j] * letter[s - j] for j in range(len(exact))
+                            if 0 <= s - j < len(letter))
+                    for s in range(len(exact) + len(letter) - 1)
+                ]
+            exact = np.array([float(v) for v in exact])
+        law = coding_experiment._sum_law(pmf.probs, n)
+        assert np.max(np.abs(law - exact)) <= 1e-16
+        tau, p_f = select_tau(pmf, n)
+        assert tau == 2 * n + int(exact.argmax())
+        assert p_f == pytest.approx(exact.max(), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [7, 13, 45, 841])
+    def test_tied_modes_take_the_first(self, n):
+        # Bin(n, 1/2) on {3, 4} has two equal modes; FFT noise must not pick.
+        # At n = 13, 45 and 841 numpy's FFT puts the larger value on the
+        # second one, where a plain argmax would land.
+        tau, p_f = select_tau(DiscretePmf.from_weights(3, [1.0, 1.0]), n)
+        k = (n - 1) // 2
+        assert tau == 3 * n + k
+        exact = math.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2))
+        assert p_f == pytest.approx(exact, rel=1e-12)
 
 
 class TestGenerateCodebook:
@@ -114,21 +186,20 @@ class TestGenerateCodebook:
 
     def test_every_word_sums_to_tau(self):
         pmf = truncated_rounded_input_pmf(8.0, 0.5)
-        tau, _ = select_tau(pmf, 100, 2000, RngStream(4))
+        tau, _ = select_tau(pmf, 100)
         cb = generate_codebook(32, 100, pmf, tau, RngStream(5))
         assert np.all(cb.matrix.sum(axis=1) == tau)
 
     def test_acceptance_rate_consistent_with_pilot(self):
-        # a candidate is kept with probability P[sum = tau] / max_s P_k(s)
+        # a candidate is kept with probability P[sum = tau] / max_s P_k(s),
+        # and P[sum = tau] is exact: only the codebook's own draws vary
         pmf = truncated_rounded_input_pmf(8.0, 0.5)
         n = 200
-        tau, p_hat = select_tau(pmf, n, 20_000, RngStream(6))
+        tau, p_f = select_tau(pmf, n)
         cb = generate_codebook(300, n, pmf, tau, RngStream(7))
         tail_max = k_letter_sum_law(pmf.probs, coding_experiment._COMPLETED_LETTERS).max()
-        expected = p_hat / tail_max
-        sigma = math.sqrt(expected * (1 - expected) / cb.attempts) + math.sqrt(
-            p_hat * (1 - p_hat) / 20_000
-        ) / tail_max
+        expected = p_f / tail_max
+        sigma = math.sqrt(expected * (1 - expected) / cb.attempts)
         assert abs(cb.accept_rate - expected) <= 3.0 * sigma
 
     @pytest.mark.parametrize(
@@ -249,7 +320,7 @@ class TestDecodeMl:
         n = 200
         params = ChannelParams(n, 4.0, 16.0)
         rng = RngStream(21)
-        tau, _ = select_tau(pmf, n, 2000, rng.substream(1))
+        tau, _ = select_tau(pmf, n)
         cb = generate_codebook(2, n, pmf, tau, rng.substream(2))
         msgs = rng.substream(3).generator.integers(0, 2, size=1000)
         croot = rng.substream(4)
@@ -267,7 +338,7 @@ class TestDecodeThreshold:
         n = 100
         params = ChannelParams(n, 8.0, 0.5)
         rng = RngStream(22)
-        tau, _ = select_tau(pmf, n, 2000, rng.substream(1))
+        tau, _ = select_tau(pmf, n)
         cb = generate_codebook(4, n, pmf, tau, rng.substream(2))
         spec = PoissonChannelSpec(pmf, params.reads / tau)
         y = transmit(cb.codeword(2), params, rng.substream(3))
@@ -400,11 +471,14 @@ class TestExperimentConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(
             "# comment\nn=100\ng=8.0\nr=0.5\nrho=0.5\ndelta=0.1\nm=16\n"
-            "decoder=ml\ntrials=50\nseed=3\npilot_samples=1500\n"
+            "decoder=ml\ntrials=50\nseed=3\n"
         )
         config = ExperimentConfig.from_file(str(path))
         assert config.n == 100 and config.m == 16 and config.decoder == "ml"
-        assert config.pilot_samples == 1500
+        # tau and P[F] are exact now: the pilot's size is no longer a key
+        path.write_text(path.read_text() + "pilot_samples=1500\n")
+        with pytest.raises(ValueError, match="pilot_samples"):
+            ExperimentConfig.from_file(str(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -414,8 +488,7 @@ class TestExperimentConfig:
 
 
 LADDER_BASE = dict(
-    n=24, g=8.0, r=0.5, rho=0.5, decoder="ml", trials=400, seed=9,
-    pilot_samples=2000, spectrum_samples=500,
+    n=24, g=8.0, r=0.5, rho=0.5, decoder="ml", trials=400, seed=9, spectrum_samples=500,
 )
 
 
@@ -424,7 +497,7 @@ class TestRunExperiment:
         # r close to e*g: two random codewords are far apart
         config = ExperimentConfig(
             n=200, g=4.0, r=10.87, rho=0.5, delta=0.1, m=2, decoder="threshold",
-            trials=400, seed=5, pilot_samples=2000, spectrum_samples=500,
+            trials=400, seed=5, spectrum_samples=500,
         )
         report = run_experiment(config)
         assert report.error_rate < 0.05
@@ -468,7 +541,7 @@ class TestRunExperiment:
 
         config = ExperimentConfig(
             n=2000, g=8.0, r=3.2, rho=0.5, delta=0.3, m=2, decoder="threshold",
-            trials=200, seed=41, pilot_samples=4000, spectrum_samples=500,
+            trials=200, seed=41, spectrum_samples=500,
         )
         report = run_experiment(config)
         pmf = truncated_rounded_input_pmf(config.g, config.rho)
@@ -488,8 +561,8 @@ class TestRunExperiment:
         # reconstruct the codebook the experiment used and average over the
         # two codewords (messages are drawn uniformly)
         rng = RngStream(config.seed)
-        tau, _ = select_tau(pmf, config.n, config.pilot_samples, rng.substream(1))
-        assert tau == report.tau
+        tau, p_f = select_tau(pmf, config.n)
+        assert (tau, p_f) == (report.tau, report.p_f)
         cb = generate_codebook(report.m, config.n, pmf, tau, rng.substream(2))
         exact = np.mean(
             [sum(expect_by_value[int(v)] for v in row) / config.n for row in cb.matrix]
@@ -515,7 +588,7 @@ class TestRunExperiment:
     def test_sizing_rule_reports_clamp(self):
         config = ExperimentConfig(
             n=500, g=8.0, r=3.2, rho=0.5, delta=0.3, decoder="threshold",
-            trials=10, seed=11, pilot_samples=2000, spectrum_samples=500,
+            trials=10, seed=11, spectrum_samples=500,
         )
         report = run_experiment(config)
         assert report.m == 2 and report.m_clamped

@@ -46,8 +46,29 @@ class TestRngStream:
     def test_substream_deterministic(self):
         a = RngStream(5).substream(3)
         b = RngStream(5).substream(3)
-        assert (a.seed, a.stream_id) == (b.seed, b.stream_id)
+        assert (a.seed, a.path) == (b.seed, b.path) == (5, (3,))
         assert a.generator.random() == b.generator.random()
+
+    def test_key_is_the_seed_sequence_at_the_path(self):
+        a = RngStream(3, 5).substream(7).generator.random(8)
+        seq = np.random.SeedSequence(3, spawn_key=(5, 7))
+        assert np.array_equal(a, np.random.Generator(np.random.Philox(seq)).random(8))
+
+    def test_streams_of_the_old_id_arithmetic_differ(self):
+        # ids used to be derived as id * 1_000_003 + index + 1, which sent
+        # both of these to stream 6_000_019
+        a = RngStream(3, 5).substream(1_000_003).generator.random(8)
+        b = RngStream(3, 6).substream(0).generator.random(8)
+        assert not np.array_equal(a, b)
+
+    def test_paths_of_different_lengths_differ(self):
+        draws = [RngStream(3, *path).generator.random(8) for path in ((), (0,), (0, 0), (1,))]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+
+    @pytest.mark.parametrize("index", [-1, 2**32])
+    def test_rejects_index_outside_32_bits(self, index):
+        with pytest.raises(ValueError):
+            RngStream(1).substream(index)
 
 
 class TestDiscretePmf:

@@ -8,7 +8,6 @@ from freqcap.special_math import (
     binary_entropy,
     lambert_w0,
     log_factorial,
-    maximize_unimodal,
     psi_max_entropy,
     regularized_gamma_p,
 )
@@ -185,21 +184,3 @@ class TestLogFactorial:
             log_factorial(-1)
         with pytest.raises(ValueError):
             log_factorial(2.5)
-
-
-class TestMaximizeUnimodal:
-    def test_parabola(self):
-        x, fx = maximize_unimodal(lambda t: -((t - 1.0) ** 2), 0.0, 2.0, 1e-8)
-        assert x == pytest.approx(1.0, abs=1e-7)
-        assert fx == pytest.approx(0.0, abs=1e-12)
-
-    def test_boundary_maximizer(self):
-        x, fx = maximize_unimodal(lambda t: -t, 0.0, 1.0, 1e-7)
-        assert x == pytest.approx(0.0, abs=1e-6)
-        assert fx == pytest.approx(0.0, abs=1e-6)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            maximize_unimodal(lambda t: t, 1.0, 1.0, 1e-6)
-        with pytest.raises(ValueError):
-            maximize_unimodal(lambda t: t, 0.0, 1.0, 0.0)
