@@ -1,8 +1,8 @@
 """Layer benchmark of the banded Poisson tables behind the exact surrogate MI.
 
-Times eight fixed cases, each in its own fresh process, for one or more
-source trees, and prints the median CPU seconds of REPEATS runs after one
-warm-up run:
+Times nine fixed cases, each in its own fresh process, for one or more
+source trees, and prints the median CPU and wall seconds of REPEATS runs
+after one warm-up run, and the `tracemalloc` peak of one more, untimed run:
 
 - `poisson_entropy` over the means of g=500, rho=0.5, gain 0.4;
 - the `PoissonChannelSpec` build for that law;
@@ -13,7 +13,10 @@ warm-up run:
 - `i_mmpe_integral` at g=200, rho=0.1, gain 0.4;
 - one top `mmpe` panel at g=500, rho=0.5: the 16 Gauss-Legendre gains in
   [0.2, 0.4];
-- `mmpe` at g=500, rho=0.5 and the single gain 0.3.
+- `mmpe` at g=500, rho=0.5 and the single gain 0.3;
+- the `spectrum` operation of the end-to-end `surrogate` workload: the
+  spec for g=8, rho=0.5, gain 0.4, then `spectrum_mc` at n=2000 with 4000
+  samples (8M letters) and thresholds 0.5, 0.6.
 
     python scripts/bench_tables.py                       # this checkout's src/
     python scripts/bench_tables.py parent=/path/to/other/src change=src > BENCH_tables.json
@@ -24,7 +27,9 @@ benchmark on its 2-CPU machine) and at 1, set through
 OPENBLAS_NUM_THREADS and OMP_NUM_THREADS in the child; results are keyed
 by that count, then by label. The trees take turns case by case, so drift
 over the run falls on every tree alike. Each case also records the value
-it computed, so a value that moves with the thread count shows.
+it computed, so a value that moves with the thread count shows. The peak
+counts the bytes numpy and Python allocate during the run, not the
+interpreter and the imported modules.
 """
 
 import json
@@ -34,20 +39,23 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 REPEATS = 5
 BLAS_THREADS = ("2", "1")
 CASES = ("poisson_entropy_g500", "spec_build_g500", "mutual_information_g500",
          "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200", "mmpe_panel_g500",
-         "mmpe_gain_g500")
+         "mmpe_gain_g500", "spectrum_g8")
 
 
 def _child(case):
     import numpy as np
 
-    from freqcap.distributions import poisson_entropy, truncated_rounded_input_pmf
-    from freqcap.mutual_info import PoissonChannelSpec, i_mmpe_integral, mmpe, mutual_information
+    from freqcap.distributions import RngStream, poisson_entropy, truncated_rounded_input_pmf
+    from freqcap.mutual_info import (PoissonChannelSpec, i_mmpe_integral, mmpe,
+                                     mutual_information, spectrum_mc)
 
+    g8 = truncated_rounded_input_pmf(8.0, 0.5)
     g500 = truncated_rounded_input_pmf(500.0, 0.5)
     g200 = truncated_rounded_input_pmf(200.0, 0.1)
     g1e4 = truncated_rounded_input_pmf(1e4, 0.1)
@@ -63,14 +71,21 @@ def _child(case):
         "i_mmpe_integral_g200": lambda: i_mmpe_integral(g200, 0.4),
         "mmpe_panel_g500": lambda: float(mmpe(g500, gains).sum()),
         "mmpe_gain_g500": lambda: mmpe(g500, 0.3),
+        "spectrum_g8": lambda: spectrum_mc(PoissonChannelSpec(g8, 0.4), 2000, 4000,
+                                           RngStream(1), (0.5, 0.6)).mean,
     }[case]
     run()  # warm-up: imports, tables and caches
-    cpu = []
+    cpu, wall = [], []
     for _ in range(REPEATS):
-        c0 = time.process_time()
+        c0, w0 = time.process_time(), time.perf_counter()
         value = run()
         cpu.append(time.process_time() - c0)
-    return {"cpu_s": cpu, "value": value}
+        wall.append(time.perf_counter() - w0)
+    tracemalloc.start()
+    run()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"cpu_s": cpu, "wall_s": wall, "peak_traced_bytes": peak, "value": value}
 
 
 def _environment():
@@ -101,10 +116,11 @@ def main(trees):
                 )
                 run = json.loads(done.stdout)
                 results[threads][label][case] = {
-                    "cpu_s_median": statistics.median(run["cpu_s"]), **run}
+                    "cpu_s_median": statistics.median(run["cpu_s"]),
+                    "wall_s_median": statistics.median(run["wall_s"]), **run}
     doc = {
-        "benchmark": f"CPU s per case, median of {REPEATS} runs after one warm-up, "
-                     "each case in its own process",
+        "benchmark": f"CPU and wall s per case, median of {REPEATS} runs after one warm-up, "
+                     "and the tracemalloc peak of one more run, each case in its own process",
         "environment": _environment(),
         "results_by_blas_threads": results,
     }

@@ -82,14 +82,20 @@ class Codebook:
 
     @cached_property
     def log_frequencies(self) -> np.ndarray:
+        out = self.matrix / self.tau
         with np.errstate(divide="ignore"):
-            return np.log(self.matrix / self.tau)
+            return np.log(out, out=out)
 
     @cached_property
     def _first_copy(self) -> np.ndarray:
-        """Each row's first copy: duplicate rows score alike only up to rounding."""
+        """Each row's first copy: duplicate rows score alike only up to rounding.
+
+        Rows are keyed in the narrowest unsigned type that holds every letter,
+        so the keys take a fraction of the matrix's memory.
+        """
         first = {}
-        return np.array([first.setdefault(row.tobytes(), m) for m, row in enumerate(self.matrix)])
+        compact = self.matrix.astype(np.min_scalar_type(self.matrix.max()))
+        return np.array([first.setdefault(row.tobytes(), m) for m, row in enumerate(compact)])
 
     def _log_likelihoods(self, y: np.ndarray) -> np.ndarray:
         """S(y) = sum_i y_i ln(x_mi / tau) for every codeword m; -inf where x_mi = 0 < y_i.
@@ -212,14 +218,14 @@ def generate_codebook(
     gen = rng.generator
     budget = max_attempts_per_word * M
     batch = 4096
-    words = []
-    attempts = 0
-    while len(words) < M:
+    words = np.empty((M, n), dtype=np.int64)
+    filled = attempts = 0
+    while filled < M:
         counts = gen.multinomial(n - k, probs, size=batch)
         # index into P_k of what the last k letters must add up to
         index = tau - counts @ support - k * support[0]
         hits = np.flatnonzero(gen.random(batch) * tail_max < _at(tail, index))
-        needed = M - len(words)
+        needed = M - filled
         if hits.size >= needed:
             # stop counting attempts at the draw that completed the codebook
             attempts += int(hits[needed - 1]) + 1
@@ -229,13 +235,14 @@ def generate_codebook(
         completions = support[_complete(index[hits], laws, probs, gen)]
         for row, last in zip(hits, completions):
             word = np.concatenate([np.repeat(support, counts[row]), last])
-            words.append(gen.permutation(word))
-        if len(words) < M and attempts > budget:
+            words[filled] = gen.permutation(word)
+            filled += 1
+        if filled < M and attempts > budget:
             raise RuntimeError(
-                f"codebook rejection budget exhausted: {len(words)}/{M} words after "
-                f"{attempts} attempts (acceptance rate ~{(len(words) + 1) / attempts:.2e})"
+                f"codebook rejection budget exhausted: {filled}/{M} words after "
+                f"{attempts} attempts (acceptance rate ~{(filled + 1) / attempts:.2e})"
             )
-    return Codebook(np.stack(words), tau, attempts)
+    return Codebook(words, tau, attempts)
 
 
 def _checked_counts(y, params: ChannelParams) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 The sampling side covers exactly the laws the channel machinery needs:
 Poisson, the Gamma(1/2, 2g) pool-size law and its truncated-and-rounded
-integer version, max-entropy geometric laws, and multinomial reads.
+integer version, max-entropy geometric laws, and multinomial reads. Every
+banded Poisson table, here and in `mutual_info`, is built one `_row_runs`
+run of rows at a time, each run at most one block of _CHUNK_ELEMENTS = 2^16
+cells (512 KiB of float64).
 """
 
 import json
@@ -32,8 +35,9 @@ __all__ = [
 ]
 
 _U32, _U64 = 2**32, 2**64
-# cells per banded Poisson table, the one budget of `_row_runs`' callers
-_CHUNK_ELEMENTS = 4_000_000
+# cells per block of every streamed table, the one budget of `_row_runs`' callers:
+# 2^16 float64 cells are 512 KiB, so a block and its few temporaries fit a 1-2 MiB L2 cache
+_CHUNK_ELEMENTS = 1 << 16
 # `poisson_entropy` sums its asymptotic series from this mean on, where the
 # first term it drops, 3250433/11880 / lam^9, is below 1e-17
 _SERIES_MIN_MEAN = 150.0

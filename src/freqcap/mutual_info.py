@@ -12,8 +12,12 @@ truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). Every banded table (the output law, also
 past z_max, and `mmpe`) walks one row planner, `distributions._row_runs`,
-on `poisson_band` windows under one cell budget, _CHUNK_ELEMENTS; `mmpe`
-then cuts each run's table to exact 1e-16 quantiles. Sums over the input
+on `poisson_band` windows under one cell budget, _CHUNK_ELEMENTS = 2^16
+cells: a 512 KiB block that stays in a core's L2 cache, so the working set
+is a few blocks at any support size. `mmpe` then cuts each run's table to
+exact 1e-16 quantiles and joins neighbouring runs whose cut tables fit one
+block together. The spectrum draws its letters in blocks of
+_SPECTRUM_LETTERS = 2^15, also at any blocklength. Sums over the input
 support are einsum reductions, not BLAS products, so neither the exact MI
 nor `mmpe` (nor `i_mmpe_integral`) depends on the BLAS thread count.
 
@@ -39,7 +43,8 @@ from one letter table per call: each positive-weight row with lam < 10
 gets one cell per z from 0 to its band end, each row with lam >= 10 one cell
 whose z is drawn afterwards by numpy's transformed-rejection Poisson
 sampler (10 is where numpy switches to it). One uniform per letter finds
-its cell through a Chen-Asau guide table. The mass the small rows' cells
+its cell through a Chen-Asau guide table, or by binary search where its
+guide bucket spans more than one cell. The mass the small rows' cells
 leave out is certified with the regularized incomplete gamma function
 and must stay below 2^-53, one step of the uniform draw.
 
@@ -86,10 +91,9 @@ __all__ = [
 ]
 
 _Z_HARD_CAP = 10**6
-# cells per block of the build's band conditional entropy
-_ENTROPY_BLOCK = 1 << 16
-# letters per spectrum chunk, each chunk drawn from its own substream
-_SPECTRUM_LETTERS = 1 << 19
+# letters per spectrum piece, half a table block: a letter holds a uniform, a cell
+# index and a density, 24 bytes, so a piece's arrays stay within two blocks
+_SPECTRUM_LETTERS = _CHUNK_ELEMENTS // 2
 # numpy's Generator.poisson uses transformed rejection (PTRS) from this mean on
 _PTRS_MIN_MEAN = 10.0
 # Gauss-Legendre nodes per panel of `_panel_rule`
@@ -192,20 +196,16 @@ class PoissonChannelSpec:
         """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window.
 
         With `row_entropy`, also writes each row's -sum p ln p over its run's
-        window into row_entropy[row], from the same table, in blocks of
-        about _ENTROPY_BLOCK cells.
+        window into row_entropy[row], from the same table.
         """
         out = np.full(z_hi - z_lo + 1, -np.inf)
         logw = self.input.log_weights
         for rows, lo, hi in runs:
             lp = poisson_log_pmf(np.arange(lo, hi + 1), self._lams[rows, None])
             if row_entropy is not None:
-                step = max(1, _ENTROPY_BLOCK // lp.shape[1])
-                for a in range(0, rows.size, step):
-                    block = lp[a : a + step]
-                    plogp = np.exp(block)
-                    plogp *= block
-                    row_entropy[rows[a : a + step]] = -plogp.sum(axis=1)
+                plogp = np.exp(lp)
+                plogp *= lp
+                row_entropy[rows] = -plogp.sum(axis=1)
             lp += logw[rows][:, None]
             top = lp.max(axis=0)
             lp -= top
@@ -348,14 +348,13 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cdf, u, side="right") for u in [0, 1) and cdf[-1] == 1.
 
-    The guide entry of u's bucket is never past the answer; each letter
-    then steps forward while its cell's CDF is at most u.
+    The guide entry of u's bucket is never past the answer, and it is the
+    answer unless that cell's CDF is at most u; only those letters are
+    searched in the whole CDF.
     """
     idx = guide[(u * guide.size).astype(np.int64)]
     todo = np.flatnonzero(cdf[idx] <= u)
-    while todo.size:
-        idx[todo] += 1
-        todo = todo[cdf[idx[todo]] <= u[todo]]
+    idx[todo] = np.searchsorted(cdf, u[todo], side="right")
     return idx
 
 
@@ -424,10 +423,13 @@ def spectrum_mc(
     """Sample (1/n) * sum_i density(X_i, Z_i) under the product input law.
 
     Letters come from the spec's letter table (see the module docstring).
-    Samples are processed in chunks of whole samples, about 2^19 letters
-    each and at least one sample; chunk c draws from rng.substream(c). The
-    result is therefore bit-reproducible for a fixed seed and does not
-    depend on `workers`, which is only validated.
+    Samples are processed in chunks of whole samples, at most
+    _SPECTRUM_LETTERS = 2^15 letters each and at least one sample; chunk c
+    draws from rng.substream(c). A sample longer than that is a chunk of
+    its own, drawn from its substream in pieces of 2^15 letters whose
+    density sums add up, so memory does not grow with n. The result is
+    therefore bit-reproducible for a fixed seed and does not depend on
+    `workers`, which is only validated.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
@@ -439,11 +441,17 @@ def spectrum_mc(
 
     table = _LetterTable.build(spec)
     per_chunk = max(1, _SPECTRUM_LETTERS // n)
+    # letters of each sample per piece: all n of them, or one block of a long sample
+    width = min(n, _SPECTRUM_LETTERS)
     values = np.empty(num_samples)
     for c, first in enumerate(range(0, num_samples, per_chunk)):
         count = min(per_chunk, num_samples - first)
-        density = table.draw_density(spec, rng.substream(c).generator, count * n)
-        values[first : first + count] = density.reshape(count, n).mean(axis=1)
+        gen = rng.substream(c).generator
+        sums = np.zeros(count)
+        for done in range(0, n, width):
+            size = min(width, n - done)
+            sums += table.draw_density(spec, gen, count * size).reshape(count, size).sum(axis=1)
+        values[first : first + count] = sums / n
 
     variance = float(values.var(ddof=1)) if values.size > 1 else 0.0
     cdf = tuple(float((values <= t).mean()) for t in thresholds)
@@ -491,19 +499,29 @@ def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
     with a budget of _CHUNK_ELEMENTS / len(gains) cells. A run's table then
     runs only from its first row's exact _MMPE_TAIL quantile at the smallest
     gain to its last row's at the largest (`_poisson_window`), so every row
-    at every gain misses less than _MMPE_TAIL on each side. The columns
+    at every gain misses less than _MMPE_TAIL on each side; neighbouring
+    runs whose cut tables fit that budget together are joined. The columns
     (P_V, E[U | V], E[U ln U; V]) of all gains are one einsum reduction of
     `moments` = (w, w u, w u ln u) with each run's gains x rows x z table.
     """
     lam_lo, lam_hi = gains.min() * xs, gains.max() * xs
     lo_band, hi_band = poisson_band(lam_lo)[0], poisson_band(lam_hi)[1]
-    starts, stops = np.array(_row_runs(lo_band, hi_band, _CHUNK_ELEMENTS // gains.size)).T[:2]
+    budget = _CHUNK_ELEMENTS // gains.size
+    starts, stops = np.array(_row_runs(lo_band, hi_band, budget)).T[:2]
     z_lo, z_hi = _poisson_window(lam_lo[starts], lam_hi[stops - 1], _MMPE_TAIL)
     if z_hi[-1] > _Z_HARD_CAP:
         raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
 
+    # at small means the cut windows are far narrower than the planned bands
+    runs = []
+    for run in zip(starts, stops, z_lo, z_hi):
+        if runs and (run[1] - runs[-1][0]) * (run[3] - runs[-1][2] + 1) <= budget:
+            runs[-1] = (runs[-1][0], run[1], runs[-1][2], run[3])
+        else:
+            runs.append(run)
+
     cols = np.zeros((gains.size, 3, int(z_hi.max()) + 1))
-    for start, stop, lo, hi in zip(starts, stops, z_lo, z_hi):
+    for start, stop, lo, hi in runs:
         lam = gains[:, None, None] * xs[None, start:stop, None]
         cond = poisson_log_pmf(np.arange(lo, hi + 1), lam)
         np.exp(cond, out=cond)
@@ -525,17 +543,19 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     mmpe = a * sum_z (E[U ln U; V=z] - P_V(z) m(z) ln m(z)).
 
     `a` is a scalar gain or an array of gains; a scalar returns a float.
-    All gains share one gains x rows x z table per run of rows, planned like
-    every banded table on `poisson_band` windows. A run's z-window is then
-    tightened: from the exact 1e-16 lower quantile of its first row at the
-    smallest gain to the exact 1e-16 upper quantile of its last row at the
-    largest (regularized incomplete gamma functions), so each row leaves out
-    less than 1e-16 of its mass on either side at every gain. Each table,
-    and each group of gains' columns on 0..the band end of the largest mean,
-    holds at most _CHUNK_ELEMENTS cells, so memory stays bounded at any
-    support size. A window end past the hard cap of 1e6 raises. The sums
-    over the rows are einsum reductions, so the result does not depend on
-    the BLAS thread count.
+    Gains whose means at the largest row lie close together form a group,
+    and a group's gains share one gains x rows x z table per run of rows,
+    planned like every banded table on `poisson_band` windows. A run's
+    z-window is then tightened: from the exact 1e-16 lower quantile of its
+    first row at the smallest gain to the exact 1e-16 upper quantile of its
+    last row at the largest (regularized incomplete gamma functions), so
+    each row leaves out less than 1e-16 of its mass on either side at every
+    gain. Each table of more than one row holds at most one block,
+    _CHUNK_ELEMENTS = 2^16 cells, and a group takes as many gains as keep
+    its columns on 0..the band end of the largest mean within 16 blocks (at
+    least one), so memory stays bounded at any support size. A window end
+    past the hard cap of 1e6 raises. The sums over the rows are einsum
+    reductions, so the result does not depend on the BLAS thread count.
     """
     gains = np.asarray(a, dtype=float)
     if np.any(~(gains > 0.0)):
@@ -548,13 +568,21 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     moments = np.stack((w, w * xs, w * xs * np.log(xs)))
 
     flat = gains.ravel()
-    # as many gains at once as keep their columns on 0..z_end within _CHUNK_ELEMENTS
-    lam_max = flat.max() * xs[-1]
-    z_end = poisson_band(lam_max)[1]
-    step = max(1, _CHUNK_ELEMENTS // int(3 * (z_end + 1)))
-    out = np.concatenate(
-        [_jensen_gap_sums(xs, moments, flat[i : i + step]) for i in range(0, flat.size, step)]
-    )
+    # A row's table spans the means of every gain of its group, so gains are grouped by
+    # floor(sqrt(lam) / 3) of the mean lam they give the largest row: there a group's
+    # means spread by about 6 sqrt(lam), half the square-root term of a band's
+    # half-width, and a quadrature panel splits only where its means spread apart. A
+    # group holds its columns on 0..z_end while it streams its tables; they may take one
+    # block per Gauss-Legendre node.
+    lam_top = flat * xs[-1]
+    key = np.sqrt(lam_top) // 3.0
+    z_end = poisson_band(lam_top.max())[1]
+    step = max(1, _QUAD_POINTS * _CHUNK_ELEMENTS // int(3 * (z_end + 1)))
+    out = np.empty(flat.size)
+    for part in np.split(np.arange(flat.size), np.flatnonzero(np.diff(key)) + 1):
+        for i in range(0, part.size, step):
+            idx = part[i : i + step]
+            out[idx] = _jensen_gap_sums(xs, moments, flat[idx])
     out *= flat
     if gains.ndim == 0:
         return float(out[0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import mpmath as mp
@@ -279,6 +280,31 @@ class TestLogLikelihoods:
         y = gen.multinomial(3000, matrix[0] / tau)
         finite = self.assert_matches_fsum(cb, y)
         assert finite[0] and not finite.all()
+
+
+def test_first_copy_keys_letters_past_one_byte():
+    # 300 and 44 share their low byte, as do 4 and 260: one-byte keys would merge rows 0 and 1
+    cb = Codebook(np.array([[300, 4], [44, 260], [300, 4]]), 304, 3)
+    assert cb._first_copy.tolist() == [0, 1, 0]
+
+
+def test_codebook_memory_stays_near_its_matrix():
+    # the coding benchmark's codebook, 256 x 2000 letters: its draw and its two derived
+    # tables each allocate at most half a matrix beyond what they keep
+    pmf = truncated_rounded_input_pmf(8.0, 0.5)
+    tau, _ = select_tau(pmf, 2000)
+    tracemalloc.start()
+    try:
+        cb = generate_codebook(256, 2000, pmf, tau, RngStream(1))
+        held = cb.matrix.nbytes
+        assert tracemalloc.get_traced_memory()[1] <= 1.5 * held
+        for table in ("log_frequencies", "_first_copy"):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = getattr(cb, table).nbytes
+            assert tracemalloc.get_traced_memory()[1] - before <= kept + 0.5 * held
+    finally:
+        tracemalloc.stop()
 
 
 class TestDecodeMl:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -229,6 +230,31 @@ def test_small_chunk_budget_keeps_values():
     assert abs(small_mi - mutual_information(spec)) <= 1e-15
 
 
+# one block of float64 cells, the budget of every streamed table
+BLOCK_BYTES = 8 * distributions._CHUNK_ELEMENTS
+
+
+def traced_peak(run):
+    """Peak bytes allocated during `run()`, traced after one untraced call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", ["spec", "mmpe"])
+def test_g500_tables_stay_within_a_few_blocks(build):
+    # 11,181 rows and 5,316 outputs: one table of every row would hold 59M cells
+    pmf = truncated_rounded_input_pmf(500.0, 0.5)
+    run = {"spec": lambda: PoissonChannelSpec(pmf, 0.4), "mmpe": lambda: mmpe(pmf, 0.3)}[build]
+    # a block fits a core's L2 cache, and the build streams its tables through a few
+    assert BLOCK_BYTES <= 1 << 20
+    assert traced_peak(run) <= 6 * BLOCK_BYTES
+
+
 def test_band_certificate_refuses_a_tolerance_it_cannot_meet():
     # the unit-mean row keeps z <= 57, whose tail (~1e-79) is far above 1e-303
     with pytest.raises(RuntimeError, match="row bands"):
@@ -423,6 +449,27 @@ class TestSpectrumMc:
         est = spectrum_mc(spec, chunk + 1, 2, RngStream(2))
         assert abs(est.mean - mi) <= 0.01
 
+    def test_memory_does_not_grow_with_blocklength(self):
+        spec = PoissonChannelSpec(truncated_rounded_input_pmf(8.0, 0.5), 0.4)
+        mi = mutual_information(spec)
+        letters = mutual_info._SPECTRUM_LETTERS
+        for n in (4 * letters + 3, 16 * letters + 3):
+            assert traced_peak(lambda: spectrum_mc(spec, n, 2, RngStream(8))) <= 3 * BLOCK_BYTES
+            assert abs(spectrum_mc(spec, n, 2, RngStream(8)).mean - mi) <= 0.01
+
+    def test_long_sample_adds_up_its_pieces(self):
+        # a sample longer than one block is chunk 0 alone, drawn from substream 0 in
+        # pieces of one block, the last one partial
+        spec = PoissonChannelSpec(truncated_rounded_input_pmf(8.0, 0.5), 0.4)
+        letters = mutual_info._SPECTRUM_LETTERS
+        n = 2 * letters + 5
+        table = mutual_info._LetterTable.build(spec)
+        gen = RngStream(5).substream(0).generator
+        total = 0.0
+        for size in (letters, letters, 5):
+            total += table.draw_density(spec, gen, size).sum()
+        assert spectrum_mc(spec, n, 1, RngStream(5)).mean == total / n
+
     def test_json_shape(self):
         spec = PoissonChannelSpec(point_mass(2), 1.0)
         est = spectrum_mc(spec, 10, 50, RngStream(6), thresholds=[0.0])
@@ -452,6 +499,21 @@ def test_guided_search_equals_searchsorted(case):
     idx = mutual_info._guided_search(cdf, mutual_info._guide_table(cdf), u)
     assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
     assert np.all(masses[idx] > 0.0)
+
+
+def test_guided_search_equals_searchsorted_across_a_long_bucket():
+    # cells 1..100 are tiny and all lie in the guide bucket [1/2, 1/2 + 1/128), whose
+    # entry is cell 0, so a letter there is up to 100 cells past its guide entry
+    masses = np.concatenate(([1.0 + 1e-9], np.full(100, 1e-12), [1.0]))
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    guide = mutual_info._guide_table(cdf)
+    assert guide.size == 128 and cdf[0] > 0.5 and cdf[100] < 0.5 + 1 / 128
+    assert guide[int(cdf[100] * guide.size)] == 0
+    u = np.concatenate((cdf[:-1], 0.5 * (cdf[:-2] + cdf[1:-1]), [0.0, np.nextafter(1.0, 0.0)]))
+    idx = mutual_info._guided_search(cdf, guide, u)
+    assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(np.unique(idx), np.arange(masses.size))
 
 
 def dense_lipschitz_seminorm(spec):
@@ -637,6 +699,36 @@ class TestMmpe:
         assert sizes and max(sizes) <= mutual_info._CHUNK_ELEMENTS
         # the prior mean as estimator bounds the error: a (E[U ln U] - E[U] ln E[U])
         assert 0.0 <= value <= 5.0 * (float(ws @ (xs * np.log(xs))) - mean * math.log(mean))
+
+    def test_gain_groups_match_scalar_calls(self):
+        # gains from 1e-3 to 5 at g=200 fall in several groups of close means at the
+        # largest row, and a block of 200 cells then splits every group into single gains
+        pmf = truncated_rounded_input_pmf(200.0, 0.1)
+        gains = np.geomspace(1e-3, 5.0, 12)
+        single = np.array([mmpe(pmf, a) for a in gains])
+        xs = pmf.support.astype(float)
+        scale = np.maximum(np.abs(single), gains * float(pmf.probs @ (xs * np.log(xs))))
+        values = mmpe(pmf, gains)
+        with mock.patch.object(mutual_info, "_CHUNK_ELEMENTS", 200):
+            split = mmpe(pmf, gains)
+        assert np.all(np.abs(values - single) <= 1e-14 * scale)
+        assert np.all(np.abs(split - single) <= 1e-14 * scale)
+
+    def test_panel_of_close_means_is_one_group_of_joined_runs(self, monkeypatch):
+        # at gains near 1e-8 every row's cut window is a few cells while its band is about
+        # 50: the band plan has several runs, and they join into one table
+        pmf = truncated_rounded_input_pmf(200.0, 0.1)
+        tables = []
+        kernel = mutual_info.poisson_log_pmf
+
+        def recording(k, lam):
+            tables.append(np.shape(lam))
+            return kernel(k, lam)
+
+        monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+        gains = 1e-8 * (1.5 + 0.5 * np.polynomial.legendre.leggauss(16)[0])
+        mmpe(pmf, gains)
+        assert tables == [(16, pmf.size, 1)]
 
 
 class TestIMmpeIntegral:
