@@ -3,7 +3,10 @@
 Runs each command of the README's CLI section in SAMPLES fresh
 `python -m freqcap.cli` processes per source tree and records, per tree and
 command, the median and quartiles of the process's CPU seconds (user +
-system), its median wall seconds and its median peak RSS (`ru_maxrss`):
+system), its median wall seconds and its median peak RSS (`ru_maxrss`).
+One more, untimed, process per tree and command runs under
+`python -X importtime` and records whether the command loads
+`scipy.special`:
 
     python scripts/bench_cli.py                       # this checkout's src/
     python scripts/bench_cli.py parent=/path/to/other/src change=src > BENCH_cli.json
@@ -45,13 +48,17 @@ EXPERIMENT_CFG = (
 )
 
 
+def _env(src):
+    path = os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _run_once(src, argv, workdir):
     """(CPU s, wall s, ru_maxrss KiB) of one `python -m freqcap.cli argv` process."""
-    path = os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryFile() as log:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "freqcap.cli", *argv], cwd=workdir,
-                                 env={**os.environ, "PYTHONPATH": path}, stdout=log, stderr=log)
+                                 env=_env(src), stdout=log, stderr=log)
         # wait4 gives this child's own rusage; RUSAGE_CHILDREN would fold in every earlier one
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
@@ -60,6 +67,15 @@ def _run_once(src, argv, workdir):
             log.seek(0)
             raise RuntimeError(f"{' '.join(argv)} exited {child.returncode}: {log.read().decode()}")
     return usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss
+
+
+def _loads_scipy_special(src, argv, workdir):
+    """Whether a `python -m freqcap.cli argv` process imports `scipy.special`,
+    read from the interpreter's import log (`-X importtime`, one line per module)."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "freqcap.cli", *argv],
+                          cwd=workdir, env=_env(src), capture_output=True, text=True, check=True)
+    return any(line.rpartition("|")[2].strip() == "scipy.special"
+               for line in done.stderr.splitlines())
 
 
 def _environment():
@@ -80,6 +96,8 @@ def main(trees):
     with tempfile.TemporaryDirectory() as workdir:
         with open(os.path.join(workdir, "experiment.cfg"), "w") as fh:
             fh.write(EXPERIMENT_CFG)
+        special = {label: {name: _loads_scipy_special(src, argv, workdir)
+                           for name, argv in COMMANDS.items()} for label, src in trees.items()}
         for sample in range(SAMPLES):
             for name, argv in COMMANDS.items():
                 # the tree that goes first alternates from sample to sample
@@ -98,10 +116,12 @@ def main(trees):
                 "cpu_s": cpu,
                 "wall_s_median": statistics.median(s[1] for s in samples),
                 "ru_maxrss_kb_median": statistics.median(s[2] for s in samples),
+                "loads_scipy_special": special[label][name],
             }
     doc = {
         "benchmark": f"each README CLI command in {SAMPLES} fresh processes per tree: CPU s "
-                     "(user + system) and wall s of the process, its ru_maxrss (KiB)",
+                     "(user + system) and wall s of the process, its ru_maxrss (KiB); whether it "
+                     "loads scipy.special, from one more untimed process",
         "commands": {name: " ".join(argv) for name, argv in COMMANDS.items()},
         "environment": _environment(),
         "results": results,

@@ -14,8 +14,6 @@ nucleotide total K*L are tied through L solving L = beta * W(K L / beta).
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import lambertw
-
 from .special_math import NATS_PER_BIT, lambert_w0, log_factorial, psi_max_entropy
 
 __all__ = [
@@ -105,6 +103,8 @@ def optimal_sampling_ratio():
     Returns (mu*, 0.5 * ln(mu*) - Psi(mu*)); the stationarity residual is
     gated at 1e-12.
     """
+    from scipy.special import lambertw
+
     mu = 1.0 / (-2.0 * float(lambertw(-0.5 / math.sqrt(math.e), -1).real) - 1.0)
     residual = abs(1.0 / (2.0 * mu) - math.log1p(1.0 / mu))
     if residual > 1e-12:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc, gammaincc
 
 from .channel import event_poissonization_factor, poissonization_identity_check
 from .distributions import (
@@ -96,6 +95,8 @@ def _check_poisson_chernoff(seed):
 
 
 def _check_gamma_tails(seed):
+    from scipy.special import gammaincc
+
     ok = True
     for g, eta, rho in ((100.0, 0.0, 0.5), (1000.0, 0.3, 0.3)):
         lower, upper = gamma_half_tail_bounds(g, eta, rho)
@@ -114,6 +115,8 @@ def _tail_check(name, pairs):
 def _binomial_tail(n, p, t):
     """P[X / n - p >= t] for X ~ Bin(n, p). The cut-off n (p + t) is rounded to
     9 decimals first, so that one a hair above an integer does not skip it."""
+    from scipy.special import bdtrc
+
     return float(bdtrc(math.ceil(round(n * (p + t), 9)) - 1, n, p))
 
 
@@ -158,6 +161,8 @@ def _check_bobkov_ledoux(seed):
 
 
 def _check_sub_gamma(seed):
+    from scipy.special import gammaincc
+
     # X ~ Gamma(k, theta): P[X >= k theta + t] = Q(k, k + t / theta)
     k, theta = 50.0, 2.0
     pairs = [(float(gammaincc(k, k + t / theta)),

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .special_math import log_factorial
 from .special_math import regularized_gamma_p  # noqa: F401  (perfbench/spans.py traces this name)
@@ -254,6 +253,8 @@ def poisson_entropy(lam, tail_tol: float = 1e-14):
     rather than by 1 - sum(p), which drowns in float rounding at this
     tolerance; a mean whose band leaves out tail_tol or more raises.
     """
+    from scipy.special import gammainc, gammaincc
+
     lams = np.asarray(lam, dtype=float)
     if np.any(~(lams > 0.0)):
         raise ValueError(f"poisson_entropy needs lambda > 0, got {lam}")
@@ -308,6 +309,8 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     with F the Gamma(1/2, 2g) CDF. The support is {1, ..., ceil(g^(1+rho))}
     and there is never mass at zero.
     """
+    from scipy.special import gammainc
+
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if g < 2.0:

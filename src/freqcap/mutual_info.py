@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .distributions import (
     _CHUNK_ELEMENTS,
@@ -117,6 +116,8 @@ def _poisson_window(lam_lo, lam_hi, tail: float):
     by bisection between the median, which lies in [floor(lam), ceil(lam)],
     and the `poisson_band` ends, whose tails are below 1e-30 <= tail.
     """
+    from scipy.special import gammainc, gammaincc
+
     lam_lo, lam_hi = np.asarray(lam_lo, dtype=float), np.asarray(lam_hi, dtype=float)
     lo_ok, hi_ok = poisson_band(lam_lo)[0], poisson_band(lam_hi)[1]
     lo_bad = np.ceil(lam_lo).astype(np.int64) + 1
@@ -176,6 +177,8 @@ class PoissonChannelSpec:
         Returns a list of (row indices, z_lo, z_hi); a run's window is the
         union of its rows' bands.
         """
+        from scipy.special import gammainc, gammaincc
+
         lam = self._lams[rows]
         lo[0] = 0
         # rows are sorted by mean, so stretching neighbours across each gap covers 0..z_max
@@ -375,6 +378,8 @@ class _LetterTable:
 
     @classmethod
     def build(cls, spec: PoissonChannelSpec) -> "_LetterTable":
+        from scipy.special import gammainc
+
         rows = np.flatnonzero(spec._ws > 0.0)
         lam, w = spec._lams[rows], spec._ws[rows]
         small = lam < _PTRS_MIN_MEAN
@@ -642,7 +647,7 @@ def i_mmpe_integral(input_pmf: DiscretePmf, gamma: float) -> float:
     )
     if residual > 1e-10 * max(1.0, abs(fine)):
         raise RuntimeError(f"gain quadrature did not converge; residual estimate {residual:g}")
-    return fine
+    return float(fine)
 
 
 @dataclass(frozen=True)
@@ -675,6 +680,8 @@ def truncation_loss_terms(g: float, rho: float) -> TruncationLoss:
     60 unit panels, doubled to 120, and raises if the two differ by more
     than a relative 1e-12. A tail that underflows is 0.
     """
+    from scipy.special import gammaincc
+
     if g < 2.0:
         raise ValueError(f"needs g >= 2, got {g}")
     if not 0.0 < rho < 1.0:

@@ -6,12 +6,17 @@ hand-rolled (series and continued fraction) because tests use it as an
 independent reference for scipy's `gammainc`; the truncation-loss term t1
 and the `gamma-half-tails` check call it too. All entropic quantities are
 in nats; conversion to bits happens only at the presentation layer.
+
+The scipy functions, here and in every other module, are imported inside
+the function that calls them, so `scipy.special` loads on the first such
+call and not at import: it would cost more than half of what
+`import freqcap.cli` takes, and commands such as `bounds` and `simulate`
+never call it.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, lambertw
 
 __all__ = [
     "Nats",
@@ -68,6 +73,8 @@ def lambert_w0(x: float) -> float:
         raise ValueError(f"lambert_w0 needs x >= -1/e, got {x}")
     if x == -1.0 / math.e:
         return -1.0  # the branch point; the double nearest -1/e makes scipy return nan
+    from scipy.special import lambertw
+
     return float(lambertw(x).real)
 
 
@@ -139,6 +146,8 @@ def log_factorial(k):
     out = _LOG_FACT_TABLE[np.minimum(flat, _TABLE_MAX)]
     big = flat > _TABLE_MAX
     if big.any():
+        from scipy.special import gammaln
+
         out[big] = gammaln(flat[big] + 1.0)
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out[0])

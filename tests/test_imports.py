@@ -1,6 +1,7 @@
 """Every name a library module imports is used in it, every private
-module-level name it defines is used somewhere in the package, and
-importing the CLI loads none of scipy's heavy subpackages.
+module-level name it defines is used somewhere in the package, importing
+the CLI loads none of scipy's heavy subpackages nor `scipy.special`, and a
+command loads `scipy.special` only when it calls one of its functions.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -122,11 +123,31 @@ HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.spars
                "scipy.fft", "scipy.spatial", "scipy.stats")
 
 
-def test_cli_import_loads_no_heavy_scipy_subpackage():
+def _fresh_modules(code: str) -> list:
+    """The names in `sys.modules` at the end of a fresh process that runs `code`."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, freqcap.cli; print(*sys.modules, sep='\\n')"],
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, sep='\\n')"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    loaded = done.stdout.split()
-    assert [m for m in loaded if ".".join(m.split(".")[:2]) in HEAVY_SCIPY] == []
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # scipy.special costs most of the import; each library function imports it on first call
+    loaded = _fresh_modules("import freqcap.cli")
+    unwanted = HEAVY_SCIPY + ("scipy.special",)
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in unwanted] == []
+
+
+# README commands; the last calls scipy's gammainc, so the test cannot pass vacuously
+@pytest.mark.parametrize("argv, loads_special", [
+    (["bounds", "--g", "100", "--r", "40"], False),
+    (["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2", "--seed", "7"], False),
+    (["mi", "--input", "trunc-gamma", "--g", "20", "--rho", "0.1", "--gain", "0.4", "--i-mmpe"],
+     True),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special):
+    code = ("import contextlib, io\nfrom freqcap import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run({argv!r}) == 0")
+    assert ("scipy.special" in _fresh_modules(code)) is loads_special

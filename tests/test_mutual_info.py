@@ -24,6 +24,7 @@ from freqcap.distributions import (
     truncated_rounded_input_pmf,
 )
 from freqcap.mutual_info import (
+    _A_MIN,
     PoissonChannelSpec,
     bobkov_ledoux_bound,
     i_mmpe_integral,
@@ -751,6 +752,11 @@ class TestIMmpeIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             i_mmpe_integral(two_point_13(), 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.5 * _A_MIN, _A_MIN, 0.5])
+    def test_returns_a_python_float_on_both_branches(self, gamma):
+        # at or below _A_MIN the analytic limit, above it the quadrature
+        assert type(i_mmpe_integral(two_point_13(), gamma)) is float
 
     @pytest.mark.parametrize(
         "pmf, gamma",
