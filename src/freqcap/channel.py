@@ -134,13 +134,14 @@ class CountVector:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CountVector":
+        """Inverse of `to_bytes`; the frame must be exactly 8 + 4n bytes."""
         if blob[:4] != _FRAME_MAGIC:
             raise ValueError("bad magic in count-vector frame")
-        (n,) = struct.unpack("<I", blob[4:8])
-        body = blob[8 : 8 + 4 * n]
-        if len(body) != 4 * n:
-            raise ValueError("truncated count-vector frame")
-        return cls(np.frombuffer(body, dtype="<u4").astype(np.int64))
+        # a header cut short reads as a smaller n, whose frame is still longer than the blob
+        n = int.from_bytes(blob[4:8], "little")
+        if len(blob) != 8 + 4 * n:
+            raise ValueError(f"count-vector frame of {len(blob)} bytes, expected {8 + 4 * n}")
+        return cls(np.frombuffer(blob[8:], dtype="<u4").astype(np.int64))
 
     def __eq__(self, other):
         return isinstance(other, CountVector) and np.array_equal(self.counts, other.counts)

@@ -71,6 +71,10 @@ class TestCountVector:
             CountVector.from_bytes(b"NOPE" + b"\x00" * 8)
         with pytest.raises(ValueError):
             CountVector.from_bytes(FIG1.to_bytes()[:-2])
+        with pytest.raises(ValueError):
+            CountVector.from_bytes(b"FQCV\x01")  # header cut inside n
+        with pytest.raises(ValueError):
+            CountVector.from_bytes(CountVector([1, 2]).to_bytes() + b"xxxx")  # trailing bytes
 
     def test_frequencies(self):
         f = FIG1.frequencies()

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from freqcap.distributions import (
     poisson_sample,
     truncated_rounded_input_pmf,
 )
-from freqcap.special_math import regularized_gamma_p
 
 # the mean from which poisson_entropy sums its asymptotic series
 LAM0 = distributions._SERIES_MIN_MEAN
@@ -212,7 +212,6 @@ class TestPoissonEntropy:
     @pytest.mark.parametrize("lam", [LAM0, 2 * LAM0, 1e3, 5e3, 2e4, 1e5, 1e6])
     def test_series_matches_mpmath(self, lam):
         # -sum p ln p at 40 digits over lam +- 40 sqrt(lam), one term from the last
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             mean, half = mpmath.mpf(lam), int(40 * math.sqrt(lam))
             log_mean, first = mpmath.log(mean), max(0, int(lam) - half)
@@ -364,7 +363,8 @@ class TestTruncatedRoundedInput:
         rho = 0.5
         s_min, s_max = g ** -(1.0 + 3.0 * rho), g ** (1.0 + rho)
         bounds = np.clip(np.arange(0, math.ceil(s_max) + 1, dtype=float), s_min, s_max)
-        cdf = np.array([regularized_gamma_p(0.5, b / (2.0 * g)) for b in bounds])
+        cdf = np.array([float(mpmath.gammainc(0.5, 0, b / (2.0 * g), regularized=True))
+                        for b in bounds])
         expected = np.clip(np.diff(cdf), 0.0, None) / (cdf[-1] - cdf[0])
         pmf = truncated_rounded_input_pmf(g, rho)
         np.testing.assert_allclose(pmf.probs, expected, rtol=0.0, atol=1e-13)
@@ -448,14 +448,14 @@ class TestGammaHalfTailBounds:
         g = 100.0
         lower, _ = gamma_half_tail_bounds(g, 0.0, 0.5)
         assert lower == pytest.approx(0.1, abs=1e-12)
-        exact = regularized_gamma_p(0.5, 1.0 / (2 * g))
+        exact = mpmath.gammainc(0.5, 0, 1.0 / (2 * g), regularized=True)
         assert exact <= lower
 
     def test_upper_tail_certified(self):
         g = 100.0
         _, upper = gamma_half_tail_bounds(g, 0.0, 0.5)
         assert upper == pytest.approx(2 * math.exp(-5.0), abs=1e-12)
-        exact = 1.0 - regularized_gamma_p(0.5, g**1.5 / (2 * g))
+        exact = mpmath.gammainc(0.5, g**1.5 / (2 * g), regularized=True)
         assert exact <= upper
 
     def test_vacuous_limit(self):

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from freqcap.special_math import (
     binary_entropy,
@@ -90,7 +90,6 @@ class TestLambertW:
             lambert_w0(-1 / math.e - 1e-6)
 
     def test_matches_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         # closer to -1/e than 1e-5 the cancellation in 1 + e*x costs digits in any double method
         near_branch = -1 / math.e + np.logspace(-5, -1, 41)
         for x in np.concatenate(
@@ -125,6 +124,12 @@ class TestRegularizedGammaP:
         for x in (0.1, 1.0, 5.0, 40.0):
             assert regularized_gamma_p(1.0, x) == pytest.approx(-math.expm1(-x), abs=1e-12)
 
+    def test_matches_mpmath(self):
+        for k in (0.5, 1.5, 5.0, 50.0, 1e3):
+            for x in np.concatenate(([1e-12, 1e-3], np.logspace(-1, 0.5, 6) * k, [2e3])):
+                exact = mpmath.gammainc(k, 0, float(x), regularized=True)
+                assert abs(regularized_gamma_p(k, float(x)) - float(exact)) <= 1e-14
+
     @pytest.mark.parametrize("k,x", [(0.0, 1.0), (-1.0, 1.0), (0.5, -0.1)])
     def test_domain(self, k, x):
         with pytest.raises(ValueError):
@@ -152,7 +157,6 @@ class TestLogFactorial:
         assert np.all(vals <= high)
 
     def test_table_boundary_consistent(self):
-        # table ends at 1024; the log-gamma continuation must join smoothly
         assert log_factorial(1025) - log_factorial(1024) == pytest.approx(
             math.log(1025), abs=1e-10
         )
@@ -161,19 +165,23 @@ class TestLogFactorial:
         vals = log_factorial(np.arange(0, 2000))
         assert np.all(np.diff(vals) >= 0)
 
-    def test_table_then_log_gamma_exactly(self):
-        # entries up to 1024 come from the cumulative-sum table and only the
-        # rest from log-gamma, element for element, whatever the input form
-        table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 1025)))))
-        ks = np.random.default_rng(7).integers(0, 5000, size=(40, 50))
-        ks[0, :4] = (1023, 1024, 1025, 0)
-        expect = np.where(ks <= 1024, table[np.minimum(ks, 1024)], gammaln(ks + 1.0))
+    def test_within_two_ulps_of_mpmath_in_every_input_form(self):
+        # every k up to 2000 and a few up to 1e6, against ln Gamma(k + 1) at 40 digits
+        ks = np.concatenate((np.arange(2001), [4095, 65536, 99_999, 123_457, 10**6]))
         got = log_factorial(ks)
-        assert got.shape == ks.shape
-        assert np.array_equal(got, expect)
-        assert np.array_equal(log_factorial(ks.astype(float)), expect)
-        assert np.array_equal(log_factorial(ks[0, :4].tolist()), expect[0, :4])
-        for k, value in zip(ks[0, :4], expect[0, :4]):
+        with mpmath.workdps(40):
+            for k, value in zip(ks.tolist(), got):
+                exact = mpmath.loggamma(k + 1)
+                assert abs(mpmath.mpf(value) - exact) <= 2 * np.spacing(float(exact)), k
+        # the same values whatever the input form
+        shaped = np.random.default_rng(7).integers(0, 2001, size=(40, 50))
+        shaped[0, :4] = (1023, 1024, 1025, 0)
+        expect = got[shaped]
+        assert log_factorial(shaped).shape == shaped.shape
+        assert np.array_equal(log_factorial(shaped), expect)
+        assert np.array_equal(log_factorial(shaped.astype(float)), expect)
+        assert np.array_equal(log_factorial(shaped[0, :4].tolist()), expect[0, :4])
+        for k, value in zip(shaped[0, :4], expect[0, :4]):
             for scalar in (int(k), float(k), np.int64(k)):
                 result = log_factorial(scalar)
                 assert isinstance(result, float)
