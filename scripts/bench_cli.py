@@ -20,12 +20,13 @@ trace, the figure table) live in a temporary directory.
 
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+
+from _harness import child_env, environment, parse_trees
 
 SAMPLES = 11
 # the README's CLI examples, in its order; `verify` keeps its default seed
@@ -48,17 +49,12 @@ EXPERIMENT_CFG = (
 )
 
 
-def _env(src):
-    path = os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def _run_once(src, argv, workdir):
     """(CPU s, wall s, ru_maxrss KiB) of one `python -m freqcap.cli argv` process."""
     with tempfile.TemporaryFile() as log:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "freqcap.cli", *argv], cwd=workdir,
-                                 env=_env(src), stdout=log, stderr=log)
+                                 env=child_env(src), stdout=log, stderr=log)
         # wait4 gives this child's own rusage; RUSAGE_CHILDREN would fold in every earlier one
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
@@ -73,22 +69,10 @@ def _loads_scipy_special(src, argv, workdir):
     """Whether a `python -m freqcap.cli argv` process imports `scipy.special`,
     read from the interpreter's import log (`-X importtime`, one line per module)."""
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "freqcap.cli", *argv],
-                          cwd=workdir, env=_env(src), capture_output=True, text=True, check=True)
+                          cwd=workdir, env=child_env(src), capture_output=True, text=True,
+                          check=True)
     return any(line.rpartition("|")[2].strip() == "scipy.special"
                for line in done.stderr.splitlines())
-
-
-def _environment():
-    import numpy as np
-    import scipy
-
-    return {
-        "cpus": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
 
 
 def main(trees):
@@ -123,13 +107,11 @@ def main(trees):
                      "(user + system) and wall s of the process, its ru_maxrss (KiB); whether it "
                      "loads scipy.special, from one more untimed process",
         "commands": {name: " ".join(argv) for name, argv in COMMANDS.items()},
-        "environment": _environment(),
+        "environment": environment("scipy"),
         "results": results,
     }
     print(json.dumps(doc, indent=2))
 
 
 if __name__ == "__main__":
-    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pairs = [arg.partition("=") for arg in sys.argv[1:]] or [("src", "", here)]
-    main({label: path for label, _, path in pairs})
+    main(parse_trees(sys.argv[1:]))

@@ -14,11 +14,12 @@ The children import freqcap from the `src/` next to this script.
 
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
+
+from _harness import SRC, child_env, environment
 
 STEPS = 1000
 REPEATS = 5
@@ -79,18 +80,12 @@ def _blas_version():
 
 
 def main():
-    import numpy as np
-
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
     for threads in THREADS:
         for method in METHODS:
-            env = {**os.environ, "PYTHONPATH": path,
-                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
             done = subprocess.run(
                 [sys.executable, __file__, "--child", method],
-                env=env, capture_output=True, text=True, check=True,
+                env=child_env(SRC, threads), capture_output=True, text=True, check=True,
             )
             result = json.loads(done.stdout)
             runs.append({
@@ -105,15 +100,11 @@ def main():
     doc = {
         "benchmark": f"{STEPS} draw+score steps, median of {REPEATS} repeats after one warm-up",
         "codebook": {**CONFIG, "shape": [CONFIG["m"], CONFIG["n"]]},
-        "environment": {
-            "cpus": os.cpu_count(),
-            "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        "environment": environment(
+            cpus_usable=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas": _blas_version(),
-        },
+            blas=_blas_version(),
+        ),
         "runs": runs,
     }
     print(json.dumps(doc, indent=2))

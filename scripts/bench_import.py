@@ -14,11 +14,11 @@ process, so drift over the run falls on every tree alike.
 """
 
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
+
+from _harness import child_env, environment, parse_trees
 
 SAMPLES = 21
 CHILD = (
@@ -33,24 +33,10 @@ CHILD = (
 
 
 def _import_once(src):
-    path = os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", CHILD], env={**os.environ, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, "-c", CHILD], env=child_env(src),
                           capture_output=True, text=True, check=True)
     cpu, rss, count, *packages = done.stdout.split()
     return float(cpu), int(rss), int(count), sorted(packages)
-
-
-def _environment():
-    import numpy as np
-    import scipy
-
-    return {
-        "cpus": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
 
 
 def main(trees):
@@ -73,13 +59,11 @@ def main(trees):
     doc = {
         "benchmark": f"`import freqcap.cli` in {SAMPLES} fresh processes per tree: CPU s of "
                      "the import, ru_maxrss after it (KiB), scipy.* modules loaded",
-        "environment": _environment(),
+        "environment": environment("scipy"),
         "results": results,
     }
     print(json.dumps(doc, indent=2))
 
 
 if __name__ == "__main__":
-    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pairs = [arg.partition("=") for arg in sys.argv[1:]] or [("src", "", here)]
-    main({label: path for label, _, path in pairs})
+    main(parse_trees(sys.argv[1:]))

@@ -33,13 +33,13 @@ interpreter and the imported modules.
 """
 
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+
+from _harness import child_env, environment, parse_trees
 
 REPEATS = 5
 BLAS_THREADS = ("2", "1")
@@ -88,31 +88,14 @@ def _child(case):
     return {"cpu_s": cpu, "wall_s": wall, "peak_traced_bytes": peak, "value": value}
 
 
-def _environment():
-    import numpy as np
-    import scipy
-
-    return {
-        "cpus": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-
-
 def main(trees):
     results = {threads: {label: {} for label in trees} for threads in BLAS_THREADS}
     for threads in BLAS_THREADS:
-        blas = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         for case in CASES:
             for label, src in trees.items():
-                path = os.pathsep.join(filter(None, [os.path.abspath(src),
-                                                     os.environ.get("PYTHONPATH")]))
                 done = subprocess.run(
                     [sys.executable, __file__, "--child", case],
-                    env={**os.environ, "PYTHONPATH": path, **blas},
-                    capture_output=True, text=True, check=True,
+                    env=child_env(src, threads), capture_output=True, text=True, check=True,
                 )
                 run = json.loads(done.stdout)
                 results[threads][label][case] = {
@@ -121,7 +104,7 @@ def main(trees):
     doc = {
         "benchmark": f"CPU and wall s per case, median of {REPEATS} runs after one warm-up, "
                      "and the tracemalloc peak of one more run, each case in its own process",
-        "environment": _environment(),
+        "environment": environment("scipy"),
         "results_by_blas_threads": results,
     }
     print(json.dumps(doc, indent=2))
@@ -131,6 +114,4 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         print(json.dumps(_child(sys.argv[2])))
     else:
-        here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        pairs = [arg.partition("=") for arg in sys.argv[1:]] or [("src", "", here)]
-        main({label: path for label, _, path in pairs})
+        main(parse_trees(sys.argv[1:]))

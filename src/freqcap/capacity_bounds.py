@@ -263,7 +263,7 @@ def dna_log_cardinality_lower_bound(
     )
 
 
-def figure2_rows(beta_list, kl_grid, alphabet_size: int = 4, use_optimized_ratio: bool = False):
+def figure2_rows(beta_list, kl_grid, alphabet_size: int = 4):
     """Storage-bound table rows (beta, KL, bound nats, bound bits).
 
     Invalid beta values are skipped and reported in the returned warning
@@ -278,9 +278,7 @@ def figure2_rows(beta_list, kl_grid, alphabet_size: int = 4, use_optimized_ratio
             warnings.append(f"skipped beta={beta:g}: {exc}")
             continue
         for kl in kl_grid:
-            scenario = dna_log_cardinality_lower_bound(
-                kl, beta, alphabet_size, use_optimized_ratio
-            )
+            scenario = dna_log_cardinality_lower_bound(kl, beta, alphabet_size)
             rows.append(
                 {
                     "beta": beta,

@@ -49,20 +49,19 @@ def _to_bits(payload):
     return payload
 
 
-def _emit(payload, args, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def _emit(payload, args):
     if getattr(args, "bits", False):
         payload = _to_bits(payload)
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2), file=stream)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     elif fmt == "csv":
         flat = {k: v for k, v in payload.items() if isinstance(v, (int, float, str, bool))}
-        print(",".join(flat), file=stream)
-        print(",".join(str(v) for v in flat.values()), file=stream)
+        print(",".join(flat))
+        print(",".join(str(v) for v in flat.values()))
     else:  # text: human courtesy, no stability guarantee
         for key in sorted(payload):
-            print(f"{key}: {payload[key]}", file=stream)
+            print(f"{key}: {payload[key]}")
 
 
 def _parse_input_law(args):
@@ -147,14 +146,11 @@ def _cmd_spectrum(args):
     input_pmf = _parse_input_law(args)
     spec = PoissonChannelSpec(input_pmf, args.gain)
     thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds else []
-    estimate = spectrum_mc(
-        spec, args.n, args.samples, RngStream(seed), thresholds, workers=args.threads
-    )
+    estimate = spectrum_mc(spec, args.n, args.samples, RngStream(seed), thresholds)
     payload = json.loads(estimate.to_json())
     payload["config"] = {
         "input": args.input, "gain": args.gain, "g": args.g, "rho": args.rho,
-        "n": args.n, "samples": args.samples, "seed": seed, "threads": args.threads,
-        "thresholds": thresholds,
+        "n": args.n, "samples": args.samples, "seed": seed, "thresholds": thresholds,
     }
     _emit(payload, args)
     return 0
@@ -288,7 +284,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--thresholds", type=str, default=None)
-    p.add_argument("--threads", type=int, default=1)
     common(p, seed=True)
     p.set_defaults(handler=_cmd_spectrum)
 

@@ -416,7 +416,8 @@ class ExperimentReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def _wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
+def _wilson_interval(errors: int, trials: int):
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -424,16 +425,14 @@ def _wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_experiment(config: ExperimentConfig, rng: RngStream | None = None,
-                   trace_path: str | None = None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> ExperimentReport:
     """Run one full encode-transmit-decode experiment.
 
     Deterministic for a fixed config (the stream layout hangs off
     config.seed); identical configs produce byte-identical reports.
     Stage failures propagate with a stage label on the message.
     """
-    if rng is None:
-        rng = RngStream(config.seed)
+    rng = RngStream(config.seed)
     params = ChannelParams(config.n, config.g, config.r)
 
     def stage(name, fn):

@@ -45,6 +45,10 @@ _ENTROPY_SERIES = (
     -1 / 12, -1 / 24, -19 / 360, -9 / 80, -863 / 2520, -1375 / 1008, -33953 / 5040, -57281 / 1440
 )
 _TWO_PI_E = 2.0 * math.pi * math.e
+# `poisson_entropy` refuses a band sum whose band leaves out this much mass or more
+_ENTROPY_TAIL_TOL = 1e-14
+# `geometric_max_entropy_pmf` drops the tail of at most this mass
+_GEOMETRIC_TAIL_TOL = 1e-14
 
 
 class RngStream:
@@ -235,7 +239,7 @@ def _row_runs(lo, hi, budget: int) -> list:
     return runs
 
 
-def poisson_entropy(lam, tail_tol: float = 1e-14):
+def poisson_entropy(lam):
     """Entropy of Poisson(lam) in nats: its asymptotic series from lam >= 150, else a band sum.
 
     `lam` is a scalar or an array of means; a scalar is the one-element case
@@ -251,7 +255,8 @@ def poisson_entropy(lam, tail_tol: float = 1e-14):
     The mass left outside the band is certified analytically through the
     regularized incomplete gamma functions (P above the band, Q below it)
     rather than by 1 - sum(p), which drowns in float rounding at this
-    tolerance; a mean whose band leaves out tail_tol or more raises.
+    tolerance; a mean whose band leaves out _ENTROPY_TAIL_TOL = 1e-14 or
+    more raises.
     """
     from scipy.special import gammainc, gammaincc
 
@@ -274,7 +279,7 @@ def poisson_entropy(lam, tail_tol: float = 1e-14):
     lo, hi = poisson_band(lam_near)
     # P[Z > hi] = P_reg(hi + 1, lam) and P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0
     missed = gammainc(hi + 1.0, lam_near) + gammaincc(lo, lam_near)
-    if np.any(missed >= tail_tol):
+    if np.any(missed >= _ENTROPY_TAIL_TOL):
         i = int(np.argmax(missed))
         raise RuntimeError(
             f"poisson_entropy band misses mass {missed[i]:g} at lambda={lam_near[i]}"
@@ -329,11 +334,12 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     return DiscretePmf.from_weights(1, cells / denom)
 
 
-def geometric_max_entropy_pmf(mu: float, tail_tol: float = 1e-14) -> DiscretePmf:
+def geometric_max_entropy_pmf(mu: float) -> DiscretePmf:
     """Geometric law on {0, 1, 2, ...} with mean mu, truncated and renormalized.
 
     This is the entropy maximizer among non-negative integer laws with mean
-    at most mu; its entropy equals psi_max_entropy(mu) up to the truncation.
+    at most mu; its entropy equals psi_max_entropy(mu) up to the truncation,
+    which drops a tail of at most _GEOMETRIC_TAIL_TOL = 1e-14.
     """
     if mu < 0.0:
         raise ValueError(f"geometric_max_entropy_pmf needs mu >= 0, got {mu}")
@@ -341,7 +347,7 @@ def geometric_max_entropy_pmf(mu: float, tail_tol: float = 1e-14) -> DiscretePmf
         return DiscretePmf(0, np.array([0.0]))
     theta = 1.0 / (mu + 1.0)
     log_q = math.log1p(-theta)
-    top = max(1, math.ceil(math.log(tail_tol) / log_q))
+    top = max(1, math.ceil(math.log(_GEOMETRIC_TAIL_TOL) / log_q))
     k = np.arange(0, top + 1)
     return DiscretePmf(0, math.log(theta) + k * log_q)
 

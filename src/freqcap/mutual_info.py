@@ -7,7 +7,7 @@ stretched to meet its neighbours so that every output value has a row.
 The output window 0..z_max ends at the band end of the largest mean. The
 mass the bands drop, below each band and above it (past z_max too), is
 certified with the regularized incomplete gamma functions
-(`band_missed_mass`, at most 1e-3 of the tail tolerance), which keeps
+(`band_missed_mass`, at most _BAND_ALLOWANCE = 1e-15), which keeps
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). Every banded table (the output law, also
@@ -104,6 +104,8 @@ _PANELS_PER_DECADE = 3
 _TAIL_SPAN = 60
 # mmpe: mass each input row may leave out of its table on either side, at every gain
 _MMPE_TAIL = 1e-16
+# PoissonChannelSpec: mixture mass the row bands may drop, 1e-3 of a 1e-12 tail budget
+_BAND_ALLOWANCE = 1e-15
 
 
 def _poisson_window(lam_lo, lam_hi, tail: float):
@@ -142,31 +144,30 @@ class PoissonChannelSpec:
     hard-capped at 1e6 with an explicit failure. The mixture mass that the
     bands drop, below each band and above it (past z_max too),
     `band_missed_mass`, is certified with the regularized incomplete gamma
-    functions and must stay below 1e-3 * tail_mass (default 1e-12). The raw
+    functions and must stay below _BAND_ALLOWANCE = 1e-15. The raw
     (unnormalized) log output PMF is tabulated once, one `_row_runs` run of
     rows at a time, and from the same tables the build sums
     `band_conditional_entropy`; past z_max the log output PMF and every
     density are extended exactly on demand by the same log-mixture over
-    every row with positive weight.
+    every row with positive weight, `_rows`.
     """
 
-    def __init__(self, input_pmf: DiscretePmf, gain: float, tail_mass: float = 1e-12):
+    def __init__(self, input_pmf: DiscretePmf, gain: float):
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
         if input_pmf.support_offset < 1:
             raise ValueError("input law must be supported on {1, 2, ...}")
         self.input = input_pmf
         self.gain = float(gain)
-        self.tail_mass = float(tail_mass)
         self._xs = input_pmf.support.astype(float)
         self._ws = input_pmf.probs
         self._lams = self.gain * self._xs
-        rows = np.flatnonzero(self._ws > 0.0)
-        lo, hi = poisson_band(self._lams[rows])
+        self._rows = np.flatnonzero(self._ws > 0.0)
+        lo, hi = poisson_band(self._lams[self._rows])
         self.z_max = int(hi[-1])
         if self.z_max > _Z_HARD_CAP:
             raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
-        self._bands = self._choose_bands(rows, lo, hi)
+        self._bands = self._choose_bands(self._rows, lo, hi)
         row_entropy = np.zeros(self._ws.size)
         self._log_pz = self._log_mixture(self._bands, 0, self.z_max, row_entropy)
         self._band_entropy = float(np.einsum("i,i->", self._ws, row_entropy))
@@ -187,10 +188,10 @@ class PoissonChannelSpec:
         # P[Z < lo] + P[Z > hi] per row; gammaincc(0, lam) = 0
         missed = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
         self.band_missed_mass = float(np.einsum("i,i->", self._ws[rows], missed))
-        if self.band_missed_mass > 1e-3 * self.tail_mass:
+        if self.band_missed_mass > _BAND_ALLOWANCE:
             raise RuntimeError(
                 f"row bands drop mass {self.band_missed_mass:g}, "
-                f"above 1e-3 * tail_mass = {1e-3 * self.tail_mass:g}"
+                f"above the allowance {_BAND_ALLOWANCE:g}"
             )
 
         return [(rows[a:b], z_lo, z_hi) for a, b, z_lo, z_hi in _row_runs(lo, hi, _CHUNK_ELEMENTS)]
@@ -226,7 +227,7 @@ class PoissonChannelSpec:
         if np.any(~inside):
             # every row with positive weight, on the whole requested window
             z_lo, z_hi = int(z[~inside].min()), int(z[~inside].max())
-            rows = np.flatnonzero(self._ws > 0.0)
+            rows = self._rows
             window = np.full(rows.size, z_lo), np.full(rows.size, z_hi)
             runs = [(rows[a:b], z_lo, z_hi) for a, b, _, _ in _row_runs(*window, _CHUNK_ELEMENTS)]
             out[~inside] = self._log_mixture(runs, z_lo, z_hi)[z[~inside] - z_lo]
@@ -290,7 +291,8 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
         raise ArithmeticError(f"output law sums to {mass!r}, not 1 within 1e-9")
     h_z = float(-(pz * log_pz).sum())
     mi = h_z - spec.band_conditional_entropy
-    series = h_z - float(np.einsum("i,i->", spec._ws, poisson_entropy(spec._lams)))
+    rows = spec._rows
+    series = h_z - float(np.einsum("i,i->", spec._ws[rows], poisson_entropy(spec._lams[rows])))
     if abs(mi - series) > 1e-9:
         raise ArithmeticError(
             f"mutual information routes disagree: band {mi} vs series {series}"
@@ -380,8 +382,7 @@ class _LetterTable:
     def build(cls, spec: PoissonChannelSpec) -> "_LetterTable":
         from scipy.special import gammainc
 
-        rows = np.flatnonzero(spec._ws > 0.0)
-        lam, w = spec._lams[rows], spec._ws[rows]
+        lam, w = spec._lams[spec._rows], spec._ws[spec._rows]
         small = lam < _PTRS_MIN_MEAN
         top = poisson_band(lam[small])[1]
         missed = float(w[small] @ gammainc(top + 1.0, lam[small]))
@@ -390,9 +391,9 @@ class _LetterTable:
                 f"letter table drops mass {missed:g}, above one step 2^-53 of the uniform draw"
             )
 
-        width = np.ones(rows.size, dtype=np.int64)
+        width = np.ones(lam.size, dtype=np.int64)
         width[small] = top + 1
-        row = np.repeat(np.arange(rows.size), width)
+        row = np.repeat(np.arange(lam.size), width)
         z = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
         ptrs = ~small[row]
         lam_c = lam[row]
@@ -423,7 +424,6 @@ def spectrum_mc(
     num_samples: int,
     rng: RngStream,
     thresholds=(),
-    workers: int = 1,
 ) -> SpectrumEstimate:
     """Sample (1/n) * sum_i density(X_i, Z_i) under the product input law.
 
@@ -433,15 +433,12 @@ def spectrum_mc(
     draws from rng.substream(c). A sample longer than that is a chunk of
     its own, drawn from its substream in pieces of 2^15 letters whose
     density sums add up, so memory does not grow with n. The result is
-    therefore bit-reproducible for a fixed seed and does not depend on
-    `workers`, which is only validated.
+    therefore bit-reproducible for a fixed seed.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     thresholds = tuple(float(t) for t in thresholds)
 
     table = _LetterTable.build(spec)

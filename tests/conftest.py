@@ -1,0 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import freqcap
+
+
+def python_at_blas_threads(args, threads):
+    """stdout of `python *args` in a child process that imports this freqcap with `threads`
+    BLAS threads; `args` is `["-m", "freqcap.cli", ...]` or `["-c", code]`."""
+    src = str(Path(freqcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    done = subprocess.run([sys.executable, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -2,14 +2,10 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import python_at_blas_threads
 
-import freqcap
 from freqcap.cli import run
 from freqcap.special_math import NATS_PER_BIT
 
@@ -19,18 +15,6 @@ def invoke(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
-
-
-def at_blas_threads(argv, threads):
-    """stdout of `python -m freqcap.cli argv` in a child process with `threads` BLAS threads."""
-    src = str(Path(freqcap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path,
-           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-    done = subprocess.run([sys.executable, "-m", "freqcap.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 class TestBoundsCommand:
@@ -179,8 +163,8 @@ class TestMiCommand:
 
     def test_independent_of_blas_threads(self):
         # 11,181 input rows: past the size from which OpenBLAS splits a dot product
-        argv = ["mi", "--g", "500", "--rho", "0.5", "--gain", "0.4"]
-        assert at_blas_threads(argv, "1") == at_blas_threads(argv, "2")
+        argv = ["-m", "freqcap.cli", "mi", "--g", "500", "--rho", "0.5", "--gain", "0.4"]
+        assert python_at_blas_threads(argv, "1") == python_at_blas_threads(argv, "2")
 
 
 class TestSpectrumCommand:
@@ -192,6 +176,14 @@ class TestSpectrumCommand:
         doc = json.loads(out)
         assert code == 0
         assert 0.0 <= doc["cdf"][0] <= 1.0
+
+    def test_threads_flag_is_gone(self):
+        argv = ["spectrum", "--input", "point", "--value", "3", "--gain", "1",
+                "--n", "10", "--samples", "20", "--seed", "1"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        assert "threads" not in json.loads(out)["config"]
+        assert invoke([*argv, "--threads", "2"])[0] == 2
 
 
 class TestExperimentCommand:
@@ -226,20 +218,11 @@ class TestExperimentCommand:
             f"n=200\ng=8\nr=3.2\nrho=0.5\ndelta=0.3\nm=16\ndecoder={decoder}\n"
             "trials=50\nseed=1\nspectrum_samples=400\n"
         )
-        src = str(Path(freqcap.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for threads in ("1", "2"):
             trace = tmp_path / f"trace-{threads}.csv"
-            env = {**os.environ, "PYTHONPATH": path,
-                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            done = subprocess.run(
-                [sys.executable, "-m", "freqcap.cli", "experiment", "--config", str(cfg),
-                 "--trace", str(trace)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert done.returncode == 0, done.stderr
-            outputs.append((done.stdout, trace.read_text()))
+            argv = ["-m", "freqcap.cli", "experiment", "--config", str(cfg), "--trace", str(trace)]
+            outputs.append((python_at_blas_threads(argv, threads), trace.read_text()))
         assert json.loads(outputs[0][0])["trials"] == 50
         assert outputs[0] == outputs[1]
 
@@ -253,8 +236,8 @@ class TestExperimentCommand:
         outputs = []
         for threads in ("1", "2"):
             trace = tmp_path / f"trace-{threads}.csv"
-            argv = ["experiment", "--config", str(cfg), "--trace", str(trace)]
-            outputs.append((at_blas_threads(argv, threads), trace.read_text()))
+            argv = ["-m", "freqcap.cli", "experiment", "--config", str(cfg), "--trace", str(trace)]
+            outputs.append((python_at_blas_threads(argv, threads), trace.read_text()))
         assert json.loads(outputs[0][0])["trials"] == 20
         assert outputs[0] == outputs[1]
 
@@ -267,8 +250,8 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     def test_independent_of_blas_threads(self):
-        argv = ["verify", "--suite", "appendix"]
-        assert at_blas_threads(argv, "1") == at_blas_threads(argv, "2")
+        argv = ["-m", "freqcap.cli", "verify", "--suite", "appendix"]
+        assert python_at_blas_threads(argv, "1") == python_at_blas_threads(argv, "2")
 
     def test_unknown_suite(self):
         for name in ("nope", "all"):

@@ -239,10 +239,11 @@ class TestPoissonEntropy:
         assert np.all(np.abs(values - scalar) <= 2 * np.spacing(scalar))
         assert np.all(np.diff(poisson_entropy(np.sort(grid))) > 0.0)
 
-    def test_band_certificate_refuses_a_tolerance_it_cannot_meet(self):
+    def test_band_certificate_refuses_a_tolerance_it_cannot_meet(self, monkeypatch):
         # the unit-mean band ends at z = 57, whose tail (~1e-79) is far above 1e-300
+        monkeypatch.setattr(distributions, "_ENTROPY_TAIL_TOL", 1e-300)
         with pytest.raises(RuntimeError, match="band"):
-            poisson_entropy(1.0, tail_tol=1e-300)
+            poisson_entropy(1.0)
 
 
 class TestPoissonBand:

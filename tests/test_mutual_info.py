@@ -1,20 +1,16 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import python_at_blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, gammaln, logsumexp
 
-import freqcap
 from freqcap import distributions, mutual_info
 
 from freqcap.distributions import (
@@ -46,18 +42,6 @@ MMPE_TWO_POINT_13_GAIN1 = 0.16998137768717558
 
 def point_mass(x0=3):
     return DiscretePmf(x0, np.array([0.0]))
-
-
-def python_at_blas_threads(code, threads):
-    """stdout of `python -c code` in a child process with `threads` BLAS threads."""
-    src = str(Path(freqcap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path,
-           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-    done = subprocess.run([sys.executable, "-c", code],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 def two_point_12():
@@ -139,7 +123,7 @@ BANDED_CASES = {
 def test_banded_spec_matches_dense_mixture(case):
     make, gain = BANDED_CASES[case]
     spec = PoissonChannelSpec(make(), gain)
-    assert 0.0 <= spec.band_missed_mass <= 1e-3 * spec.tail_mass
+    assert 0.0 <= spec.band_missed_mass <= mutual_info._BAND_ALLOWANCE
     dense, dense_mi = dense_tables(spec, np.arange(spec.z_max + 1))
     assert np.all(np.isfinite(spec.log_pz))
     visible = dense >= -60.0
@@ -257,10 +241,11 @@ def test_g500_tables_stay_within_a_few_blocks(build):
     assert traced_peak(run) <= 6 * BLOCK_BYTES
 
 
-def test_band_certificate_refuses_a_tolerance_it_cannot_meet():
+def test_band_certificate_refuses_a_tolerance_it_cannot_meet(monkeypatch):
     # the unit-mean row keeps z <= 57, whose tail (~1e-79) is far above 1e-303
+    monkeypatch.setattr(mutual_info, "_BAND_ALLOWANCE", 1e-303)
     with pytest.raises(RuntimeError, match="row bands"):
-        PoissonChannelSpec(two_point_12(), 1.0, tail_mass=1e-300)
+        PoissonChannelSpec(two_point_12(), 1.0)
 
 
 class TestOutputPmf:
@@ -317,8 +302,18 @@ class TestMutualInformation:
 
     def test_far_two_point_carries_one_bit(self):
         # the outputs of means 1 and 400 overlap by far less than 1e-80
-        mi = mutual_information(PoissonChannelSpec(far_two_point(), 1.0))
+        spec = PoissonChannelSpec(far_two_point(), 1.0)
+        means = []
+
+        def recording(lam):
+            means.append(np.asarray(lam).tolist())
+            return poisson_entropy(lam)
+
+        with mock.patch.object(mutual_info, "poisson_entropy", recording):
+            mi = mutual_information(spec)
         assert abs(mi - math.log(2.0)) <= 2e-13
+        # the series route skips the 398 rows of zero weight between the two points
+        assert means == [[1.0, 400.0]]
 
 
 class TestInformationDensity:
@@ -384,19 +379,11 @@ class TestSpectrumMc:
             cdfs.append(est.cdf[0])
         assert cdfs[0] > cdfs[1] > cdfs[2]
 
-    def test_reproducible_for_fixed_workers(self):
+    def test_reproducible_for_fixed_seed(self):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
-        a = spectrum_mc(spec, 50, 300, RngStream(5), thresholds=[0.05], workers=3)
-        b = spectrum_mc(spec, 50, 300, RngStream(5), thresholds=[0.05], workers=3)
+        a = spectrum_mc(spec, 50, 300, RngStream(5), thresholds=[0.05])
+        b = spectrum_mc(spec, 50, 300, RngStream(5), thresholds=[0.05])
         assert a.to_json() == b.to_json()
-
-    def test_independent_of_worker_count(self):
-        spec = PoissonChannelSpec(far_two_point(), 1.0)
-        docs = {
-            spectrum_mc(spec, 300, 2000, RngStream(8), thresholds=[0.69], workers=w).to_json()
-            for w in (1, 2, 3)
-        }
-        assert len(docs) == 1
 
     def test_table_and_transformed_rejection_rows_together(self):
         # lam = 1 is drawn from the letter table, lam = 400 by Generator.poisson.
@@ -689,7 +676,8 @@ class TestMmpe:
             "print(repr(mmpe(law(500.0, 0.5), 0.3)), "
             "repr(float(i_mmpe_integral(law(20.0, 0.1), 0.4))))\n"
         )
-        assert python_at_blas_threads(code, "1") == python_at_blas_threads(code, "2")
+        args = ["-c", code]
+        assert python_at_blas_threads(args, "1") == python_at_blas_threads(args, "2")
 
     def test_output_window_hard_cap(self):
         with pytest.raises(RuntimeError, match="hard cap"):
