@@ -43,15 +43,12 @@ from .distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
-    gamma_half_sample,
     gamma_half_tail_bounds,
-    geometric_max_entropy_pmf,
     multinomial_sample,
     poisson_band,
     poisson_chernoff_lower_tail,
     poisson_entropy,
     poisson_log_pmf,
-    poisson_sample,
     truncated_rounded_input_pmf,
 )
 from .mutual_info import (
@@ -63,7 +60,6 @@ from .mutual_info import (
     lipschitz_seminorm,
     mmpe,
     mutual_information,
-    output_pmf,
     spectrum_mc,
     truncation_loss_terms,
 )

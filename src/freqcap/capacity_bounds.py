@@ -44,8 +44,8 @@ def converse_bound(g: float, r: float) -> float:
     Sampling more than e*g times per type cannot help; the input-count
     cardinality caps the rate at 0.5 * ln(e*g).
     """
-    if g <= 0.0 or r <= 0.0:
-        raise ValueError("g and r must be positive")
+    if not (0.0 < g < math.inf and 0.0 < r < math.inf):
+        raise ValueError("g and r must be positive and finite")
     return 0.5 * math.log(min(r, math.e * g))
 
 
@@ -55,8 +55,8 @@ def achievability_bound(g: float, r: float) -> float:
     The Psi term is the integer-input penalty: the max entropy of the
     rounding residue at mean read-to-budget ratio r/g.
     """
-    if g <= 0.0 or r <= 0.0:
-        raise ValueError("g and r must be positive")
+    if not (0.0 < g < math.inf and 0.0 < r < math.inf):
+        raise ValueError("g and r must be positive and finite")
     return 0.5 * math.log(r) - psi_max_entropy(r / g)
 
 
@@ -219,17 +219,16 @@ def dna_log_cardinality_lower_bound(
     improved to 2.59 under the optimized read count 0.4 * K^(1 - beta ln|A|).
     Terms of order o(1/ln K) are omitted throughout.
     """
-    if kl_total <= 0.0:
-        raise ValueError(f"kl_total must be positive, got {kl_total}")
-    ln_a = _check_beta(beta, alphabet_size)
-    beta_log_a = beta * ln_a
+    if not 0.0 < kl_total < math.inf:
+        raise ValueError(f"kl_total must be positive and finite, got {kl_total}")
+    pseudo_rate = dna_pseudo_rate(beta, alphabet_size)
+    beta_log_a = beta * math.log(alphabet_size)
 
     lambert_length = beta * lambert_w0(kl_total / beta)
     molecule_length = max(1, math.ceil(lambert_length))
     strand_count = kl_total / molecule_length
     ln_k = math.log(strand_count)
 
-    pseudo_rate = (1.0 - beta_log_a) / (2.0 * beta)
     # log-domain normalizer L * K^(beta ln|A|); huge inputs stay finite here
     ln_normalizer = math.log(molecule_length) + beta_log_a * ln_k
     log_m_lower = math.exp(ln_normalizer) * pseudo_rate

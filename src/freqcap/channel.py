@@ -9,9 +9,7 @@ Poisson counts of mean (r/g) * x_i, which is what makes the exact
 mutual-information computations tractable.
 """
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +29,6 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 10**6
-_FRAME_MAGIC = b"FQCV"
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,10 @@ class ChannelParams:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if self.g <= 0.0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.r <= 0.0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r}")
         reads = self.n * self.r
         if abs(reads - round(reads)) > 1e-9:
             raise ValueError(f"n*r = {reads} does not round to an integer read count")
@@ -115,34 +112,6 @@ class CountVector:
             raise ValueError("cannot normalize an empty count vector")
         return self.counts / total
 
-    def to_json(self) -> str:
-        return json.dumps(self.counts.tolist())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountVector":
-        return cls(json.loads(text))
-
-    def to_bytes(self) -> bytes:
-        """Binary framing: magic 'FQCV', then n, then the entries (little-endian u32)."""
-        if np.any(self.counts > 0xFFFFFFFF):
-            raise ValueError("counts exceed the u32 framing range")
-        return (
-            _FRAME_MAGIC
-            + struct.pack("<I", self.n)
-            + self.counts.astype("<u4").tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CountVector":
-        """Inverse of `to_bytes`; the frame must be exactly 8 + 4n bytes."""
-        if blob[:4] != _FRAME_MAGIC:
-            raise ValueError("bad magic in count-vector frame")
-        # a header cut short reads as a smaller n, whose frame is still longer than the blob
-        n = int.from_bytes(blob[4:8], "little")
-        if len(blob) != 8 + 4 * n:
-            raise ValueError(f"count-vector frame of {len(blob)} bytes, expected {8 + 4 * n}")
-        return cls(np.frombuffer(blob[8:], dtype="<u4").astype(np.int64))
-
     def __eq__(self, other):
         return isinstance(other, CountVector) and np.array_equal(self.counts, other.counts)
 
@@ -161,7 +130,7 @@ def validate_codeword(x: CountVector, params: ChannelParams):
     total = x.total
     if total <= 0:
         return "empty pool: codeword must contain at least one object"
-    if total > params.n * params.g + 1e-9:
+    if total > params.budget:
         return f"object total {total} exceeds the budget n*g = {params.n * params.g:g}"
     return None
 

@@ -1,11 +1,11 @@
-"""Seeded random streams, finite PMFs, samplers, and certified tail bounds.
+"""Seeded random streams, finite PMFs, Poisson tables, and certified tail bounds.
 
-The sampling side covers exactly the laws the channel machinery needs:
-Poisson, the Gamma(1/2, 2g) pool-size law and its truncated-and-rounded
-integer version, max-entropy geometric laws, and multinomial reads. Every
-banded Poisson table, here and in `mutual_info`, is built one `_row_runs`
-run of rows at a time, each run at most one block of _CHUNK_ELEMENTS = 2^16
-cells (512 KiB of float64).
+The laws here are the ones the channel machinery needs: finite integer
+laws (sampled through `DiscretePmf.sample`), the truncated-and-rounded
+Gamma(1/2, 2g) integer input law, Poisson log-pmfs and entropies, and
+multinomial reads. Every banded Poisson table, here and in `mutual_info`,
+is built one `_row_runs` run of rows at a time, each run at most one block
+of _CHUNK_ELEMENTS = 2^16 cells (512 KiB of float64).
 """
 
 import json
@@ -23,11 +23,8 @@ __all__ = [
     "TruncationInterval",
     "poisson_log_pmf",
     "poisson_band",
-    "poisson_sample",
     "poisson_entropy",
-    "gamma_half_sample",
     "truncated_rounded_input_pmf",
-    "geometric_max_entropy_pmf",
     "multinomial_sample",
     "poisson_chernoff_lower_tail",
     "gamma_half_tail_bounds",
@@ -47,8 +44,6 @@ _ENTROPY_SERIES = (
 _TWO_PI_E = 2.0 * math.pi * math.e
 # `poisson_entropy` refuses a band sum whose band leaves out this much mass or more
 _ENTROPY_TAIL_TOL = 1e-14
-# `geometric_max_entropy_pmf` drops the tail of at most this mass
-_GEOMETRIC_TAIL_TOL = 1e-14
 
 
 class RngStream:
@@ -128,11 +123,6 @@ class DiscretePmf:
     def mean(self) -> float:
         return float(np.einsum("i,i->", self._probs, self.support))
 
-    def entropy(self) -> float:
-        p = self._probs
-        mask = p > 0
-        return float(-(p[mask] * self.log_weights[mask]).sum())
-
     def sample(self, rng: RngStream, size=None):
         return rng.generator.choice(self.support, p=self._probs, size=size)
 
@@ -140,11 +130,6 @@ class DiscretePmf:
         return json.dumps(
             {"offset": self.support_offset, "log_weights": self.log_weights.tolist()}
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscretePmf":
-        doc = json.loads(text)
-        return cls(doc["offset"], doc["log_weights"])
 
     def __repr__(self):
         return f"DiscretePmf(offset={self.support_offset}, size={self.size})"
@@ -208,16 +193,6 @@ def poisson_band(lam):
     half = 12.0 * np.sqrt(lam + 1.0) + 40.0
     lo = np.maximum(0.0, np.ceil(lam - half)).astype(np.int64)
     return lo, np.floor(lam + half).astype(np.int64)
-
-
-def poisson_sample(lam: float, rng: RngStream, size=None):
-    """Poisson draw(s); inversion for small means, transformed rejection for large."""
-    if lam < 0.0:
-        raise ValueError(f"poisson_sample needs lambda >= 0, got {lam}")
-    out = rng.generator.poisson(lam, size=size)
-    if size is None:
-        return int(out)
-    return out
 
 
 def _row_runs(lo, hi, budget: int) -> list:
@@ -294,18 +269,6 @@ def poisson_entropy(lam):
     return out.reshape(lams.shape)
 
 
-def gamma_half_sample(g: float, rng: RngStream, size=None):
-    """Draw from Gamma(shape 1/2, scale 2g) as g * N^2 with N standard normal.
-
-    The chi-square identity makes this exact and branch-free; the law has
-    mean g and variance 2 g^2.
-    """
-    if g <= 0.0:
-        raise ValueError(f"gamma_half_sample needs g > 0, got {g}")
-    n = rng.generator.standard_normal(size=size)
-    return g * n * n
-
-
 def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     """Integer input law: Gamma(1/2, 2g) restricted to a window, then rounded up.
 
@@ -332,24 +295,6 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     if denom <= 0.0:
         raise ArithmeticError(f"truncation window mass underflowed at g={g}, rho={rho}")
     return DiscretePmf.from_weights(1, cells / denom)
-
-
-def geometric_max_entropy_pmf(mu: float) -> DiscretePmf:
-    """Geometric law on {0, 1, 2, ...} with mean mu, truncated and renormalized.
-
-    This is the entropy maximizer among non-negative integer laws with mean
-    at most mu; its entropy equals psi_max_entropy(mu) up to the truncation,
-    which drops a tail of at most _GEOMETRIC_TAIL_TOL = 1e-14.
-    """
-    if mu < 0.0:
-        raise ValueError(f"geometric_max_entropy_pmf needs mu >= 0, got {mu}")
-    if mu == 0.0:
-        return DiscretePmf(0, np.array([0.0]))
-    theta = 1.0 / (mu + 1.0)
-    log_q = math.log1p(-theta)
-    top = max(1, math.ceil(math.log(_GEOMETRIC_TAIL_TOL) / log_q))
-    k = np.arange(0, top + 1)
-    return DiscretePmf(0, math.log(theta) + k * log_q)
 
 
 def multinomial_sample(trials: int, probs, rng: RngStream) -> np.ndarray:

@@ -78,7 +78,6 @@ __all__ = [
     "PoissonChannelSpec",
     "SpectrumEstimate",
     "TruncationLoss",
-    "output_pmf",
     "mutual_information",
     "information_density",
     "spectrum_mc",
@@ -153,8 +152,8 @@ class PoissonChannelSpec:
     """
 
     def __init__(self, input_pmf: DiscretePmf, gain: float):
-        if gain <= 0.0:
-            raise ValueError(f"gain must be positive, got {gain}")
+        if not 0.0 < gain < math.inf:
+            raise ValueError(f"gain must be positive and finite, got {gain}")
         if input_pmf.support_offset < 1:
             raise ValueError("input law must be supported on {1, 2, ...}")
         self.input = input_pmf
@@ -266,11 +265,6 @@ class PoissonChannelSpec:
             f"{self.input.support_offset + self.input.size - 1}, gain={self.gain}, "
             f"z_max={self.z_max})"
         )
-
-
-def output_pmf(spec: PoissonChannelSpec) -> DiscretePmf:
-    """Marginal output law P_Z on {0, ..., z_max} as a normalized PMF."""
-    return DiscretePmf(0, spec.log_pz.copy())
 
 
 def mutual_information(spec: PoissonChannelSpec) -> float:
@@ -560,8 +554,8 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     reductions, so the result does not depend on the BLAS thread count.
     """
     gains = np.asarray(a, dtype=float)
-    if np.any(~(gains > 0.0)):
-        raise ValueError(f"gain must be positive, got {a}")
+    if not np.all((0.0 < gains) & (gains < np.inf)):
+        raise ValueError(f"gain must be positive and finite, got {a}")
     if input_pmf.support_offset < 1:
         raise ValueError("input law must be supported on {1, 2, ...}")
     rows = input_pmf.probs > 0.0

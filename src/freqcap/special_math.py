@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "Nats",
     "NATS_PER_BIT",
     "binary_entropy",
     "psi_max_entropy",
@@ -27,12 +26,10 @@ __all__ = [
     "log_factorial",
 ]
 
-# Entropies, information densities and bounds are plain floats in nats.
-Nats = float
-
 NATS_PER_BIT = math.log(2.0)
 
-def binary_entropy(p: float) -> Nats:
+
+def binary_entropy(p: float) -> float:
     """Binary entropy -p*ln(p) - (1-p)*ln(1-p) with the 0*ln(0) = 0 convention."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary_entropy needs p in [0, 1], got {p}")
@@ -41,7 +38,7 @@ def binary_entropy(p: float) -> Nats:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
-def psi_max_entropy(mu: float) -> Nats:
+def psi_max_entropy(mu: float) -> float:
     """Largest entropy of a non-negative integer random variable with mean <= mu.
 
     The maximizer is the geometric law with success probability 1/(mu+1),

@@ -56,26 +56,6 @@ class TestCountVector:
         with pytest.raises(ValueError):
             CountVector([[1, 2]])
 
-    def test_json_round_trip(self):
-        again = CountVector.from_json(FIG1.to_json())
-        assert again == FIG1
-
-    def test_binary_framing_round_trip(self):
-        blob = FIG1.to_bytes()
-        assert blob[:4] == b"FQCV"
-        assert len(blob) == 4 + 4 + 4 * 6
-        assert CountVector.from_bytes(blob) == FIG1
-
-    def test_binary_framing_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            CountVector.from_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(ValueError):
-            CountVector.from_bytes(FIG1.to_bytes()[:-2])
-        with pytest.raises(ValueError):
-            CountVector.from_bytes(b"FQCV\x01")  # header cut inside n
-        with pytest.raises(ValueError):
-            CountVector.from_bytes(CountVector([1, 2]).to_bytes() + b"xxxx")  # trailing bytes
-
     def test_frequencies(self):
         f = FIG1.frequencies()
         assert f.sum() == pytest.approx(1.0, abs=1e-12)

@@ -79,6 +79,25 @@ class TestUsageErrors:
         assert code == 2
 
 
+# a NaN or an infinity passes a plain `x <= 0` check, so each positivity check also asks for finite
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--g", "1", "--r", "inf"],
+    ["bounds", "--g", "nan", "--r", "2"],
+    ["simulate", "--g", "nan", "--r", "3", "--codeword", "3,4,1,0,2,2", "--seed", "7"],
+    ["simulate", "--g", "2", "--r", "inf", "--codeword", "3,4,1,0,2,2", "--seed", "7"],
+    ["mi", "--input", "trunc-gamma", "--g", "20", "--rho", "0.1", "--gain", "nan"],
+    ["spectrum", "--input", "point", "--value", "3", "--gain", "inf", "--n", "10",
+     "--samples", "10", "--seed", "1"],
+    ["dna", "--alphabet", "4", "--beta-log-a", "0.76", "--kl", "inf"],
+], ids=lambda argv: next(
+    f"{argv[0]} {flag}={value}" for flag, value in zip(argv, argv[1:]) if value in ("nan", "inf")
+))
+def test_non_finite_value_is_domain_error(argv):
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "positive and finite" in err
+
+
 class TestSimulateCommand:
     def test_reads_total_and_determinism(self):
         argv = ["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2", "--seed", "7"]

@@ -14,15 +14,12 @@ from freqcap.distributions import (
     RngStream,
     TruncationInterval,
     _row_runs,
-    gamma_half_sample,
     gamma_half_tail_bounds,
-    geometric_max_entropy_pmf,
     multinomial_sample,
     poisson_band,
     poisson_chernoff_lower_tail,
     poisson_entropy,
     poisson_log_pmf,
-    poisson_sample,
     truncated_rounded_input_pmf,
 )
 
@@ -80,14 +77,7 @@ class TestDiscretePmf:
 
     def test_point_mass_entropy(self):
         pmf = DiscretePmf(3, np.array([0.0]))
-        assert pmf.entropy() == 0.0
         assert pmf.mean() == 3.0
-
-    def test_json_round_trip(self):
-        pmf = DiscretePmf.from_weights(1, [0.25, 0.5, 0.25])
-        again = DiscretePmf.from_json(pmf.to_json())
-        assert again.support_offset == pmf.support_offset
-        assert np.allclose(again.log_weights, pmf.log_weights)
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError):
@@ -155,21 +145,6 @@ class TestPoissonLogPmf:
                 poisson_log_pmf(z, lams[:, None])
             with pytest.raises(ValueError, match="lambda > 0"):
                 poisson_log_pmf(1, lams)
-
-
-class TestPoissonSample:
-    def test_zero_rate(self):
-        rng = RngStream(0)
-        assert all(poisson_sample(0.0, rng) == 0 for _ in range(50))
-
-    def test_moments(self):
-        draws = poisson_sample(10.0, RngStream(1), size=1_000_000)
-        assert abs(draws.mean() - 10.0) <= 4.0 * math.sqrt(10.0 / 1e6)
-        assert abs(draws.var() - 10.0) <= 0.05 * 10.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            poisson_sample(-1.0, RngStream(0))
 
 
 class TestPoissonEntropy:
@@ -306,23 +281,6 @@ def test_v_log_v_expectation_bound():
         assert float((p * k * np.log(k)).sum()) <= lam * math.log1p(lam)
 
 
-class TestGammaHalfSample:
-    def test_moments(self):
-        g = 100.0
-        draws = gamma_half_sample(g, RngStream(3), size=1_000_000)
-        se_mean = math.sqrt(2 * g * g / 1e6)
-        assert abs(draws.mean() - g) <= 4.0 * se_mean
-        assert abs(draws.var() - 2 * g * g) <= 0.05 * 2 * g * g
-
-    def test_positive(self):
-        draws = gamma_half_sample(5.0, RngStream(4), size=10_000)
-        assert np.all(draws >= 0.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_half_sample(0.0, RngStream(0))
-
-
 class TestTruncatedRoundedInput:
     def test_normalized_and_positive_support(self):
         for g, rho in ((2.5, 0.3), (8.0, 0.5), (100.0, 0.1)):
@@ -377,26 +335,6 @@ class TestTruncatedRoundedInput:
             truncated_rounded_input_pmf(8.0, 1.0)
         with pytest.raises(ValueError):
             truncated_rounded_input_pmf(1.5, 0.5)
-
-
-class TestGeometricMaxEntropy:
-    def test_unit_mean(self):
-        pmf = geometric_max_entropy_pmf(1.0)
-        assert pmf.support_offset == 0
-        # successive mass ratios are (1 - theta) = 1/2
-        ratios = pmf.probs[1:10] / pmf.probs[:9]
-        assert np.allclose(ratios, 0.5, atol=1e-12)
-        assert pmf.mean() == pytest.approx(1.0, abs=1e-9)
-
-    def test_entropy_matches_closed_form(self):
-        pmf = geometric_max_entropy_pmf(1.0)
-        assert pmf.entropy() == pytest.approx(2 * math.log(2), abs=1e-9)
-
-    def test_zero_mean_point_mass(self):
-        pmf = geometric_max_entropy_pmf(0.0)
-        assert pmf.size == 1
-        assert pmf.support_offset == 0
-        assert pmf.entropy() == 0.0
 
 
 class TestMultinomialSample:

@@ -9,13 +9,15 @@ carries `# noqa: F401` on its line and is skipped.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "freqcap"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "freqcap"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -57,8 +59,8 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _private_definitions(tree):
-    """(name, first line, last line) of each private module-level function, class and constant."""
+def _definitions(tree):
+    """(name, first line, last line) of each module-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -68,8 +70,20 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno, node.end_lineno
+            yield name, node.lineno, node.end_lineno
+
+
+def _reads(tree) -> list:
+    """(name, line) of each name `tree` reads, by name, as an attribute or through an import."""
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            reads.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            reads.extend((alias.name, node.lineno) for alias in node.names)
+    return reads
 
 
 def unreferenced_privates(sources: dict) -> list:
@@ -77,18 +91,12 @@ def unreferenced_privates(sources: dict) -> list:
     (module name -> source) that no code outside its own definition reads,
     by name, as an attribute or through an import."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    reads = []
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                reads.append((node.id, module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                reads.append((node.attr, module, node.lineno))
-            elif isinstance(node, ast.ImportFrom):
-                reads.extend((alias.name, module, node.lineno) for alias in node.names)
+    reads = [(name, module, line) for module, tree in trees.items() for name, line in _reads(tree)]
     unread = []
     for module, tree in trees.items():
-        for name, first, last in _private_definitions(tree):
+        for name, first, last in _definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
             if not any(
                 n == name and (m != module or not first <= line <= last) for n, m, line in reads
             ):
@@ -116,6 +124,62 @@ def test_private_checker_flags_only_unread_definitions():
 
 def test_every_private_definition_is_used():
     assert unreferenced_privates({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def exported_names(init_source: str) -> list:
+    """The names a package's `__init__` re-exports from its modules."""
+    return sorted(alias.asname or alias.name for node in ast.parse(init_source).body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def unread_public_names(names, sources: dict, texts=()) -> list:
+    """The names in `names` that no text in `texts` mentions as a word and no Python
+    source in `sources` reads outside its own module-level definition: by name, as an
+    attribute, through an import, or as a string constant that is not in `__all__`."""
+    unread = set(names) - {word for text in texts for word in re.findall(r"\w+", text)}
+    for source in sources.values():
+        tree = ast.parse(source)
+        listed = {id(leaf) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                  for leaf in ast.walk(node.value)}
+        strings = [(node.value, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in unread
+                   and id(node) not in listed]
+        own = {name: (first, last) for name, first, last in _definitions(tree)}
+        for name, line in _reads(tree) + strings:
+            first, last = own.get(name, (0, -1))
+            if not first <= line <= last:
+                unread.discard(name)
+    return sorted(unread)
+
+
+def test_public_checker_flags_only_unread_names():
+    sources = {
+        "a.py": (
+            '__all__ = ["dead", "by_string"]\n'
+            "def dead():\n"
+            "    return dead()\n"
+            "def called():\n"
+            "    pass\n"
+            "def documented():\n"
+            "    pass\n"
+            "def by_string():\n"
+            "    pass\n"
+        ),
+        "b.py": 'import a\na.called()\nBINDINGS = (("a", "by_string"),)\n',
+    }
+    names = ["by_string", "called", "dead", "documented"]
+    assert unread_public_names(names, sources, ["`documented()` is public"]) == ["dead"]
+
+
+# readers of the public API: the library, the README, the acceptance criteria, the
+# scripts and the benchmark; a name only its own tests read is dead surface
+def test_every_public_name_has_a_reader():
+    readers = [*MODULES, ROOT / "tests" / "test_acceptance.py",
+               *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    names = exported_names((SRC / "__init__.py").read_text())
+    sources = {str(path): path.read_text() for path in readers}
+    assert unread_public_names(names, sources, [(ROOT / "README.md").read_text()]) == []
 
 
 # subpackages a freqcap process has no use for; scipy.integrate alone pulls in the first six

@@ -29,7 +29,6 @@ from freqcap.mutual_info import (
     lipschitz_seminorm,
     mmpe,
     mutual_information,
-    output_pmf,
     spectrum_mc,
     truncation_loss_terms,
 )
@@ -251,14 +250,13 @@ def test_band_certificate_refuses_a_tolerance_it_cannot_meet(monkeypatch):
 class TestOutputPmf:
     def test_point_mass_reduces_to_poisson(self):
         spec = PoissonChannelSpec(point_mass(3), 1.5)
-        pmf = output_pmf(spec)
-        z = pmf.support
+        z = np.arange(spec.z_max + 1)
         direct = -4.5 + z * math.log(4.5) - gammaln(z + 1.0)
-        assert np.allclose(pmf.log_weights, direct, atol=1e-10)
+        assert np.allclose(spec.log_pz, direct, atol=1e-10)
 
     def test_normalization(self):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
-        assert output_pmf(spec).probs.sum() == pytest.approx(1.0, abs=1e-11)
+        assert np.exp(spec.log_pz).sum() == pytest.approx(1.0, abs=1e-11)
 
     def test_two_point_zero_output(self):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
@@ -612,6 +610,9 @@ class TestMmpe:
             mmpe(two_point_13(), 0.0)
         with pytest.raises(ValueError):
             mmpe(DiscretePmf.from_weights(0, [0.5, 0.5]), 1.0)
+        for gain in (math.inf, math.nan, np.array([1.0, math.inf])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mmpe(two_point_13(), gain)
 
     @settings(max_examples=60, deadline=None)
     @given(laws_with_zero_rows(), st.floats(-10.0, math.log10(5.0)),
