@@ -1,17 +1,16 @@
 """Command-line front end: every computation as a reproducible subcommand.
 
 All numeric output is in nats unless --bits is given on subcommands that
-support it. JSON is the default format and the only one with a stability
-guarantee; identical arguments and seed always produce byte-identical
-output. The seed resolves as --seed, then the FREQCAP_SEED environment
-variable, then 0.
+support it. Every command prints JSON, except `verify` (one line per check)
+and `figure2` (a CSV file); identical arguments always produce
+byte-identical output. The seed is --seed, else 0.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,18 +19,11 @@ from . import capacity_bounds as cb
 from .channel import ChannelParams, CountVector, transmit, transmit_poissonized
 from .coding_experiment import ExperimentConfig, run_experiment
 from .diagnostics import run_suite
-from .distributions import DiscretePmf, RngStream, truncated_rounded_input_pmf
+from .distributions import _SUPPORT_CAP, DiscretePmf, RngStream, truncated_rounded_input_pmf
 from .mutual_info import PoissonChannelSpec, i_mmpe_integral, mutual_information, spectrum_mc
 from .special_math import NATS_PER_BIT
 
-__all__ = ["run", "main", "emit_figure2"]
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("FREQCAP_SEED")
-    return int(env) if env else 0
+__all__ = ["run", "main"]
 
 
 def _to_bits(payload):
@@ -52,16 +44,7 @@ def _to_bits(payload):
 def _emit(payload, args):
     if getattr(args, "bits", False):
         payload = _to_bits(payload)
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif fmt == "csv":
-        flat = {k: v for k, v in payload.items() if isinstance(v, (int, float, str, bool))}
-        print(",".join(flat))
-        print(",".join(str(v) for v in flat.values()))
-    else:  # text: human courtesy, no stability guarantee
-        for key in sorted(payload):
-            print(f"{key}: {payload[key]}")
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _parse_input_law(args):
@@ -83,6 +66,8 @@ def _parse_input_law(args):
             if point == following:
                 raise ValueError(f"--points repeats the point {point}")
         lo, hi = pairs[0][0], pairs[-1][0]
+        if hi - lo + 1 > _SUPPORT_CAP:
+            raise ValueError(f"--points spans {hi - lo + 1} points, above the cap {_SUPPORT_CAP}")
         weights = np.zeros(hi - lo + 1)
         for point, weight in pairs:
             weights[point - lo] = weight
@@ -99,9 +84,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_dna(args):
-    if (args.beta is None) == (args.beta_log_a is None):
-        raise ValueError("give exactly one beta form: --beta or --beta-log-a")
-    beta = args.beta if args.beta is not None else args.beta_log_a / math.log(args.alphabet)
+    beta = args.beta_log_a / math.log(args.alphabet)
     scenario = cb.dna_log_cardinality_lower_bound(
         args.kl, beta, args.alphabet, use_optimized_ratio=args.optimized_ratio
     )
@@ -136,35 +119,36 @@ def _cmd_mi(args):
     if args.i_mmpe:
         payload["i_mmpe_nats"] = i_mmpe_integral(input_pmf, args.gain)
     if args.dump_input:
-        payload["input_pmf"] = json.loads(input_pmf.to_json())
+        payload["input_pmf"] = {
+            "offset": input_pmf.support_offset,
+            "log_weights": input_pmf.log_weights.tolist(),
+        }
     _emit(payload, args)
     return 0
 
 
 def _cmd_spectrum(args):
-    seed = _resolve_seed(args)
     input_pmf = _parse_input_law(args)
     spec = PoissonChannelSpec(input_pmf, args.gain)
     thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds else []
-    estimate = spectrum_mc(spec, args.n, args.samples, RngStream(seed), thresholds)
-    payload = json.loads(estimate.to_json())
+    estimate = spectrum_mc(spec, args.n, args.samples, RngStream(args.seed), thresholds)
+    payload = dataclasses.asdict(estimate)
     payload["config"] = {
         "input": args.input, "gain": args.gain, "g": args.g, "rho": args.rho,
-        "n": args.n, "samples": args.samples, "seed": seed, "thresholds": thresholds,
+        "n": args.n, "samples": args.samples, "seed": args.seed, "thresholds": thresholds,
     }
     _emit(payload, args)
     return 0
 
 
 def _cmd_simulate(args):
-    seed = _resolve_seed(args)
     counts = CountVector([int(c) for c in args.codeword.split(",")])
     kernel = None
     if args.kernel:
         with open(args.kernel) as fh:
             kernel = np.asarray(json.load(fh), dtype=float)
     params = ChannelParams(counts.n, args.g, args.r, kernel)
-    rng = RngStream(seed)
+    rng = RngStream(args.seed)
     if args.poissonized:
         out = transmit_poissonized(counts, params, rng)
     else:
@@ -174,7 +158,7 @@ def _cmd_simulate(args):
         "output_total": out.total,
         "config": {
             "n": counts.n, "g": args.g, "r": args.r, "codeword": args.codeword,
-            "poissonized": args.poissonized, "seed": seed, "kernel": args.kernel,
+            "poissonized": args.poissonized, "seed": args.seed, "kernel": args.kernel,
         },
     }
     _emit(payload, args)
@@ -191,8 +175,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_verify(args):
-    seed = _resolve_seed(args)
-    results = run_suite(args.suite, seed)
+    results = run_suite(args.suite, args.seed)
     failed = 0
     for result in results:
         status = "PASS" if result.ok else "FAIL"
@@ -200,18 +183,6 @@ def _cmd_verify(args):
         failed += 0 if result.ok else 1
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
-
-
-def emit_figure2(beta_list, kl_grid, out_path, alphabet_size=4):
-    """Write the storage-bound table as CSV with a stable column order."""
-    rows, warnings = cb.figure2_rows(beta_list, kl_grid, alphabet_size)
-    text = cb.figure2_csv(rows, warnings)
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write figure table to {out_path}: {exc}") from exc
-    return rows, warnings
 
 
 _DEFAULT_BETA_LOG_A = "0.6,0.7,0.76,0.9"
@@ -222,7 +193,12 @@ def _cmd_figure2(args):
     ln_a = math.log(args.alphabet)
     betas = [float(b) / ln_a for b in args.beta_log_a.split(",")] if args.beta_log_a else []
     kls = [float(k) for k in args.kl.split(",")]
-    rows, warnings = emit_figure2(betas, kls, args.out, args.alphabet)
+    rows, warnings = cb.figure2_rows(betas, kls, args.alphabet)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(cb.figure2_csv(rows, warnings))
+    except OSError as exc:
+        raise OSError(f"cannot write figure table to {args.out}: {exc}") from exc
     for warning in warnings:
         print(warning, file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -235,15 +211,15 @@ def _build_parser():
         description="Frequency-based channel: capacity bounds, information quantities, "
         "simulation, and random-coding experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: each flag has one spelling, so `--beta` is no `--beta-log-a`
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
-    def common(p, bits=False, seed=False, fmt=True):
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def common(p, bits=False, seed=False):
         if bits:
             p.add_argument("--bits", action="store_true", help="emit *_nats fields in bits")
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bounds", help="converse/achievability rate bounds at (g, r)")
     p.add_argument("--g", type=float, required=True)
@@ -253,8 +229,7 @@ def _build_parser():
 
     p = sub.add_parser("dna", help="short-molecule DNA storage bound")
     p.add_argument("--alphabet", type=int, default=4)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta-log-a", type=float, default=None, dest="beta_log_a",
+    p.add_argument("--beta-log-a", type=float, required=True, dest="beta_log_a",
                    help="beta expressed as the product beta * ln|A|")
     p.add_argument("--kl", type=float, required=True, help="total symbol count K*L")
     p.add_argument("--optimized-ratio", action="store_true", dest="optimized_ratio")
@@ -304,7 +279,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run the certified property checks")
     p.add_argument("--suite", type=str, default="appendix")
-    common(p, seed=True, fmt=False)
+    common(p, seed=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("figure2", help="emit the storage-bound CSV table")

@@ -8,7 +8,6 @@ is built one `_row_runs` run of rows at a time, each run at most one block
 of _CHUNK_ELEMENTS = 2^16 cells (512 KiB of float64).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,8 @@ _U32, _U64 = 2**32, 2**64
 # cells per block of every streamed table, the one budget of `_row_runs`' callers:
 # 2^16 float64 cells are 512 KiB, so a block and its few temporaries fit a 1-2 MiB L2 cache
 _CHUNK_ELEMENTS = 1 << 16
+# largest input support a law may have: 10^7 float64 weights are 80 MB
+_SUPPORT_CAP = 10**7
 # `poisson_entropy` sums its asymptotic series from this mean on, where the
 # first term it drops, 3250433/11880 / lam^9, is below 1e-17
 _SERIES_MIN_MEAN = 150.0
@@ -125,11 +126,6 @@ class DiscretePmf:
 
     def sample(self, rng: RngStream, size=None):
         return rng.generator.choice(self.support, p=self._probs, size=size)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"offset": self.support_offset, "log_weights": self.log_weights.tolist()}
-        )
 
     def __repr__(self):
         return f"DiscretePmf(offset={self.support_offset}, size={self.size})"
@@ -275,7 +271,8 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     The window is [g^-(1+3 rho), g^(1+rho)]. For integer k >= 1 the mass is
     (F(min(k, s_max)) - F(max(k-1, s_min)))+ renormalized by the window mass,
     with F the Gamma(1/2, 2g) CDF. The support is {1, ..., ceil(g^(1+rho))}
-    and there is never mass at zero.
+    and there is never mass at zero; a support above _SUPPORT_CAP points is
+    refused before anything is allocated.
     """
     from scipy.special import gammainc
 
@@ -286,6 +283,8 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     window = TruncationInterval.for_budget(g, rho)
     s_min, s_max = window.s_min, window.s_max
     top = math.ceil(s_max)
+    if top > _SUPPORT_CAP:
+        raise ValueError(f"input support {top} exceeds the cap {_SUPPORT_CAP}")
 
     # Gamma(1/2, 2g) CDF at the clipped cell boundaries 0..top; differences give cells.
     bounds = np.clip(np.arange(0, top + 1, dtype=float), s_min, s_max)

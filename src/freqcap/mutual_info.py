@@ -55,7 +55,6 @@ J(u) = int_u^inf sqrt(s) ln(s) e^-s ds of the truncation-loss term t2. The
 term t3 and the rest of t2 are closed forms in scipy's `gammaincc`.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -320,19 +319,6 @@ class SpectrumEstimate:
     thresholds: tuple
     cdf: tuple
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "num_samples": self.num_samples,
-                "mean": self.mean,
-                "variance": self.variance,
-                "thresholds": list(self.thresholds),
-                "cdf": list(self.cdf),
-            },
-            sort_keys=True,
-        )
-
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
     """Chen-Asau guide: entry k is the first cell whose CDF exceeds k / K.
@@ -462,17 +448,15 @@ def spectrum_mc(
 
 
 def lipschitz_seminorm(spec: PoissonChannelSpec) -> float:
-    """Largest jump of the information density in the output coordinate.
+    """Supremum of |i(x, z+1) - i(x, z)| over every z >= 0 and every x with positive weight.
 
-    max over x in the support and z < z_max of |i(x, z+1) - i(x, z)|; for a
-    support inside {1, ..., s} this never exceeds ln(s). The jump is
-    |ln lam_x - ln(z+1) - (log P_Z(z+1) - log P_Z(z))|; ln lam_x is monotone
-    in x and rounding is monotone, so the largest one sits at the smallest
-    or the largest x of the support.
+    The jump is ln lam_x - ln E[lam_X | Z=z], and the conditional mean lies
+    above the smallest positive-weight mean and below the largest, tending to
+    the largest as z grows. So the supremum is ln(x_max / x_min) over the
+    positive-weight rows, in closed form, and 0 for a point mass.
     """
-    ends = np.log(spec._lams[[0, -1]])[:, None]
-    z1 = np.log(np.arange(1, spec.z_max + 1))
-    return float(np.abs(ends - z1[None, :] - np.diff(spec.log_pz)[None, :]).max())
+    xs = spec._xs[spec._rows]
+    return math.log(xs[-1] / xs[0])
 
 
 def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) -> float:
@@ -482,8 +466,8 @@ def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) ->
     the discrete Lipschitz semi-norm and lambda_max dominates every
     coordinate mean. Doubling n squares the bound.
     """
-    if beta <= 0.0 or delta <= 0.0 or lambda_max <= 0.0 or n < 1:
-        raise ValueError("needs beta > 0, delta > 0, lambda_max > 0, n >= 1")
+    if not all(0.0 < v < math.inf for v in (beta, lambda_max, delta)) or n < 1:
+        raise ValueError("needs finite beta > 0, lambda_max > 0, delta > 0 and n >= 1")
     return math.exp(-n * delta**2 / (16.0 * beta**2 * lambda_max + 3.0 * beta * delta))
 
 
@@ -618,8 +602,8 @@ def i_mmpe_integral(input_pmf: DiscretePmf, gamma: float) -> float:
     doubling to a relative 1e-10; disagreement raises with the residual
     estimate.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
     xs = input_pmf.support.astype(float)
     ws = input_pmf.probs

@@ -2,10 +2,13 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from conftest import python_at_blas_threads
 
+from freqcap import cli
 from freqcap.cli import run
 from freqcap.special_math import NATS_PER_BIT
 
@@ -56,10 +59,11 @@ class TestDnaCommand:
 
     def test_requires_exactly_one_beta_form(self):
         code, _, err = invoke(["dna", "--alphabet", "4", "--kl", "1e20"])
-        assert code == 1 and "beta" in err
+        assert code == 2 and "--beta-log-a" in err
 
     def test_domain_error_exit_code(self):
-        code, _, err = invoke(["dna", "--alphabet", "4", "--beta", "0.9", "--kl", "1e20"])
+        # beta * ln|A| >= 1 leaves the short-molecule regime
+        code, _, err = invoke(["dna", "--alphabet", "4", "--beta-log-a", "1.3", "--kl", "1e20"])
         assert code == 1
         assert "error:" in err
 
@@ -108,14 +112,6 @@ class TestSimulateCommand:
         assert sum(doc["output"]) == 18
         assert invoke(argv) == invoke(argv)
 
-    def test_env_seed_fallback(self, monkeypatch):
-        argv = ["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2"]
-        monkeypatch.setenv("FREQCAP_SEED", "7")
-        _, with_env, _ = invoke(argv)
-        monkeypatch.delenv("FREQCAP_SEED")
-        _, with_flag, _ = invoke(argv + ["--seed", "7"])
-        assert json.loads(with_env)["output"] == json.loads(with_flag)["output"]
-
     def test_poissonized(self):
         code, out, _ = invoke(
             ["simulate", "--g", "2", "--r", "3", "--codeword", "0,12,0,0,0,0",
@@ -140,12 +136,6 @@ class TestSimulateCommand:
             ["simulate", "--g", "2", "--r", "3.0001", "--codeword", "3,4,1,0,2,2"]
         )
         assert code == 1 and "integer read count" in err
-
-    def test_text_and_csv_formats(self):
-        code, out, _ = invoke(["bounds", "--g", "4", "--r", "4", "--format", "text"])
-        assert code == 0 and "converse_nats:" in out
-        code, out, _ = invoke(["bounds", "--g", "4", "--r", "4", "--format", "csv"])
-        assert code == 0 and out.splitlines()[0] == "g,r,converse_nats,achievability_nats,gap_nats"
 
 
 class TestMiCommand:
@@ -180,6 +170,16 @@ class TestMiCommand:
         assert code == 1 and out == ""
         assert "repeats the point 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        # ceil(46500^1.5) = 10,027,195 support points
+        ["mi", "--g", "46500", "--rho", "0.5", "--gain", "0.4"],
+        ["mi", "--input", "two-point", "--points", "1:0.5,10000001:0.5", "--gain", "1"],
+    ], ids=["trunc-gamma", "two-point"])
+    def test_support_above_cap_is_domain_error(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "cap 10000000" in err
+
     def test_independent_of_blas_threads(self):
         # 11,181 input rows: past the size from which OpenBLAS splits a dot product
         argv = ["-m", "freqcap.cli", "mi", "--g", "500", "--rho", "0.5", "--gain", "0.4"]
@@ -196,6 +196,19 @@ class TestSpectrumCommand:
         assert code == 0
         assert 0.0 <= doc["cdf"][0] <= 1.0
 
+    def test_json_shape(self):
+        # every letter of a point mass carries density 0
+        code, out, _ = invoke(["spectrum", "--input", "point", "--value", "2", "--gain", "1",
+                               "--n", "10", "--samples", "50", "--thresholds=-0.5,0.5",
+                               "--seed", "6"])
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"n", "num_samples", "mean", "variance", "thresholds", "cdf", "config"}
+        assert (doc["n"], doc["num_samples"]) == (10, 50)
+        assert doc["mean"] == pytest.approx(0.0, abs=1e-12)
+        assert doc["variance"] == pytest.approx(0.0, abs=1e-12)
+        assert (doc["thresholds"], doc["cdf"]) == ([-0.5, 0.5], [0.0, 1.0])
+
     def test_threads_flag_is_gone(self):
         argv = ["spectrum", "--input", "point", "--value", "3", "--gain", "1",
                 "--n", "10", "--samples", "20", "--seed", "1"]
@@ -203,6 +216,36 @@ class TestSpectrumCommand:
         assert code == 0
         assert "threads" not in json.loads(out)["config"]
         assert invoke([*argv, "--threads", "2"])[0] == 2
+
+
+def test_format_beta_and_env_seed_are_gone(monkeypatch):
+    assert invoke(["bounds", "--g", "4", "--r", "4", "--format", "json"])[0] == 2
+    # not even as an abbreviation of --beta-log-a
+    assert invoke(["dna", "--alphabet", "4", "--beta", "0.5", "--kl", "1e20"])[0] == 2
+    argv = ["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2"]
+    monkeypatch.delenv("FREQCAP_SEED", raising=False)
+    without = invoke(argv)
+    monkeypatch.setenv("FREQCAP_SEED", "7")
+    assert invoke(argv) == without
+    assert without != invoke([*argv, "--seed", "7"])
+
+
+def readme_commands():
+    """Every `freqcap ...` line of the README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("freqcap ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "bounds", "dna", "mi", "spectrum", "simulate", "experiment", "verify", "figure2",
+    ]
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error raises SystemExit
 
 
 class TestExperimentCommand:
