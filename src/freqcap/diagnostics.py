@@ -155,7 +155,11 @@ def _check_bobkov_ledoux(seed):
     freq = float((totals < mean_density - n * delta).mean())
     slack = 3.0 * math.sqrt(bound * (1 - bound) / samples + 1e-12)
     ok = freq <= bound + slack
-    return CheckResult("bobkov-ledoux-mc", ok, f"freq={freq:.4f} bound={bound:.4f}")
+    # measured on uniform laws on 1..8 at gains 0.5 and 2, against the Legendre transform
+    # of the conditional cumulant
+    return CheckResult("bobkov-ledoux-mc", ok, f"freq={freq:.4f} bound={bound:.4f} (checks "
+                       "the direction only: the exponent is 256-1,173x below the exact "
+                       "rate, so it cannot fail)")
 
 
 def _check_sub_gamma(seed):

@@ -14,39 +14,43 @@ The bands change log P_Z only where it is far below any mass that matters
 past z_max, and `mmpe`) walks one row planner, `distributions._row_runs`,
 on `poisson_band` windows under one cell budget, _CHUNK_ELEMENTS = 2^16
 cells: a 512 KiB block that stays in a core's L2 cache, so the working set
-is a few blocks at any support size. `mmpe` then cuts each run's table to
-exact 1e-16 quantiles and joins neighbouring runs whose cut tables fit one
-block together. The spectrum draws its letters in blocks of
-_SPECTRUM_LETTERS = 2^15, also at any blocklength. Sums over the input
-support are einsum reductions, not BLAS products, so neither the exact MI
-nor `mmpe` (nor `i_mmpe_integral`) depends on the BLAS thread count.
+is a few blocks at any support size. The blocks come from one walker,
+`distributions._poisson_tables`, and each caller keeps its own reduction.
+`mmpe` then cuts each run's table to exact 1e-16 quantiles and joins
+neighbouring runs whose cut tables fit one block together. The spectrum
+draws its letters in blocks of _SPECTRUM_LETTERS = 2^15, also at any
+blocklength. Sums over the input support are einsum reductions, not BLAS
+products, so neither the exact MI nor `mmpe` (nor `i_mmpe_integral`)
+depends on the BLAS thread count.
 
 The exact MI has two routes that share H(Z). The band route subtracts the
 band conditional entropy sum_x w_x sum_z -p ln p over each row's window,
 which the spec's build sums from the very tables that give log P_Z, so
-each band cell is evaluated once. Because sum_x w_x p(z|x) over those
-windows is exactly P_Z(z), this route equals the averaged KL divergence of
-the conditional laws from the marginal; it is the one returned. The series
-route subtracts the average of `poisson_entropy`, the asymptotic series of
-the Poisson entropy from mean 150 on, and evaluates no table there. The
-two cancel z ln lam - ln z! differently at large means, so their residual
-(about 5e-14 at g=500, 9e-13 at g=1e4) measures the kernel's rounding; it
-must stay below 1e-9.
+each band cell is evaluated and exponentiated once. Because
+sum_x w_x p(z|x) over those windows is exactly P_Z(z), this route equals
+the averaged KL divergence of the conditional laws from the marginal; it
+is the one returned. The series route subtracts the average of
+`poisson_entropy`, the asymptotic series of the Poisson entropy from mean
+150 on, and evaluates no table there. The two cancel z ln lam - ln z!
+differently at large means, so their residual (about 5e-14 at g=500,
+9e-13 at g=1e4) measures the kernel's rounding; it must stay below 1e-9.
 Blocklength enters only through Monte-Carlo sampling of the information
 spectrum: the channel is memoryless under product inputs, so
 single-letter quantities scale.
 
 Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
 log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
-it, so a density is exact at every z. The spectrum draws letters (X, Z)
-from one letter table per call: each positive-weight row with lam < 10
-gets one cell per z from 0 to its band end, each row with lam >= 10 one cell
-whose z is drawn afterwards by numpy's transformed-rejection Poisson
-sampler (10 is where numpy switches to it). One uniform per letter finds
-its cell through a Chen-Asau guide table, or by binary search where its
-guide bucket spans more than one cell. The mass the small rows' cells
-leave out is certified with the regularized incomplete gamma function
-and must stay below 2^-53, one step of the uniform draw.
+it. The spectrum draws letters (X, Z) from one letter table per call: each
+positive-weight row with lam < 10 gets one cell per z from 0 to its band
+end, each row with lam >= 10 one cell whose z is drawn afterwards by
+numpy's transformed-rejection Poisson sampler (10 is where numpy switches
+to it). One uniform per letter picks a bucket of a bucket table; a bucket
+that lands in one non-PTRS cell holds its density, so most letters take
+one gather. The others find their cell through a Chen-Asau guide table,
+or by binary search where its guide bucket spans more than one cell. The
+mass the small rows' cells leave out is certified with the regularized
+incomplete gamma function and must stay below 2^-53, one step of the
+uniform draw.
 
 Two integrals are quadratures, on one composite 16-point Gauss-Legendre
 panel rule (`_panel_rule`) whose panel-doubling residual each caller gates:
@@ -66,10 +70,10 @@ from .distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _poisson_tables,
     _row_runs,
     poisson_band,
     poisson_entropy,
-    poisson_log_pmf,
 )
 from .special_math import log_factorial, regularized_gamma_p
 
@@ -104,6 +108,9 @@ _TAIL_SPAN = 60
 _MMPE_TAIL = 1e-16
 # PoissonChannelSpec: mixture mass the row bands may drop, 1e-3 of a 1e-12 tail budget
 _BAND_ALLOWANCE = 1e-15
+# PoissonChannelSpec: a linear mixture sum below this is redone in log space; the cells that
+# underflow or are subnormal in it lose at most 2^-1074 each, far below its last digit
+_LINEAR_FLOOR = 1e-280
 
 
 def _poisson_window(lam_lo, lam_hi, tail: float):
@@ -146,7 +153,7 @@ class PoissonChannelSpec:
     (unnormalized) log output PMF is tabulated once, one `_row_runs` run of
     rows at a time, and from the same tables the build sums
     `band_conditional_entropy`; past z_max the log output PMF and every
-    density are extended exactly on demand by the same log-mixture over
+    density are extended exactly on demand by the same mixture sum over
     every row with positive weight, `_rows`.
     """
 
@@ -197,24 +204,38 @@ class PoissonChannelSpec:
     def _log_mixture(self, runs, z_lo: int, z_hi: int, row_entropy=None) -> np.ndarray:
         """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window.
 
-        With `row_entropy`, also writes each row's -sum p ln p over its run's
-        window into row_entropy[row], from the same table.
+        Each cell is exponentiated once, p = exp(ln p). A run of several rows
+        adds sum_x w_x p(z|x) to a linear sum; its columns where that falls
+        below _LINEAR_FLOOR, and every column of a one-row run, are summed as a
+        max-shifted log-sum of ln p + ln w instead, so no column loses its
+        digits to underflow and a lone row keeps ln p + ln w exactly. With
+        `row_entropy`, also writes each row's -sum p ln p over its run's
+        window into row_entropy[row], from the same p.
         """
-        out = np.full(z_hi - z_lo + 1, -np.inf)
+        linear = np.zeros(z_hi - z_lo + 1)
+        logs = np.full(z_hi - z_lo + 1, -np.inf)
         logw = self.input.log_weights
-        for rows, lo, hi in runs:
-            lp = poisson_log_pmf(np.arange(lo, hi + 1), self._lams[rows, None])
-            if row_entropy is not None:
-                plogp = np.exp(lp)
-                plogp *= lp
-                row_entropy[rows] = -plogp.sum(axis=1)
-            lp += logw[rows][:, None]
-            top = lp.max(axis=0)
-            lp -= top
-            np.exp(lp, out=lp)
+        for rows, lo, hi, lp in _poisson_tables(self._lams, runs):
             window = slice(lo - z_lo, hi - z_lo + 1)
-            out[window] = np.logaddexp(out[window], top + np.log(lp.sum(axis=0)))
-        return out
+            p = np.exp(lp)
+            low = np.ones(hi - lo + 1, dtype=bool)
+            if rows.size > 1:
+                mix = np.einsum("r,rz->z", self._ws[rows], p)
+                low = mix < _LINEAR_FLOOR
+                linear[window] += np.where(low, 0.0, mix)
+            if low.any():
+                part = lp[:, low] + logw[rows][:, None]
+                top = part.max(axis=0)
+                part -= top
+                np.exp(part, out=part)
+                cols = logs[window]
+                cols[low] = np.logaddexp(cols[low], top + np.log(part.sum(axis=0)))
+            if row_entropy is not None:
+                p *= lp
+                row_entropy[rows] = -p.sum(axis=1)
+            del p, lp  # two blocks, not three, while the walker builds the next
+        with np.errstate(divide="ignore"):
+            return np.logaddexp(np.log(linear), logs)
 
     def log_output_pmf_at(self, z) -> np.ndarray:
         """Raw log P_Z at arbitrary z, extending past the table exactly on demand."""
@@ -296,8 +317,10 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
 def information_density(x: int, z: int, spec: PoissonChannelSpec) -> float:
     """Single-letter information density log P[Z=z|X=x] / P_Z(z) in nats.
 
-    Requires P_X(x) > 0. Exact at every z >= 0: past z_max the output law is
-    summed on demand (`PoissonChannelSpec.density_offset`).
+    Requires P_X(x) > 0. Exact past z_max, where the output law is summed
+    on demand (`PoissonChannelSpec.density_offset`), and within the band
+    certificate below it; near z_max, where P_Z is far below the mass the
+    bands may drop, the tabulated log P_Z can be off.
     """
     idx = x - spec.input.support_offset
     if idx < 0 or idx >= spec.input.size or spec._ws[idx] <= 0.0:
@@ -343,16 +366,35 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
     return idx
 
 
+def _bucket_densities(cdf: np.ndarray, guide: np.ndarray, density: np.ndarray, ptrs: np.ndarray):
+    """Density of each bucket [k / K, (k + 1) / K) of the uniform that lands in one table cell.
+
+    K is 8 times the guide's size, at most _CHUNK_ELEMENTS, a power of two
+    either way, so u * K and k / K are exact. Bucket k is pure when every u
+    in it finds the same cell c = searchsorted(cdf, k / K, "right"), that is
+    cdf[c] >= (k + 1) / K, and c is not a PTRS cell; it holds c's density,
+    and NaN otherwise.
+    """
+    size = min(8 * guide.size, _CHUNK_ELEMENTS)
+    edges = np.arange(size + 1) / size
+    cell = _guided_search(cdf, guide, edges[:-1])
+    pure = (cdf[cell] >= edges[1:]) & ~ptrs[cell]
+    return np.where(pure, density[cell], np.nan)
+
+
 @dataclass(frozen=True)
 class _LetterTable:
     """Cells of the letter law (X, Z), with each cell's density.
 
     A cell of a row with lam < 10 is one z; a row with lam >= 10 is a single
     cell (`ptrs`) whose z is drawn by Generator.poisson once the row is known.
+    `bucket` holds the density of every bucket of the uniform that lands in
+    one non-PTRS cell (`_bucket_densities`), so most letters take one gather.
     """
 
     cdf: np.ndarray
     guide: np.ndarray
+    bucket: np.ndarray
     density: np.ndarray
     ptrs: np.ndarray
     lam: np.ndarray
@@ -383,18 +425,30 @@ class _LetterTable:
         cdf = np.cumsum(mass)
         cdf /= cdf[-1]
         density = np.where(ptrs, 0.0, kernel - spec.density_offset(z))
-        return cls(cdf, _guide_table(cdf), density, ptrs, lam_c, log_lam)
+        guide = _guide_table(cdf)
+        bucket = _bucket_densities(cdf, guide, density, ptrs)
+        return cls(cdf, guide, bucket, density, ptrs, lam_c, log_lam)
 
     def draw_density(self, spec: PoissonChannelSpec, gen: np.random.Generator, size: int):
-        """Densities of `size` letters: one uniform each, then Z for the PTRS rows."""
-        cell = _guided_search(self.cdf, self.guide, gen.random(size))
-        out = self.density[cell]
-        hit = np.flatnonzero(self.ptrs[cell])
-        if hit.size:
-            cell = cell[hit]
-            lam = self.lam[cell]
-            z = gen.poisson(lam)
-            out[hit] = z * self.log_lam[cell] - lam - spec.density_offset(z)
+        """Densities of `size` letters: one uniform each, then Z for the PTRS rows.
+
+        A letter whose bucket is pure takes its density from `bucket`; the
+        others find their cell by `_guided_search`, in letter order, so every
+        letter gets the cell and the Generator.poisson draw of a plain
+        searchsorted on the CDF.
+        """
+        u = gen.random(size)
+        out = self.bucket[(u * self.bucket.size).astype(np.int64)]
+        miss = np.flatnonzero(np.isnan(out))
+        if miss.size:
+            cell = _guided_search(self.cdf, self.guide, u[miss])
+            out[miss] = self.density[cell]
+            hit = np.flatnonzero(self.ptrs[cell])
+            if hit.size:
+                cell = cell[hit]
+                lam = self.lam[cell]
+                z = gen.poisson(lam)
+                out[miss[hit]] = z * self.log_lam[cell] - lam - spec.density_offset(z)
         return out
 
 
@@ -501,11 +555,10 @@ def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
             runs.append(run)
 
     cols = np.zeros((gains.size, 3, int(z_hi.max()) + 1))
-    for start, stop, lo, hi in runs:
-        lam = gains[:, None, None] * xs[None, start:stop, None]
-        cond = poisson_log_pmf(np.arange(lo, hi + 1), lam)
+    runs = [(slice(start, stop), int(lo), int(hi)) for start, stop, lo, hi in runs]
+    for rows, lo, hi, cond in _poisson_tables(xs, runs, gains):
         np.exp(cond, out=cond)
-        cols[:, :, lo : hi + 1] += np.einsum("kr,grz->gkz", moments[:, start:stop], cond)
+        cols[:, :, lo : hi + 1] += np.einsum("kr,grz->gkz", moments[:, rows], cond)
     pv, mean_mass, xlogx_mass = cols.transpose(1, 0, 2)
     seen = pv > 0.0
     gap = np.zeros_like(pv)

@@ -241,7 +241,8 @@ def readme_commands():
 def test_readme_commands_parse():
     commands = readme_commands()
     assert [argv[0] for argv in commands] == [
-        "bounds", "dna", "mi", "spectrum", "simulate", "experiment", "verify", "figure2",
+        "bounds", "dna", "mi", "spectrum", "spectrum", "simulate", "experiment", "verify",
+        "figure2",
     ]
     parser = cli._build_parser()
     for argv in commands:

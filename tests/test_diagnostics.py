@@ -85,3 +85,10 @@ def test_binomial_tail_is_exact(n, p, t):
 def test_tail_check_fails_above_the_bound():
     assert diagnostics._tail_check("x", [(0.05, 0.1), (0.1, 0.1)]).ok
     assert not diagnostics._tail_check("x", [(0.05, 0.1), (0.2, 0.1)]).ok
+
+
+def test_bobkov_ledoux_says_it_checks_the_direction_only():
+    # its frequency reads 0 at every seed against a bound near 0.84
+    detail = diagnostics._check_bobkov_ledoux(0).detail
+    assert detail.startswith("freq=0.0000 bound=0.8389 ")
+    assert "direction only" in detail and "cannot fail" in detail

@@ -108,6 +108,18 @@ def far_two_point():
     return DiscretePmf.from_weights(1, weights)
 
 
+def recording_kernel(seen):
+    """The banded-table walker's kernel, appending (counts, means, block) of each call to `seen`."""
+    kernel = distributions._log_pmf_kernel
+
+    def recording(k, lam, log_lam, log_k_factorial):
+        out = kernel(k, lam, log_lam, log_k_factorial)
+        seen.append((k, lam, out))
+        return out
+
+    return recording
+
+
 BANDED_CASES = {
     "point-mass": (lambda: point_mass(3), 1.0),
     "two-point-1-3": (two_point_13, 1.0),
@@ -139,20 +151,18 @@ def test_banded_spec_matches_dense_mixture(case):
 def test_build_evaluates_each_band_cell_once(case, monkeypatch):
     make, gain = BANDED_CASES[case]
     pmf = make()
-    sizes = []
-    kernel = mutual_info.poisson_log_pmf
-
-    def recording(k, lam):
-        out = kernel(k, lam)
-        sizes.append(np.size(out))
-        return out
-
-    monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+    tables = []
+    monkeypatch.setattr(distributions, "_log_pmf_kernel", recording_kernel(tables))
     spec = PoissonChannelSpec(pmf, gain)
+    sizes = [np.size(out) for _, _, out in tables]
     assert sizes == [rows.size * (hi - lo + 1) for rows, lo, hi in spec._bands]
-    sizes.clear()
-    mutual_information(spec)
-    assert sizes == []
+    # the series route's `poisson_entropy` walks tables of its own; given its values,
+    # the MI evaluates no cell
+    entropy = poisson_entropy(spec._lams[spec._rows])
+    tables.clear()
+    with mock.patch.object(mutual_info, "poisson_entropy", lambda lam: entropy):
+        mutual_information(spec)
+    assert tables == []
 
 
 @pytest.mark.parametrize("case", sorted(BANDED_CASES))
@@ -171,6 +181,36 @@ def test_band_conditional_entropy_matches_kl_walk(case):
     assert abs(spec.band_conditional_entropy - oracle) <= 1e-14 * oracle
 
 
+UNDERFLOW_CASES = {
+    # one row: every column is its ln p + ln w, down to ln p = -755 at z = 52
+    "point-gain-1e-5": (lambda: point_mass(1), 1e-5),
+    # two rows in one run, no column below the floor
+    "two-point-1-400-gain-1e-3": (far_two_point, 1e-3),
+    # two rows in one run whose top columns' linear sums fall below _LINEAR_FLOOR
+    "two-point-1-2-gain-1e-5": (two_point_12, 1e-5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERFLOW_CASES))
+def test_underflowing_columns_match_a_log_sum_over_every_row(case):
+    make, gain = UNDERFLOW_CASES[case]
+    spec = PoissonChannelSpec(make(), gain)
+    dense = dense_tables(spec, np.arange(spec.z_max + 1))[0]
+    far = dense <= -1.0
+    assert np.allclose(spec.log_pz[far], dense[far], rtol=1e-14, atol=0.0)
+    # ln of a sum near 1 keeps only its absolute digits
+    assert np.max(np.abs(spec.log_pz - dense)[~far], initial=0.0) <= 1e-15
+    below = np.sum(dense < math.log(mutual_info._LINEAR_FLOOR))
+    assert below == {"point-gain-1e-5": 8, "two-point-1-400-gain-1e-3": 0,
+                     "two-point-1-2-gain-1e-5": 6}[case]
+
+
+@pytest.mark.parametrize("x0, gain", [(5, 0.7), (1, 1e-5), (50, 1.0)])
+def test_point_mass_mi_is_exactly_zero(x0, gain):
+    # a one-row run keeps ln p exactly, so H(Z) and H(Z|X) are the same sum
+    assert mutual_information(PoissonChannelSpec(point_mass(x0), gain)) == 0.0
+
+
 def test_route_and_mass_gates_refuse(monkeypatch):
     spec = PoissonChannelSpec(truncated_rounded_input_pmf(20.0, 0.5), 0.4)
     mutual_information(spec)
@@ -185,17 +225,11 @@ def test_route_and_mass_gates_refuse(monkeypatch):
 def test_far_output_tables_capped(monkeypatch):
     # 12,000 outputs past z_max: one table of every row would hold 400 x 12,000 cells
     spec = PoissonChannelSpec(far_two_point(), 1.0)
-    sizes = []
-    kernel = mutual_info.poisson_log_pmf
-
-    def recording(k, lam):
-        out = kernel(k, lam)
-        sizes.append(np.size(out))
-        return out
-
-    monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+    tables = []
+    monkeypatch.setattr(distributions, "_log_pmf_kernel", recording_kernel(tables))
     beyond = np.arange(spec.z_max + 1, spec.z_max + 12_001)
     extended = spec.log_output_pmf_at(beyond)
+    sizes = [np.size(out) for _, _, out in tables]
     assert sizes and max(sizes) <= mutual_info._CHUNK_ELEMENTS
     assert np.allclose(extended, dense_tables(spec, beyond)[0], rtol=1e-14, atol=0.0)
 
@@ -509,6 +543,54 @@ def test_guided_search_equals_searchsorted_across_a_long_bucket():
     assert np.array_equal(np.unique(idx), np.arange(masses.size))
 
 
+def searchsorted_draw(table, spec, gen, size):
+    """The letter draw with a plain searchsorted on the whole CDF, as oracle."""
+    cell = np.searchsorted(table.cdf, gen.random(size), side="right")
+    out = table.density[cell]
+    hit = np.flatnonzero(table.ptrs[cell])
+    lam = table.lam[cell[hit]]
+    z = gen.poisson(lam)
+    out[hit] = z * table.log_lam[cell[hit]] - lam - spec.density_offset(z)
+    return out
+
+
+@pytest.mark.parametrize("g", [8.0, 500.0])
+def test_bucket_draw_equals_searchsorted_draw(g):
+    # g=500 has 11,157 transformed-rejection rows, so most letters miss their bucket
+    spec = PoissonChannelSpec(truncated_rounded_input_pmf(g, 0.5), 0.4)
+    table = mutual_info._LetterTable.build(spec)
+    assert table.bucket.size == min(8 * table.guide.size, mutual_info._CHUNK_ELEMENTS)
+    fast, slow = RngStream(4).generator, RngStream(4).generator
+    for size in (1, 1000, mutual_info._SPECTRUM_LETTERS):
+        assert np.array_equal(table.draw_density(spec, fast, size),
+                              searchsorted_draw(table, spec, slow, size))
+        # and both generators are left in the same state
+        assert np.array_equal(fast.random(4), slow.random(4))
+    pure = ~np.isnan(table.bucket)
+    assert pure.mean() > {8.0: 0.9, 500.0: 0.0}[g]
+
+
+@settings(max_examples=200, deadline=None)
+@given(guided_cases(), st.integers(0, 2**32 - 1))
+def test_pure_buckets_hold_their_searchsorted_cell(case, seed):
+    # a pure bucket's density is that of the cell every u in it finds, and never a PTRS cell's
+    masses, cdf, u = case
+    rng = np.random.default_rng(seed)
+    density = rng.standard_normal(cdf.size)
+    ptrs = rng.random(cdf.size) < 0.3
+    guide = mutual_info._guide_table(cdf)
+    bucket = mutual_info._bucket_densities(cdf, guide, density, ptrs)
+    assert bucket.size == min(8 * guide.size, mutual_info._CHUNK_ELEMENTS)
+    # every bucket's two ends and the case's uniforms
+    edges = np.arange(bucket.size) / bucket.size
+    u = np.concatenate((u, edges, np.nextafter(edges + 1.0 / bucket.size, 0.0)))
+    value = bucket[(u * bucket.size).astype(np.int64)]
+    cell = np.searchsorted(cdf, u, side="right")
+    pure = ~np.isnan(value)
+    assert np.array_equal(value[pure], density[cell[pure]])
+    assert not np.any(ptrs[cell[pure]])
+
+
 def dense_lipschitz_seminorm(spec):
     """max over positive-weight x and z <= z_max + 300 of |i(x, z+1) - i(x, z)|, as one table.
 
@@ -683,19 +765,13 @@ class TestMmpe:
         # each mean of each table leaves out less than 1e-16 below and above the table's z
         pmf, _ = case
         tables = []
-        kernel = mutual_info.poisson_log_pmf
-
-        def recording(k, lam):
-            tables.append((k[0], k[-1], np.ravel(lam)))
-            return kernel(k, lam)
-
-        with mock.patch.object(mutual_info, "poisson_log_pmf", recording), \
+        with mock.patch.object(distributions, "_log_pmf_kernel", recording_kernel(tables)), \
                 mock.patch.object(mutual_info, "_CHUNK_ELEMENTS", chunk_elements):
             mmpe(pmf, 10.0 ** np.array(log_gains))
         assert tables
-        for first, last, lam in tables:
-            assert np.all(gammaincc(first, lam) < 1e-16)
-            assert np.all(gammainc(last + 1.0, lam) < 1e-16)
+        for k, lam, _ in tables:
+            assert np.all(gammaincc(k[0], lam) < 1e-16)
+            assert np.all(gammainc(k[-1] + 1.0, lam) < 1e-16)
 
     def test_independent_of_blas_threads(self):
         # 11,181 input rows: a threaded BLAS product would split the run sums by thread count
@@ -715,16 +791,10 @@ class TestMmpe:
     def test_tables_capped_at_large_budget(self, monkeypatch):
         # g=500, rho=0.5 at gain 5: one dense table would be 11,181 x ~58,000 cells
         pmf = truncated_rounded_input_pmf(500.0, 0.5)
-        sizes = []
-        kernel = mutual_info.poisson_log_pmf
-
-        def recording(k, lam):
-            out = kernel(k, lam)
-            sizes.append(np.size(out))
-            return out
-
-        monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+        tables = []
+        monkeypatch.setattr(distributions, "_log_pmf_kernel", recording_kernel(tables))
         value = mmpe(pmf, 5.0)
+        sizes = [np.size(out) for _, _, out in tables]
         xs, ws = pmf.support.astype(float), pmf.probs
         mean = float(ws @ xs)
         assert sizes and max(sizes) <= mutual_info._CHUNK_ELEMENTS
@@ -750,16 +820,10 @@ class TestMmpe:
         # 50: the band plan has several runs, and they join into one table
         pmf = truncated_rounded_input_pmf(200.0, 0.1)
         tables = []
-        kernel = mutual_info.poisson_log_pmf
-
-        def recording(k, lam):
-            tables.append(np.shape(lam))
-            return kernel(k, lam)
-
-        monkeypatch.setattr(mutual_info, "poisson_log_pmf", recording)
+        monkeypatch.setattr(distributions, "_log_pmf_kernel", recording_kernel(tables))
         gains = 1e-8 * (1.5 + 0.5 * np.polynomial.legendre.leggauss(16)[0])
         mmpe(pmf, gains)
-        assert tables == [(16, pmf.size, 1)]
+        assert [np.shape(lam) for _, lam, _ in tables] == [(16, pmf.size, 1)]
 
 
 class TestIMmpeIntegral:
