@@ -2,10 +2,14 @@
 
 Times STEPS draw+score steps on the seed-1 `coding` benchmark codebook
 (n=2000, g=8, r=3.2, rho=0.5, M=256): each step draws one trial's output
-through `channel.transmit` and scores all 256 codewords, once with the BLAS
-matrix-vector product `log_frequencies @ y` and once with the einsum that
-`Codebook._log_likelihoods` uses. Each (BLAS threads, method) pair runs in
-its own fresh process, since OpenBLAS reads its thread count at start-up.
+through `channel.transmit` and scores all 256 codewords, by one of three
+methods: `matmul`, the BLAS matrix-vector product `log_frequencies @ y`;
+`einsum`, the float64 einsum of `Codebook._log_likelihoods`; and `screen`,
+the float32 einsum plus its rounding bound, `Codebook._screen`, which the
+decoders run first. At 2 BLAS threads the `matmul` rows show why scoring
+stays out of BLAS: the idle worker spins through every draw, so CPU time
+rises well above wall time. Each (BLAS threads, method) pair runs in its
+own fresh process, since OpenBLAS reads its thread count at start-up.
 
     python scripts/bench_decoder.py > BENCH_decoder.json
 
@@ -24,7 +28,7 @@ from _harness import SRC, child_env, environment
 STEPS = 1000
 REPEATS = 5
 THREADS = ("1", "2")
-METHODS = ("matmul", "einsum")
+METHODS = ("matmul", "einsum", "screen")
 CONFIG = dict(n=2000, g=8.0, r=3.2, rho=0.5, delta=0.3, m=256, seed=1)
 
 
@@ -46,9 +50,12 @@ def _child(method):
     if method == "matmul":
         def score(y):
             return log_freq @ y
-    else:
+    elif method == "einsum":
         def score(y):
             return np.einsum("mi,i->m", log_freq, y.astype(float))
+    else:
+        def score(y):
+            return codebook._screen(y)[0]
 
     def steps():
         channel_root = rng.substream(4)

@@ -5,11 +5,15 @@ exact mode of a block sum, sample a fixed-sum random codebook (rejection on
 n - 8 letters, the last 8 drawn from their exact law given their sum),
 push codewords through the multinomial channel, and decode either by
 scan-order threshold on the Poisson-surrogate information density or by
-exact maximum likelihood. Both score all codewords of a trial with one
-einsum reduction, S(y) = sum_i y_i ln(x_i / tau), kept out of threaded BLAS
-so that no idle BLAS worker spins between trials; the surrogate (gain
-n r / tau) adds a term in y alone. Reports compare the empirical error
-against the Feinstein bound.
+exact maximum likelihood. Both decoders share one statistic,
+S(y) = sum_i y_i ln(x_i / tau); the surrogate (gain n r / tau) adds a term
+in y alone. A trial first scores all codewords with one float32 einsum
+over a float32 copy of ln(x / tau), with a certified bound on its distance
+to the float64 score (`Codebook._screen`); only a trial whose decision
+falls inside that bound is rescored in float64 (`Codebook._log_likelihoods`),
+so every decision is the float64 one. No score enters BLAS, so no idle BLAS
+worker spins between trials and no output depends on the BLAS thread
+count. Reports compare the empirical error against the Feinstein bound.
 """
 
 import json
@@ -42,6 +46,30 @@ __all__ = [
 
 # letters of each codeword drawn from their exact law given the rest's sum
 _COMPLETED_LETTERS = 8
+
+# letters per row block when the float32 score table is built
+_TABLE_BLOCK_LETTERS = 1 << 14
+
+# unit roundoffs of float32 and float64
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+
+
+def _screen_factor(k: int) -> float:
+    """c / (1 - c), c = u32 + gamma32_k (1 + u32) + gamma64_k, padded by 2^-20.
+
+    |S32 - S64| <= c A for a k-term score whose terms all share one sign,
+    A = sum_i y_i |L_i| = |S|: the table's rounding to float32 costs u32 A,
+    the float32 sum gamma32_k A (1 + u32) and the float64 one gamma64_k A,
+    gamma_k = k u / (1 - k u) for any summation order (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 3.1 and 3.5). As A <= |S32| + c A,
+    the bound is c |S32| / (1 - c). The pad is far above the float64
+    roundings of the bound and of the comparisons made against it.
+    """
+    gamma32 = k * _U32 / (1.0 - k * _U32)
+    gamma64 = k * _U64 / (1.0 - k * _U64)
+    c = _U32 + gamma32 * (1.0 + _U32) + gamma64
+    return c / (1.0 - c) * (1.0 + 2.0**-20)
 
 
 def density_correction(reads: int) -> float:
@@ -80,11 +108,32 @@ class Codebook:
     def codeword(self, m: int) -> CountVector:
         return CountVector(self.matrix[m])
 
-    @cached_property
+    @property
     def log_frequencies(self) -> np.ndarray:
-        out = self.matrix / self.tau
+        """ln(x_mi / tau) in float64, computed on each access; the codebook keeps
+        only its float32 copy."""
+        return self._log_rows(slice(None))
+
+    def _log_rows(self, rows) -> np.ndarray:
+        """ln(x_mi / tau) in float64 for `rows`, a row index or a slice of rows.
+
+        Each entry depends on its letter alone, so a row computed here is
+        bit for bit the same row of `log_frequencies`.
+        """
+        out = self.matrix[rows] / self.tau
         with np.errstate(divide="ignore"):
             return np.log(out, out=out)
+
+    @cached_property
+    def _score_table(self) -> np.ndarray:
+        """`log_frequencies` rounded to float32, built a block of rows at a time
+        so that no whole float64 table is ever held."""
+        table = np.empty(self.matrix.shape, dtype=np.float32)
+        step = max(1, _TABLE_BLOCK_LETTERS // self.n)
+        for start in range(0, len(self), step):
+            rows = slice(start, start + step)
+            table[rows] = self._log_rows(rows)
+        return table
 
     @cached_property
     def _first_copy(self) -> np.ndarray:
@@ -100,10 +149,11 @@ class Codebook:
     def _log_likelihoods(self, y: np.ndarray) -> np.ndarray:
         """S(y) = sum_i y_i ln(x_mi / tau) for every codeword m; -inf where x_mi = 0 < y_i.
 
-        One einsum reduction per call, not a BLAS matrix-vector product: a
-        threaded BLAS leaves its idle workers spinning through the caller's
-        next trial, and einsum's own loop gives the same scores at any BLAS
-        thread count.
+        The exact scores: one float64 einsum reduction over `log_frequencies`.
+        Not a BLAS matrix-vector product: a threaded BLAS leaves its idle
+        workers spinning through the caller's next trial, and einsum's own
+        loop gives the same scores at any BLAS thread count. The decoders
+        call it only for a trial that `_screen` leaves undecided.
         """
         log_frequencies = self.log_frequencies
         if not self._zero_free:
@@ -111,6 +161,29 @@ class Codebook:
             mask = y > 0
             log_frequencies, y = log_frequencies[:, mask], y[mask]
         return np.einsum("mi,i->m", log_frequencies, y.astype(float))
+
+    def _screen(self, y: np.ndarray):
+        """(S32, b): S(y) scored in float32, as float64, and a bound per row,
+        |S32_m - S64_m| <= b_m, S64 being `_log_likelihoods(y)`.
+
+        One einsum over the float32 table, masked as `_log_likelihoods` is, so
+        every term is <= 0 and `_screen_factor` applies. A row at -inf is -inf
+        in both precisions, with b = 0. None where the bound does not hold:
+        a count of 2^24 or more, which float32 does not hold exactly, or so
+        many terms that (k + 2) u32 > 0.1.
+        """
+        table = self._score_table
+        if not self._zero_free:
+            mask = y > 0
+            table, y = table[:, mask], y[mask]
+        k = y.size
+        if (k + 2) * _U32 > 0.1 or y.max(initial=0) >= 2**24:
+            return None
+        scores = np.einsum("mi,i->m", table, y.astype(np.float32)).astype(float)
+        bound = np.abs(scores) * _screen_factor(k)
+        if not self._zero_free:
+            bound[np.isneginf(scores)] = 0.0
+        return scores, bound
 
 
 def _sum_law(probs: np.ndarray, n: int) -> np.ndarray:
@@ -273,8 +346,22 @@ def decode_ml(y, codebook: Codebook, params: ChannelParams):
     statistic the threshold decoder shares; a codeword with a zero where y
     is positive scores -inf. Ties, copies of one codeword included, break
     to the lowest index; None signals that every codeword is impossible.
+
+    The float64 argmax lies among the screen's contenders, the rows whose
+    S32 + b reaches the largest S32 - b; when they are all copies of one
+    codeword, that codeword is the answer, else the trial is rescored in
+    float64.
     """
-    scores = codebook._log_likelihoods(_checked_counts(y, params))
+    y = _checked_counts(y, params)
+    screen = codebook._screen(y)
+    if screen is not None:
+        scores, bound = screen
+        if not np.any(scores > -np.inf):
+            return None
+        contenders = codebook._first_copy[scores + bound >= (scores - bound).max()]
+        if np.all(contenders == contenders[0]):
+            return int(contenders[0])
+    scores = codebook._log_likelihoods(y)
     if not np.any(scores > -np.inf):
         return None
     return int(codebook._first_copy[scores.argmax()])
@@ -295,10 +382,33 @@ def decode_threshold(
     codeword with a zero where y is positive never passes. The surrogate is
     `spec`, whose gain is used; `run_experiment` builds it once per run at
     gain params.reads / codebook.tau.
+
+    A row's verdict is read off the screen's S32 where its margin to the
+    threshold exceeds its bound b plus 8 float64 ulps of the terms added to
+    it, which covers the two roundings of the float64 verdict. The first
+    row that may pass decides the trial if its verdict is sure; otherwise
+    the trial is rescored in float64.
     """
     y = _checked_counts(y, params)
-    densities = codebook._log_likelihoods(y) + _density_offset(y, spec, codebook.tau)
-    passing = densities - density_correction(params.reads) > log_gamma
+    offset = _density_offset(y, spec, codebook.tau)
+    correction = density_correction(params.reads)
+    screen = codebook._screen(y) if math.isfinite(offset) else None
+    passing = None
+    if screen is not None:
+        scores, bound = screen
+        if not math.isfinite(log_gamma):
+            # a finite density clears -inf and nothing clears +inf
+            passing = scores > log_gamma
+        else:
+            margin = scores + (offset - correction - log_gamma)
+            bound = bound + 8 * _U64 * (abs(offset) + correction + abs(log_gamma))
+            sure = margin > bound
+            first_open = int(np.argmax(margin >= -bound))
+            if sure[first_open] or margin[first_open] < -bound[first_open]:
+                passing = sure
+    if passing is None:
+        densities = codebook._log_likelihoods(y) + offset
+        passing = densities - correction > log_gamma
     if not np.any(passing):
         return None
     return int(codebook._first_copy[np.argmax(passing)])
@@ -502,7 +612,7 @@ def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> E
         else:
             decoded = decode_ml(y, codebook, params)
         # finite: codewords drawn from the input law have no zero entry
-        score = np.einsum("i,i->", codebook.log_frequencies[true_m], y.astype(float))
+        score = np.einsum("i,i->", codebook._log_rows(true_m), y.astype(float))
         density = (score + _density_offset(y, spec, tau)) / config.n
         density_sum += density
         if decoded != true_m:

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -289,8 +290,9 @@ def test_first_copy_keys_letters_past_one_byte():
 
 
 def test_codebook_memory_stays_near_its_matrix():
-    # the coding benchmark's codebook, 256 x 2000 letters: its draw and its two derived
-    # tables each allocate at most half a matrix beyond what they keep
+    # the coding benchmark's codebook, 256 x 2000 letters: its draw allocates at most half
+    # a matrix beyond what it keeps, its row keys likewise, and the float32 score table at
+    # most an eighth of a matrix; no float64 table is kept
     pmf = truncated_rounded_input_pmf(8.0, 0.5)
     tau, _ = select_tau(pmf, 2000)
     tracemalloc.start()
@@ -298,13 +300,102 @@ def test_codebook_memory_stays_near_its_matrix():
         cb = generate_codebook(256, 2000, pmf, tau, RngStream(1))
         held = cb.matrix.nbytes
         assert tracemalloc.get_traced_memory()[1] <= 1.5 * held
-        for table in ("log_frequencies", "_first_copy"):
+        for table, extra in (("_score_table", 0.125), ("_first_copy", 0.5)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             kept = getattr(cb, table).nbytes
-            assert tracemalloc.get_traced_memory()[1] - before <= kept + 0.5 * held
+            assert tracemalloc.get_traced_memory()[1] - before <= kept + extra * held
     finally:
         tracemalloc.stop()
+    assert cb._score_table.dtype == np.float32
+    assert not any(
+        isinstance(value, np.ndarray) and value.dtype == np.float64 for value in vars(cb).values()
+    )
+
+
+@st.composite
+def screen_cases(draw):
+    """Codebooks of up to 20,000 letters per row, letters up to 2^20, zeros and
+    duplicate rows allowed, with an output drawn through one row or uniformly."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 20_000))
+    top = draw(st.sampled_from([1, 2, 30, 1000, 2**20]))
+    base = gen.integers(0 if draw(st.booleans()) else 1, top + 1, size=n)
+    base[0] = max(base[0], 1)
+    tau = int(base.sum())
+    rows = [gen.permutation(base) for _ in range(draw(st.integers(1, 4)))]
+    rows.append(gen.multinomial(tau, base / tau))
+    rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    matrix = np.array(rows)
+    reads = draw(st.integers(1, 10**6))
+    law = matrix[draw(st.integers(0, len(rows) - 1))] / tau if draw(st.booleans()) else None
+    y = gen.multinomial(reads, np.full(n, 1.0 / n) if law is None else law)
+    return Codebook(matrix, tau, len(rows)), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_cases())
+def test_screen_bound_holds_on_every_row(case):
+    cb, y = case
+    exact = cb._log_likelihoods(y)
+    scores, bound = cb._screen(y)
+    assert np.array_equal(np.isneginf(scores), np.isneginf(exact))
+    assert np.all(bound[np.isneginf(scores)] == 0.0)
+    finite = np.isfinite(exact)
+    assert np.all(np.abs(scores[finite] - exact[finite]) <= bound[finite])
+
+
+def test_screen_refuses_counts_float32_cannot_hold():
+    cb = Codebook(np.array([[3, 1], [1, 3]]), 4, 2)
+    assert cb._screen(np.array([2**24 - 1, 5])) is not None
+    assert cb._screen(np.array([2**24, 5])) is None
+
+
+@st.composite
+def tied_decoding_cases(draw):
+    """Copies of a codeword A and of B, A with its first two letters (1 and 2) swapped,
+    in any order, and an output through A that is equal at those two places: A and B
+    tie in exact arithmetic, so no screen separates them."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3000))
+    a = gen.integers(0 if draw(st.booleans()) else 1, draw(st.integers(2, 50)) + 1, size=n)
+    a[:2] = [1, 2]
+    tau = int(a.sum())
+    y = gen.multinomial(draw(st.integers(1, 10**5)), a / tau)
+    y[:2] = max(y[0], 1)
+    b = a.copy()
+    b[:2] = [2, 1]
+    both = st.lists(st.booleans(), min_size=2, max_size=6).filter(lambda c: len(set(c)) == 2)
+    copies = draw(both)
+    matrix = np.array([a if pick else b for pick in copies])
+    pmf = truncated_rounded_input_pmf(8.0, 0.5)
+    spec = PoissonChannelSpec(pmf, draw(st.floats(0.05, 2.0)))
+    return Codebook(matrix, tau, len(matrix)), spec, y, draw(st.floats(-0.25, 0.25))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_decoding_cases())
+def test_decoders_fall_back_inside_the_bound(case):
+    cb, spec, y, share = case
+    params = ChannelParams(cb.n, 1.0, y.sum() / cb.n)
+    exact = cb._log_likelihoods(y)
+    _, bound = cb._screen(y)
+    best = int(np.argmax(exact))
+    correction = density_correction(params.reads)
+    densities = exact + coding_experiment._density_offset(y, spec, cb.tau)
+    # log_gamma a quarter of the bound or less from the best row's corrected density
+    log_gamma = densities[best] - correction + share * bound[best]
+    passing = np.flatnonzero(densities - correction > log_gamma)
+    expected_threshold = int(cb._first_copy[passing[0]]) if passing.size else None
+    expected_ml = int(cb._first_copy[exact.argmax()])
+
+    calls = mock.patch.object(Codebook, "_log_likelihoods", autospec=True,
+                              side_effect=Codebook._log_likelihoods)
+    with calls as spy:
+        assert decode_ml(y, cb, params) == expected_ml
+        assert spy.call_count == 1
+        assert decode_threshold(y, cb, log_gamma, spec, params) == expected_threshold
+        assert spy.call_count == 2
 
 
 class TestDecodeMl:
@@ -619,6 +710,48 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.m == 2 and report.m_clamped
         assert any("clamped" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("decoder", ["threshold", "ml"])
+def test_screened_run_equals_the_exact_path(decoder, tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        n=2000, g=8.0, r=3.2, rho=0.5, delta=0.3, m=64, decoder=decoder, trials=200,
+        seed=3, spectrum_samples=500,
+    )
+    calls = []
+    exact_scores = Codebook._log_likelihoods
+    monkeypatch.setattr(Codebook, "_log_likelihoods",
+                        lambda self, y: calls.append(1) or exact_scores(self, y))
+    screened = run_experiment(config, trace_path=str(tmp_path / "screened.csv"))
+    # the screen decided every trial here
+    assert calls == []
+    # the exact path: no screen, and every float64 row cut from one whole-table log
+    monkeypatch.setattr(Codebook, "_screen", lambda self, y: None)
+
+    def rows_of_whole_table(self, rows):
+        with np.errstate(divide="ignore"):
+            return np.log(self.matrix / self.tau)[rows]
+
+    monkeypatch.setattr(Codebook, "_log_rows", rows_of_whole_table)
+    exact = run_experiment(config, trace_path=str(tmp_path / "exact.csv"))
+    assert len(calls) == config.trials
+    assert screened.to_json() == exact.to_json()
+    assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+    # frozen from the code that cached the whole float64 table; a float32 true row reads
+    # 0.61522594, 1e-7 away
+    assert screened.mean_true_density == pytest.approx(0.6152260058591774, rel=1e-12)
+
+
+def test_true_message_row_equals_log_frequencies_bit_for_bit():
+    pmf = truncated_rounded_input_pmf(8.0, 0.5)
+    tau, _ = select_tau(pmf, 2000)
+    cb = generate_codebook(64, 2000, pmf, tau, RngStream(3).substream(2))
+    table = cb.log_frequencies
+    assert table.dtype == np.float64
+    for m in range(len(cb)):
+        assert cb._log_rows(m).tobytes() == table[m].tobytes()
+    with_zeros = Codebook(np.array([[0, 5, 3], [4, 4, 0]]), 8, 2)
+    assert with_zeros._log_rows(0).tobytes() == with_zeros.log_frequencies[0].tobytes()
 
 
 def test_density_correction_value():

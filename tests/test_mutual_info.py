@@ -617,6 +617,20 @@ def laws_with_zero_rows(draw):
     return pmf, draw(st.floats(0.02, 30.0))
 
 
+@settings(max_examples=80, deadline=None)
+@given(laws_with_zero_rows(), st.floats(1.0, 10.0))
+def test_mi_between_zero_and_input_entropy_and_non_decreasing_in_gain(case, factor):
+    # Poi(a x) is a binomial thinning of Poi(a' x) for a <= a', so by data
+    # processing I(a) <= I(a') <= H(X); no oracle needed
+    pmf, gain = case
+    probs = pmf.probs[pmf.probs > 0]
+    h_x = float(-(probs * np.log(probs)).sum())
+    low = mutual_information(PoissonChannelSpec(pmf, gain))
+    high = mutual_information(PoissonChannelSpec(pmf, gain * factor))
+    assert -1e-12 <= low <= high + 1e-12
+    assert high <= h_x + 1e-12
+
+
 class TestLipschitzSeminorm:
     @settings(max_examples=60, deadline=None)
     @given(laws_with_zero_rows())
