@@ -29,7 +29,7 @@ import time
 from _harness import child_env, environment, parse_trees
 
 SAMPLES = 11
-# the README's CLI examples, in its order; `verify` keeps its default seed
+# the README's CLI examples, in its order; `verify` draws nothing and takes no seed
 COMMANDS = {
     "bounds": ["bounds", "--g", "100", "--r", "40"],
     "dna": ["dna", "--alphabet", "4", "--beta-log-a", "0.76", "--kl", "4e21"],

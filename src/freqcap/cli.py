@@ -3,7 +3,7 @@
 All numeric output is in nats unless --bits is given on subcommands that
 support it. Every command prints JSON, except `verify` (one line per check)
 and `figure2` (a CSV file); identical arguments always produce
-byte-identical output. The seed is --seed, else 0.
+byte-identical output. Seeds come from --seed (else 0) or an experiment config.
 """
 
 import argparse
@@ -175,7 +175,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_verify(args):
-    results = run_suite(args.suite, args.seed)
+    results = run_suite(args.suite)
     failed = 0
     for result in results:
         status = "PASS" if result.ok else "FAIL"
@@ -279,7 +279,6 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run the certified property checks")
     p.add_argument("--suite", type=str, default="appendix")
-    common(p, seed=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("figure2", help="emit the storage-bound CSV table")

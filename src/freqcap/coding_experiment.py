@@ -192,8 +192,8 @@ def _sum_law(probs: np.ndarray, n: int) -> np.ndarray:
 
     The n-fold convolution of the letter pmf, computed whole with one real
     FFT of length L = 2^ceil(log2(n (len(probs) - 1) + 1)), long enough that
-    the circular convolution does not wrap. Its error is absolute, about
-    1e-16 times the law's maximum.
+    the circular convolution does not wrap. Its error is absolute and grows with
+    n: 5.1e-15 at n = 269 for {0, 1, 0}, 1.5e-15 at n = 295 for (1/31, 30/31).
     """
     size = n * (probs.size - 1) + 1
     length = 1 << (size - 1).bit_length()
@@ -390,8 +390,13 @@ def decode_threshold(
     the trial is rescored in float64.
     """
     y = _checked_counts(y, params)
-    offset = _density_offset(y, spec, codebook.tau)
-    correction = density_correction(params.reads)
+    return _decode_threshold(y, codebook, log_gamma, _density_offset(y, spec, codebook.tau),
+                             params.reads)
+
+
+def _decode_threshold(y, codebook: Codebook, log_gamma: float, offset: float, reads: int):
+    """`decode_threshold` on checked counts y, given c(y) = `_density_offset`."""
+    correction = density_correction(reads)
     screen = codebook._screen(y) if math.isfinite(offset) else None
     passing = None
     if screen is not None:
@@ -607,13 +612,14 @@ def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> E
         if x.total != tau:
             raise RuntimeError(f"fixed-sum invariant violated at trial {t}")
         y = transmit(x, params, channel_root.substream(t)).counts
+        offset = _density_offset(y, spec, tau)
         if config.decoder == "threshold":
-            decoded = decode_threshold(y, codebook, log_gamma, spec, params)
+            decoded = _decode_threshold(y, codebook, log_gamma, offset, params.reads)
         else:
             decoded = decode_ml(y, codebook, params)
         # finite: codewords drawn from the input law have no zero entry
         score = np.einsum("i,i->", codebook._log_rows(true_m), y.astype(float))
-        density = (score + _density_offset(y, spec, tau)) / config.n
+        density = (score + offset) / config.n
         density_sum += density
         if decoded != true_m:
             errors += 1

@@ -316,6 +316,11 @@ class TestVerifyCommand:
         argv = ["-m", "freqcap.cli", "verify", "--suite", "appendix"]
         assert python_at_blas_threads(argv, "1") == python_at_blas_threads(argv, "2")
 
+    def test_seed_flag_is_gone(self):
+        # no check samples, so there is no seed to take
+        code, out, err = invoke(["verify", "--suite", "appendix", "--seed", "3"])
+        assert code == 2 and out == "" and "--seed" in err
+
     def test_unknown_suite(self):
         for name in ("nope", "all"):
             code, _, err = invoke(["verify", "--suite", name])

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
@@ -165,6 +166,15 @@ class TestSelectTau:
         tau, p_f = select_tau(pmf, n)
         assert tau == 2 * n + int(exact.argmax())
         assert p_f == pytest.approx(exact.max(), rel=1e-13)
+
+    @pytest.mark.parametrize("size, n", [(2, 8), (2, 32), (3, 16), (5, 4)])
+    def test_law_of_a_power_of_two_plus_one_bins(self, size, n):
+        # n (size - 1) + 1 = 2^k + 1 bins need an FFT of 2^(k + 1): one of 2^k would wrap
+        probs = DiscretePmf.from_weights(1, np.arange(1.0, size + 1)).probs
+        law = coding_experiment._sum_law(probs, n)
+        reference = log_domain_sum_law(probs, n)
+        assert law.size == reference.size == n * (size - 1) + 1
+        assert np.max(np.abs(law - reference)) <= 1e-15
 
     @pytest.mark.parametrize("n", [7, 13, 45, 841])
     def test_tied_modes_take_the_first(self, n):
@@ -343,6 +353,16 @@ def test_screen_bound_holds_on_every_row(case):
     assert np.all(bound[np.isneginf(scores)] == 0.0)
     finite = np.isfinite(exact)
     assert np.all(np.abs(scores[finite] - exact[finite]) <= bound[finite])
+
+
+@pytest.mark.parametrize("k", [1, 2000, 100_000])
+def test_screen_factor_keeps_every_term_of_its_bound(k):
+    # c / (1 - c) (1 + 2^-20), c = u32 + gamma32_k (1 + u32) + gamma64_k, in exact rationals:
+    # gamma64_k is 6e-9 of c, far below the pad and far above this tolerance
+    u32, u64 = Fraction(1, 2**24), Fraction(1, 2**53)
+    c = u32 + k * u32 / (1 - k * u32) * (1 + u32) + k * u64 / (1 - k * u64)
+    exact = c / (1 - c) * (1 + Fraction(1, 2**20))
+    assert coding_experiment._screen_factor(k) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_screen_refuses_counts_float32_cannot_hold():

@@ -879,11 +879,22 @@ class TestIMmpeIntegral:
             (two_point_13(), 0.5),
             (two_point_13(), 1.0),
             (two_point_13(), 2.0),
+            # 3 panels per decade miss the gate here; 6 do not
+            (DiscretePmf.from_weights(1, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 3.0]), 4.0),
+            (DiscretePmf.from_weights(1, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 3.0]), 10.0),
         ],
     )
     def test_agrees_with_mutual_information_to_1e12(self, pmf, gamma):
         mi = mutual_information(PoissonChannelSpec(pmf, gamma))
         assert abs(i_mmpe_integral(pmf, gamma) - mi) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws_with_zero_rows())
+    def test_agrees_with_mutual_information_on_random_laws(self, case):
+        # two independent routes: the band sum over z, and the gain integral of mmpe
+        pmf, gain = case
+        mi = mutual_information(PoissonChannelSpec(pmf, gain))
+        assert abs(i_mmpe_integral(pmf, gain) - mi) <= 1e-9
 
 
 class TestTruncationLoss:
