@@ -76,13 +76,28 @@ MUTATIONS = {
     ),
     "bobkov-ledoux-exponent-times-100": (
         "diagnostics.py",
-        "    return float((copies * np.log(mgf).sum(axis=1) + _CHERNOFF_S * a).min())",
-        "    return 100 * float((copies * np.log(mgf).sum(axis=1) + _CHERNOFF_S * a).min())",
+        "    return _least_over_tilts(lambda s: copies * np.log(rows.sums(s)).sum() + s * a)",
+        "    return 100 * _least_over_tilts(lambda s: copies * np.log(rows.sums(s)).sum() + s * a)",
     ),
-    "bobkov-ledoux-holder-tail-dropped": (
-        "diagnostics.py",
-        "    mgf += tails ** (1 - s[:, 0]) * tail ** s[:, 0]",
-        "    pass",
+    "chernoff-holder-tail-dropped": (
+        "mutual_info.py",
+        "        return out + self._tails ** (1 - s) * self._tail**s",
+        "        return out",
+    ),
+    "feinstein-exponent-times-2": (
+        "coding_experiment.py",
+        "    return _least_over_tilts(",
+        "    return 2 * _least_over_tilts(",
+    ),
+    "least-tilt-bisection-reversed": (
+        "mutual_info.py",
+        "        if at(mid + 1) < at(mid):",
+        "        if at(mid + 1) > at(mid):",
+    ),
+    "feinstein-threshold-correction-dropped": (
+        "coding_experiment.py",
+        "    log_threshold = log_gamma + correction",
+        "    log_threshold = log_gamma",
     ),
 }
 

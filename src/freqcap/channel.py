@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 10**6
+# transmit draws noiseless reads as object indices while the pool holds at most _POOL_LIMIT
+# objects (8 bytes each when listed) and there are at most _READS_PER_TYPE reads per type.
+# Past either, one multinomial draw over the types costs less (about 0.1 us a type) and
+# lists no pool, so memory does not grow with g.
+_POOL_LIMIT = 1 << 16
+_READS_PER_TYPE = 4
 
 
 @dataclass(frozen=True)
@@ -135,11 +141,27 @@ def validate_codeword(x: CountVector, params: ChannelParams):
     return None
 
 
+def _read_counts(counts: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Histogram of the types of the pool's objects at indices `objects`.
+
+    The pool lists counts[i] objects of type i, in type order; each read is
+    one index into it.
+    """
+    pool = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(pool[objects], minlength=counts.size)
+
+
 def transmit(x: CountVector, params: ChannelParams, rng: RngStream) -> CountVector:
     """One channel use: sample n*r reads with replacement from the pool of x.
 
-    Reads are perturbed by the kernel (applied to the pool concentrations)
-    before the histogram is taken; the output always sums to exactly n*r.
+    Noiseless reading from a small pool (at most _POOL_LIMIT objects, at
+    most _READS_PER_TYPE reads per type) draws n*r object indices uniformly
+    from the x.total objects and counts their types (`_read_counts`): the
+    multinomial law with probabilities x / x.total, at the cost of one
+    integer per read. Any other pool takes one multinomial draw from the
+    same law. With a kernel, the reads' law is the kernel applied to the
+    pool concentrations, drawn as one multinomial. The output always sums
+    to exactly n*r.
     """
     violation = validate_codeword(x, params)
     if violation is not None:
@@ -148,6 +170,11 @@ def transmit(x: CountVector, params: ChannelParams, rng: RngStream) -> CountVect
         raise NotImplementedError(
             f"dense outputs are limited to n <= {_DENSE_LIMIT}; larger n needs a sparse path"
         )
+    total = x.total
+    if (params.kernel is None and total <= _POOL_LIMIT
+            and params.reads <= _READS_PER_TYPE * params.n):
+        objects = rng.generator.integers(0, total, params.reads)
+        return CountVector(_read_counts(x.counts, objects))
     probs = x.frequencies()
     if params.kernel is not None:
         probs = params.kernel @ probs

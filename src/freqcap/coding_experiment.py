@@ -3,17 +3,23 @@
 Pipeline: build the integer input law, take the common codeword sum as the
 exact mode of a block sum, sample a fixed-sum random codebook (rejection on
 n - 8 letters, the last 8 drawn from their exact law given their sum),
-push codewords through the multinomial channel, and decode either by
+push codewords through the channel (`transmit`; from a small pool each
+read is an object index drawn uniformly from it), and decode either by
 scan-order threshold on the Poisson-surrogate information density or by
-exact maximum likelihood. Both decoders share one statistic,
-S(y) = sum_i y_i ln(x_i / tau); the surrogate (gain n r / tau) adds a term
-in y alone. A trial first scores all codewords with one float32 einsum
-over a float32 copy of ln(x / tau), with a certified bound on its distance
+exact maximum likelihood.
+Both decoders share one statistic, S(y) = sum_i y_i ln(x_i / tau); the
+surrogate (gain n r / tau) adds a term in y alone. A trial first scores
+all codewords with one float32 einsum over a float32 copy of
+ln(x / tau), with a certified bound on its distance
 to the float64 score (`Codebook._screen`); only a trial whose decision
 falls inside that bound is rescored in float64 (`Codebook._log_likelihoods`),
 so every decision is the float64 one. No score enters BLAS, so no idle BLAS
 worker spins between trials and no output depends on the BLAS thread
-count. Reports compare the empirical error against the Feinstein bound.
+count. Reports compare the empirical error against the Feinstein bound,
+whose spectrum term is a certified Chernoff-Hölder bound
+(`_spectrum_log_cdf_bound`), not a sampled frequency; a config with
+spectrum_samples > 0 also samples that term and fails if the sample
+exceeds the bound by more than 5 standard errors.
 """
 
 import json
@@ -27,7 +33,13 @@ import numpy as np
 from .capacity_bounds import achievability_bound, converse_bound
 from .channel import ChannelParams, CountVector, transmit
 from .distributions import DiscretePmf, RngStream, truncated_rounded_input_pmf
-from .mutual_info import PoissonChannelSpec, mutual_information, spectrum_mc
+from .mutual_info import (
+    PoissonChannelSpec,
+    _least_over_tilts,
+    _TiltedRows,
+    mutual_information,
+    spectrum_mc,
+)
 from .special_math import log_factorial  # noqa: F401  (perfbench/spans.py traces this name)
 
 __all__ = [
@@ -419,6 +431,37 @@ def _decode_threshold(y, codebook: Codebook, log_gamma: float, offset: float, re
     return int(codebook._first_copy[np.argmax(passing)])
 
 
+def _spectrum_log_cdf_bound(input_pmf: DiscretePmf, gain: float, z_max: int, n: int,
+                            log_threshold: float) -> float:
+    """Certified ln P[i(X_1, Z_1) + ... + i(X_n, Z_n) <= log_threshold] for n IID
+    letters X_k of `input_pmf`, Z_k ~ Poisson(gain X_k).
+
+    Chernoff at tilt -s, then Hölder past z_max (`_TiltedRows`): the least
+    over _CHERNOFF_S of n ln sum_x w_x sums(s)[x] + s log_threshold.
+    """
+    rows = _TiltedRows(input_pmf, gain, z_max)
+    return _least_over_tilts(
+        lambda s: n * np.log(np.einsum("x,x->", rows.sums(s), input_pmf.probs)) + s * log_threshold
+    )
+
+
+def _check_spectrum_bound(spec: PoissonChannelSpec, n: int, samples: int, rng: RngStream,
+                          theta: float, bound: float) -> None:
+    """Sample the spectrum CDF at theta (`spectrum_mc`) and raise ArithmeticError if the
+    frequency exceeds the certified `bound` by more than 5 standard errors.
+
+    The standard error is that of a frequency with mean min(bound, 1/2), the
+    largest of any frequency whose mean is at most the bound.
+    """
+    frequency = spectrum_mc(spec, n, samples, rng, thresholds=[theta]).cdf[0]
+    q = min(bound, 0.5)
+    if frequency > bound + 5.0 * math.sqrt(q * (1.0 - q) / samples):
+        raise ArithmeticError(
+            f"sampled spectrum CDF {frequency!r} at {theta!r} exceeds the certified "
+            f"bound {bound!r} by more than 5 standard errors ({samples} samples)"
+        )
+
+
 @dataclass(frozen=True)
 class FeinsteinBound:
     """Threshold-decoding error bound (CDF term + M/gamma term) / P[F]."""
@@ -463,7 +506,7 @@ class ExperimentConfig:
     decoder: str = "threshold"
     trials: int = 200
     seed: int = 0
-    spectrum_samples: int = 2000
+    spectrum_samples: int = 0  # > 0: cross-check the certified spectrum CDF by sampling
     max_attempts_per_word: int = 200_000
 
     def __post_init__(self):
@@ -471,6 +514,8 @@ class ExperimentConfig:
             raise ValueError(f"decoder must be 'threshold' or 'ml', got {self.decoder!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.spectrum_samples < 0:
+            raise ValueError("spectrum_samples must be >= 0")
         if self.m is not None and self.m < 2:
             raise ValueError("M must be >= 2")
 
@@ -587,17 +632,20 @@ def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> E
         ),
     )
 
-    spectrum = stage(
+    # the densities are compared with log_gamma after the correction is taken off
+    log_threshold = log_gamma + correction
+    log_cdf = stage(
         "spectrum",
-        lambda: spectrum_mc(
-            spec,
-            config.n,
-            config.spectrum_samples,
-            rng.substream(5),
-            thresholds=[(log_gamma + correction) / config.n],
-        ),
+        lambda: _spectrum_log_cdf_bound(input_pmf, gain, spec.z_max, config.n, log_threshold),
     )
-    feinstein = feinstein_rhs(spectrum.cdf[0], m, log_gamma, p_f)
+    spectrum_cdf = math.exp(min(0.0, log_cdf))
+    if config.spectrum_samples > 0:
+        stage(
+            "spectrum-check",
+            lambda: _check_spectrum_bound(spec, config.n, config.spectrum_samples,
+                                          rng.substream(5), log_threshold / config.n, spectrum_cdf),
+        )
+    feinstein = feinstein_rhs(spectrum_cdf, m, log_gamma, p_f)
 
     message_stream = rng.substream(3)
     channel_root = rng.substream(4)
@@ -650,7 +698,7 @@ def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> E
         achievability=achievability_bound(config.g, config.r),
         converse=converse_bound(config.g, config.r),
         log_gamma=log_gamma,
-        spectrum_cdf_at_gamma=spectrum.cdf[0],
+        spectrum_cdf_at_gamma=spectrum_cdf,
         feinstein_value=feinstein.value,
         feinstein_saturated=feinstein.saturated,
         trials=config.trials,

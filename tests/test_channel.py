@@ -1,4 +1,8 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from scipy.stats import chi2
 
 from freqcap.channel import (
     ChannelParams,
+    _read_counts,
     CountVector,
     event_poissonization_factor,
     multinomial_poisson_ratio_log,
@@ -14,7 +19,7 @@ from freqcap.channel import (
     transmit_poissonized,
     validate_codeword,
 )
-from freqcap.distributions import RngStream, poisson_log_pmf
+from freqcap.distributions import RngStream, multinomial_sample, poisson_log_pmf
 
 FIG1 = CountVector([3, 4, 1, 0, 2, 2])
 
@@ -116,6 +121,64 @@ class TestTransmit:
         params = ChannelParams(2, 4.0, 2.0, kernel)
         y = transmit(CountVector([8, 0]), params, RngStream(5))
         assert y.counts.tolist() == [0, 4]
+
+    @pytest.mark.parametrize("x", [(2, 1, 0, 3), (1, 1), (3, 0, 2), (5,)])
+    @pytest.mark.parametrize("reads", [1, 2, 3])
+    def test_object_index_draw_has_the_multinomial_law(self, x, reads):
+        # every tuple of object indices is equally likely; the histograms they map to
+        # must carry the multinomial pmf, exactly
+        counts, tau = np.array(x), sum(x)
+        law = Counter(
+            tuple(_read_counts(counts, np.array(objects)).tolist())
+            for objects in itertools.product(range(tau), repeat=reads)
+        )
+        drawn = {y: Fraction(hits, tau**reads) for y, hits in law.items()}
+        expected = {}
+        for y in itertools.product(range(reads + 1), repeat=len(x)):
+            if sum(y) != reads:
+                continue
+            pmf = Fraction(math.factorial(reads))
+            for yi, xi in zip(y, x):
+                pmf *= Fraction(xi, tau) ** yi / math.factorial(yi)
+            if pmf:
+                expected[y] = pmf
+        assert drawn == expected
+
+    @pytest.mark.parametrize("counts, r", [
+        ([3 * 10**11, 1, 0, 9 * 10**11 - 1], 2.5),  # a pool of 1.2e12 objects
+        ([7, 0, 9, 4], 6.0),  # 6 reads per type
+    ])
+    def test_large_pools_and_many_reads_take_one_multinomial(self, counts, r):
+        # neither lists its pool: the output is the multinomial draw over the types, byte
+        # for byte, and the draw allocates next to nothing
+        x = CountVector(counts)
+        params = ChannelParams(4, x.total / 4, r)
+        expected = multinomial_sample(params.reads, x.frequencies(), RngStream(3))
+        tracemalloc.start()
+        try:
+            y = transmit(x, params, RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.counts.tobytes() == expected.tobytes()
+        assert peak < 64 * 1024
+
+    def test_reruns_are_byte_identical(self):
+        params = ChannelParams(6, 2.0, 3.0)
+        first = transmit(FIG1, params, RngStream(8, 1)).counts
+        again = transmit(FIG1, params, RngStream(8, 1)).counts
+        assert first.dtype == np.int64 and first.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [2, 1, 14, 7]), (1, [4, 0, 18, 2]), (2, [8, 3, 7, 6]),
+    ])
+    def test_kernel_path_keeps_its_multinomial_draw(self, seed, expected):
+        # frozen from the code that drew every output as one multinomial
+        kernel = np.array([[0.7, 0.1, 0.0, 0.2], [0.1, 0.8, 0.1, 0.0],
+                           [0.1, 0.1, 0.8, 0.1], [0.1, 0.0, 0.1, 0.7]])
+        params = ChannelParams(4, 5.0, 6.0, kernel)
+        y = transmit(CountVector([7, 0, 9, 4]), params, RngStream(seed))
+        assert y.counts.tolist() == expected
 
 
 class TestTransmitPoissonized:

@@ -131,6 +131,22 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["output"] == [0, 4]
 
+    def test_kernel_output_is_frozen(self, tmp_path):
+        # the kernel path draws one multinomial, as it did before noiseless reads
+        # became object indices: these bytes are that code's
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text("[[0.9, 0.05, 0.0], [0.1, 0.9, 0.2], [0.0, 0.05, 0.8]]")
+        code, out, _ = invoke(
+            ["simulate", "--g", "3", "--r", "4", "--codeword", "3,4,2",
+             "--kernel", str(kernel), "--seed", "0"]
+        )
+        assert code == 0
+        assert out.replace(str(kernel), "K") == (
+            '{\n  "config": {\n    "codeword": "3,4,2",\n    "g": 3.0,\n    "kernel": "K",\n'
+            '    "n": 3,\n    "poissonized": false,\n    "r": 4.0,\n    "seed": 0\n  },\n'
+            '  "output": [\n    1,\n    9,\n    2\n  ],\n  "output_total": 12\n}\n'
+        )
+
     def test_fractional_read_count_is_domain_error(self):
         code, _, err = invoke(
             ["simulate", "--g", "2", "--r", "3.0001", "--codeword", "3,4,1,0,2,2"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
 from scipy.stats import chi2
 
-from freqcap import coding_experiment
+from freqcap import coding_experiment, mutual_info
 from freqcap.channel import ChannelParams, CountVector, transmit
 from freqcap.coding_experiment import (
     Codebook,
@@ -26,8 +26,13 @@ from freqcap.coding_experiment import (
     run_experiment,
     select_tau,
 )
-from freqcap.distributions import DiscretePmf, RngStream, truncated_rounded_input_pmf
-from freqcap.mutual_info import PoissonChannelSpec, mutual_information
+from freqcap.distributions import (
+    DiscretePmf,
+    RngStream,
+    poisson_log_pmf,
+    truncated_rounded_input_pmf,
+)
+from freqcap.mutual_info import PoissonChannelSpec, mutual_information, spectrum_mc
 from freqcap.special_math import log_factorial as fc_log_factorial
 
 
@@ -595,6 +600,116 @@ class TestFeinsteinRhs:
             feinstein_rhs(0.1, 2, 0.0, 0.0)
 
 
+def mp_spectrum_log_cdf_bound(law, gain, z_max, n, log_threshold, dps=30):
+    """The grid minimum of `_spectrum_log_cdf_bound` in `dps`-digit arithmetic: P_Z
+    and the tails T_x straight from their definitions."""
+    with mp.workdps(dps):
+        ws = [mp.mpf(float(w)) for w in law.probs]
+        lams = [mp.mpf(gain) * int(x) for x in law.support]
+        log_p = [[-lam + z * mp.log(lam) - mp.loggamma(z + 1) for z in range(z_max + 1)]
+                 for lam in lams]
+        log_pz = [mp.log(mp.fsum(w * mp.exp(row[z]) for w, row in zip(ws, log_p)))
+                  for z in range(z_max + 1)]
+        tails = [mp.gammainc(z_max + 1, 0, lam, regularized=True) for lam in lams]
+        tail = mp.fsum(w * t for w, t in zip(ws, tails))
+        values = []
+        for s in map(mp.mpf, mutual_info._CHERNOFF_S):
+            mgf = mp.fsum(
+                w * (mp.fsum(mp.exp((1 - s) * lp + s * lpz) for lp, lpz in zip(row, log_pz))
+                     + t ** (1 - s) * tail**s)
+                for w, row, t in zip(ws, log_p, tails))
+            values.append(n * mp.log(mgf) + s * log_threshold)
+        return float(min(values))
+
+
+class TestCertifiedSpectrumTail:
+    """The Feinstein bound's spectrum term: a Chernoff-Hölder bound, not a frequency."""
+
+    CODING = dict(n=2000, g=8.0, r=3.2, rho=0.5, delta=0.3, m=256, trials=1, seed=1)
+
+    def test_grid_minimum_matches_mpmath_at_the_coding_config(self):
+        report = run_experiment(ExperimentConfig(**self.CODING))
+        law = truncated_rounded_input_pmf(8.0, 0.5)
+        reads = ChannelParams(2000, 8.0, 3.2).reads
+        spec = PoissonChannelSpec(law, reads / report.tau)
+        log_threshold = report.log_gamma + density_correction(reads)
+        expected = mp_spectrum_log_cdf_bound(law, spec.gain, spec.z_max, 2000, log_threshold)
+        assert math.log(report.spectrum_cdf_at_gamma) == pytest.approx(expected, abs=1e-9)
+        # ln P <= -465.70, at the tilt s = 0.64
+        assert 0.0 < report.spectrum_cdf_at_gamma <= math.exp(-465.0)
+
+    def test_grid_minimum_matches_mpmath_where_the_holder_term_counts(self):
+        # z_max = 3 leaves a fifth to four fifths of a row's mass past the table
+        law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
+        value = coding_experiment._spectrum_log_cdf_bound(law, 1.0, 3, 5, -1.0)
+        assert value == pytest.approx(mp_spectrum_log_cdf_bound(law, 1.0, 3, 5, -1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("z_max", [3, 40])
+    def test_bound_dominates_the_exact_tail(self, n, z_max):
+        # every (x, z) letter with z <= 40, where each row misses less than 1e-30, and
+        # every sequence of n of them
+        law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
+        log_p = poisson_log_pmf(np.arange(41), np.arange(1.0, 4.0)[:, None])
+        density = (log_p - np.logaddexp.reduce(log_p + law.log_weights[:, None], axis=0)).ravel()
+        prob = (np.exp(log_p) * law.probs[:, None]).ravel()
+        mi = float(prob @ density)
+        sums, probs = density, prob
+        for _ in range(n - 1):
+            sums = np.add.outer(sums, density).ravel()
+            probs = np.multiply.outer(probs, prob).ravel()
+        for gap in (0.1, 0.3, 0.5):
+            log_threshold = n * (mi - gap)
+            exact = probs[sums <= log_threshold].sum()
+            bound = coding_experiment._spectrum_log_cdf_bound(law, 1.0, z_max, n, log_threshold)
+            assert 0.04 < exact <= math.exp(bound)
+
+    def test_default_run_samples_no_spectrum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum_mc called")
+
+        monkeypatch.setattr(coding_experiment, "spectrum_mc", refuse)
+        config = ExperimentConfig(n=24, g=8.0, r=0.5, rho=0.5, m=16, trials=10, seed=9)
+        assert config.spectrum_samples == 0
+        report = run_experiment(config)
+        assert 0.0 < report.spectrum_cdf_at_gamma < 1.0
+
+    def test_sampled_check_fails_under_a_lowered_bound(self, monkeypatch):
+        # at delta = 0.05 the certified CDF is 0.66 and the sampled frequency 0.17
+        config = ExperimentConfig(n=24, g=8.0, r=0.5, rho=0.5, delta=0.05, m=16, trials=10,
+                                  seed=9, spectrum_samples=500)
+        assert run_experiment(config).spectrum_cdf_at_gamma == pytest.approx(0.6577, abs=1e-4)
+        monkeypatch.setattr(coding_experiment, "_spectrum_log_cdf_bound",
+                            lambda *args: math.log(0.05))
+        with pytest.raises(RuntimeError, match="spectrum-check.*exceeds the certified bound"):
+            run_experiment(config)
+
+    def test_sampled_frequency_stays_under_the_bound(self):
+        # the check that spectrum_samples > 0 runs, made directly: spectrum_mc at theta
+        # against the certified value, where the bound is loose (0.66 against 0.17)
+        law = truncated_rounded_input_pmf(8.0, 0.5)
+        spec = PoissonChannelSpec(law, 0.4)
+        for gap in (0.05, 0.2):
+            log_threshold = 24 * (mutual_information(spec) - gap)
+            bound = math.exp(coding_experiment._spectrum_log_cdf_bound(
+                law, spec.gain, spec.z_max, 24, log_threshold))
+            frequency = spectrum_mc(spec, 24, 4000, RngStream(3),
+                                    thresholds=[log_threshold / 24]).cdf[0]
+            assert 0.0 < frequency <= bound
+
+    def test_a_threshold_far_above_n_i_reports_probability_one(self):
+        # delta = -2000 puts ln gamma 96,000 above n I: the bound's exponent passes 709
+        config = ExperimentConfig(n=24, g=8.0, r=0.5, rho=0.5, delta=-2000.0, m=16, trials=5,
+                                  seed=9)
+        assert coding_experiment._spectrum_log_cdf_bound(
+            truncated_rounded_input_pmf(8.0, 0.5), 0.4, 40, 24, 96_000.0) > 709.0
+        assert run_experiment(config).spectrum_cdf_at_gamma == 1.0
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="spectrum_samples"):
+            ExperimentConfig(n=24, g=8.0, r=0.5, spectrum_samples=-1)
+
+
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -757,9 +872,9 @@ def test_screened_run_equals_the_exact_path(decoder, tmp_path, monkeypatch):
     assert len(calls) == config.trials
     assert screened.to_json() == exact.to_json()
     assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
-    # frozen from the code that cached the whole float64 table; a float32 true row reads
-    # 0.61522594, 1e-7 away
-    assert screened.mean_true_density == pytest.approx(0.6152260058591774, rel=1e-12)
+    # frozen from the code that cached the whole float64 table, with reads drawn as object
+    # indices; a float32 true row reads 0.61555525, 6e-8 away
+    assert screened.mean_true_density == pytest.approx(0.6155553183401331, rel=1e-12)
 
 
 def test_true_message_row_equals_log_frequencies_bit_for_bit():

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from freqcap import diagnostics
+from freqcap import diagnostics, mutual_info
 from freqcap.channel import poissonization_identity_check
 from freqcap.diagnostics import SUITES, run_suite
 from freqcap.distributions import DiscretePmf, poisson_log_pmf
@@ -141,7 +141,7 @@ def mp_chernoff_log_tail(xs, gain, copies, delta, z_max):
         tails = [mp.gammainc(z_max + 1, 0, lam, regularized=True) for lam in lams]
         tail = mp.fsum(tails) / len(xs)
         values = []
-        for s in map(mp.mpf, diagnostics._CHERNOFF_S):
+        for s in map(mp.mpf, mutual_info._CHERNOFF_S):
             sums = [mp.fsum(mp.exp((1 - s) * lp + s * lpz) for lp, lpz in zip(row, log_pz))
                     + t ** (1 - s) * tail**s for row, t in zip(log_p, tails)]
             values.append(copies * mp.fsum(map(mp.log, sums)) + s * a)

@@ -695,6 +695,55 @@ class TestBobkovLedoux:
         assert bobkov_ledoux_bound(ln8, 4.0, 400, 0.35) == pytest.approx(expected, rel=1e-15)
 
 
+class TestLeastOverTilts:
+    """The certified tails take their least tilt by bisection, not by scanning the grid."""
+
+    @staticmethod
+    def counted(objective):
+        calls = []
+
+        def wrapped(s):
+            calls.append(s)
+            return objective(s)
+
+        return wrapped, calls
+
+    @pytest.mark.parametrize("gap", [-0.5, 0.0, 0.05, 0.3, 1.0, 5.0])
+    def test_finds_the_grid_minimum_of_the_spectrum_tail(self, gap):
+        # the coding configs' law and gain, z_max 97; the minimum moves from s = 0.01 to s = 1
+        law = truncated_rounded_input_pmf(8.0, 0.5)
+        rows = mutual_info._TiltedRows(law, 0.4, 97)
+        log_threshold = 2000 * (mutual_information(PoissonChannelSpec(law, 0.4)) - gap)
+
+        def objective(s):
+            return 2000 * np.log(rows.sums(s) @ law.probs) + s * log_threshold
+
+        wrapped, calls = self.counted(objective)
+        grid = [float(objective(s)) for s in mutual_info._CHERNOFF_S]
+        assert mutual_info._least_over_tilts(wrapped) == min(grid)
+        assert len(set(calls)) <= 14
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0, 0.0])
+    def test_linear_objectives_end_at_a_grid_end(self, slope):
+        wrapped, calls = self.counted(lambda s: slope * s)
+        least = mutual_info._least_over_tilts(wrapped)
+        assert least == min(slope * 0.01, slope * 1.0)
+        assert len(set(calls)) <= 14
+
+    def test_rows_match_the_table_they_replace(self):
+        # one tilt's sums and the means against the whole (letters x outputs) table
+        law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
+        rows = mutual_info._TiltedRows(law, 1.0, 40)
+        log_p = poisson_log_pmf(np.arange(41), np.arange(1.0, 4.0)[:, None])
+        log_pz = np.logaddexp.reduce(log_p + law.log_weights[:, None], axis=0)
+        np.testing.assert_allclose(rows.means(), (np.exp(log_p) * (log_p - log_pz)).sum(axis=1),
+                                   rtol=1e-14)
+        tails = gammainc(41, np.arange(1.0, 4.0))
+        expected = (np.exp(0.6 * log_p + 0.4 * log_pz).sum(axis=1)
+                    + tails**0.6 * (law.probs @ tails)**0.4)
+        np.testing.assert_allclose(rows.sums(0.4), expected, rtol=1e-14)
+
+
 def mmpe_bruteforce(xs, ws, a, z_hi=400):
     """Oracle: posterior-mean estimator error by raw summation."""
     z = np.arange(z_hi)
@@ -940,6 +989,17 @@ class TestTruncationLoss:
             t3 = scale * mpmath.log(1 / mpmath.mpf(window.s_min)) * upper
             assert abs((loss.t2 - t2) / t2) <= 1e-13
             assert abs((loss.t3 - t3) / t3) <= 1e-13
+
+    @pytest.mark.parametrize("g, rho", [(1e2, 0.1), (1e4, 0.5), (1e24, 0.1), (1e24, 0.5),
+                                        (1e28, 0.1)])
+    def test_small_value_term_matches_mpmath(self, g, rho):
+        # P(1/2, x) at x = s_min / (2g) down to 5e-85, where scipy's gammainc(0.5, x)
+        # is 9.2e-15 relative off and erf(sqrt(x)) within 1e-16
+        window = distributions.TruncationInterval.for_budget(g, rho)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(window.s_min) / (2 * mpmath.mpf(g))
+            t1 = mpmath.mpf(window.s_max) * mpmath.gammainc(0.5, 0, x, regularized=True)
+        assert abs((truncation_loss_terms(g, rho).t1 - t1) / t1) <= 5e-16
 
     def test_domain(self):
         with pytest.raises(ValueError):
