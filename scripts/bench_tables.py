@@ -1,6 +1,6 @@
 """Layer benchmark of the banded Poisson tables behind the exact surrogate MI.
 
-Times nine fixed cases, each in its own fresh process, for one or more
+Times ten fixed cases, each in its own fresh process, for one or more
 source trees, and prints the median CPU and wall seconds of REPEATS runs
 after one warm-up run, and the `tracemalloc` peak of one more, untimed run:
 
@@ -16,7 +16,12 @@ after one warm-up run, and the `tracemalloc` peak of one more, untimed run:
 - `mmpe` at g=500, rho=0.5 and the single gain 0.3;
 - the `spectrum` operation of the end-to-end `surrogate` workload: the
   spec for g=8, rho=0.5, gain 0.4, then `spectrum_mc` at n=2000 with 4000
-  samples (8M letters) and thresholds 0.5, 0.6.
+  samples (8M letters) and thresholds 0.5, 0.6;
+- the certified spectrum tail of `experiment` (`_spectrum_log_cdf_bound`)
+  at g=200, rho=0.5, gain 0.4, n=2000 and theta = I - 0.1, with the spec
+  and I computed once, outside the timing; the case calls whichever
+  signature the tree has, `(spec, z_max, ...)` or the older
+  `(input_pmf, gain, z_max, ...)`.
 
     python scripts/bench_tables.py                       # this checkout's src/
     python scripts/bench_tables.py parent=/path/to/other/src change=src > BENCH_tables.json
@@ -45,7 +50,21 @@ REPEATS = 5
 BLAS_THREADS = ("2", "1")
 CASES = ("poisson_entropy_g500", "spec_build_g500", "mutual_information_g500",
          "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200", "mmpe_panel_g500",
-         "mmpe_gain_g500", "spectrum_g8")
+         "mmpe_gain_g500", "spectrum_g8", "spectrum_tail_g200")
+
+
+def _spectrum_tail(law, gain, n, gap):
+    """The certified ln P[sum of n densities <= n (I - gap)], timed without its spec and I."""
+    import inspect
+
+    from freqcap.coding_experiment import _spectrum_log_cdf_bound
+    from freqcap.mutual_info import PoissonChannelSpec, mutual_information
+
+    spec = PoissonChannelSpec(law, gain)
+    log_threshold = n * (mutual_information(spec) - gap)
+    if "spec" in inspect.signature(_spectrum_log_cdf_bound).parameters:
+        return lambda: _spectrum_log_cdf_bound(spec, spec.z_max, n, log_threshold)
+    return lambda: _spectrum_log_cdf_bound(law, gain, spec.z_max, n, log_threshold)
 
 
 def _child(case):
@@ -62,6 +81,8 @@ def _child(case):
     means = 0.4 * g500.support.astype(float)
     gains = 0.3 + 0.1 * np.polynomial.legendre.leggauss(16)[0]
     spec = PoissonChannelSpec(g500, 0.4) if case == "mutual_information_g500" else None
+    tail = (_spectrum_tail(truncated_rounded_input_pmf(200.0, 0.5), 0.4, 2000, 0.1)
+            if case == "spectrum_tail_g200" else None)
     run = {
         "poisson_entropy_g500": lambda: float(poisson_entropy(means).sum()),
         "spec_build_g500": lambda: float(np.exp(PoissonChannelSpec(g500, 0.4).log_pz).sum()),
@@ -73,6 +94,7 @@ def _child(case):
         "mmpe_gain_g500": lambda: mmpe(g500, 0.3),
         "spectrum_g8": lambda: spectrum_mc(PoissonChannelSpec(g8, 0.4), 2000, 4000,
                                            RngStream(1), (0.5, 0.6)).mean,
+        "spectrum_tail_g200": tail,
     }[case]
     run()  # warm-up: imports, tables and caches
     cpu, wall = [], []

@@ -45,9 +45,14 @@ MUTATIONS = {
         "    -1 / 12, -1 / 24, -19 / 360, -9 / 80, -863 / 2520, -1375 / 1008, -33953 / 5040",
     ),
     "band-tails-gammainc-gammaincc-swapped": (
-        "mutual_info.py",
-        "        missed = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)",
-        "        missed = gammainc(lo, lam) + gammaincc(hi + 1.0, lam)",
+        "distributions.py",
+        "    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)",
+        "    return gammainc(lo, lam) + gammaincc(hi + 1.0, lam)",
+    ),
+    "window-lower-tail-dropped": (
+        "distributions.py",
+        "    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)",
+        "    return gammainc(hi + 1.0, lam)",
     ),
     "poissonization-box-only-slab-y0-0": (
         "channel.py",

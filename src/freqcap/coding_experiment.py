@@ -59,6 +59,9 @@ __all__ = [
 # letters of each codeword drawn from their exact law given the rest's sum
 _COMPLETED_LETTERS = 8
 
+# `generate_codebook` raises once its candidates pass this many per codeword
+_MAX_ATTEMPTS_PER_WORD = 200_000
+
 # letters per row block when the float32 score table is built
 _TABLE_BLOCK_LETTERS = 1 << 14
 
@@ -271,7 +274,6 @@ def generate_codebook(
     input_pmf: DiscretePmf,
     tau: int,
     rng: RngStream,
-    max_attempts_per_word: int = 200_000,
 ) -> Codebook:
     """Sample M IID codewords from the product law conditioned on sum tau.
 
@@ -290,7 +292,7 @@ def generate_codebook(
     to sum tau: the IID law conditioned on the sum, the same target as
     rejection on the full sum, at 1 / max_s P_k(s) times its acceptance
     rate. Duplicates are allowed. `attempts` counts candidates. Raises with
-    the observed acceptance rate if the attempt budget runs out.
+    the observed acceptance rate past _MAX_ATTEMPTS_PER_WORD per codeword.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -301,7 +303,7 @@ def generate_codebook(
     tail = laws[k]
     tail_max = tail.max()
     gen = rng.generator
-    budget = max_attempts_per_word * M
+    budget = _MAX_ATTEMPTS_PER_WORD * M
     batch = 4096
     words = np.empty((M, n), dtype=np.int64)
     filled = attempts = 0
@@ -431,17 +433,17 @@ def _decode_threshold(y, codebook: Codebook, log_gamma: float, offset: float, re
     return int(codebook._first_copy[np.argmax(passing)])
 
 
-def _spectrum_log_cdf_bound(input_pmf: DiscretePmf, gain: float, z_max: int, n: int,
+def _spectrum_log_cdf_bound(spec: PoissonChannelSpec, z_max: int, n: int,
                             log_threshold: float) -> float:
     """Certified ln P[i(X_1, Z_1) + ... + i(X_n, Z_n) <= log_threshold] for n IID
-    letters X_k of `input_pmf`, Z_k ~ Poisson(gain X_k).
+    letters X_k of the input law of `spec`, Z_k ~ Poisson(gain X_k).
 
     Chernoff at tilt -s, then Hölder past z_max (`_TiltedRows`): the least
     over _CHERNOFF_S of n ln sum_x w_x sums(s)[x] + s log_threshold.
     """
-    rows = _TiltedRows(input_pmf, gain, z_max)
+    rows = _TiltedRows(spec, z_max)
     return _least_over_tilts(
-        lambda s: n * np.log(np.einsum("x,x->", rows.sums(s), input_pmf.probs)) + s * log_threshold
+        lambda s: n * np.log(np.einsum("x,x->", rows.sums(s), rows.weights)) + s * log_threshold
     )
 
 
@@ -507,7 +509,6 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     spectrum_samples: int = 0  # > 0: cross-check the certified spectrum CDF by sampling
-    max_attempts_per_word: int = 200_000
 
     def __post_init__(self):
         if self.decoder not in ("threshold", "ml"):
@@ -627,16 +628,14 @@ def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> E
 
     codebook = stage(
         "codebook",
-        lambda: generate_codebook(
-            m, config.n, input_pmf, tau, rng.substream(2), config.max_attempts_per_word
-        ),
+        lambda: generate_codebook(m, config.n, input_pmf, tau, rng.substream(2)),
     )
 
     # the densities are compared with log_gamma after the correction is taken off
     log_threshold = log_gamma + correction
     log_cdf = stage(
         "spectrum",
-        lambda: _spectrum_log_cdf_bound(input_pmf, gain, spec.z_max, config.n, log_threshold),
+        lambda: _spectrum_log_cdf_bound(spec, spec.z_max, config.n, log_threshold),
     )
     spectrum_cdf = math.exp(min(0.0, log_cdf))
     if config.spectrum_samples > 0:

@@ -135,12 +135,12 @@ def _check_relative_chernoff():
     return _tail_check("relative-chernoff-mc", pairs)
 
 
-def _chernoff_log_tail(input_pmf, gain, copies, delta, z_max):
+def _chernoff_log_tail(spec, copies, delta, z_max):
     """Certified ln P[S <= a] for the information density S of `copies` of each letter
-    x of `input_pmf`, Z ~ Poisson(gain x): the least over _CHERNOFF_S of s a + copies
-    sum_x ln(sum_{z <= z_max} p^(1-s) P_Z^s + T_x^(1-s) T^s) (Chernoff, then Hölder past
-    z_max; `_TiltedRows`), a = E S - n delta summed on 0..z_max."""
-    rows = _TiltedRows(input_pmf, gain, z_max)
+    x of the input law of `spec`, Z ~ Poisson(gain x): the least over _CHERNOFF_S of
+    s a + copies sum_x ln(sum_{z <= z_max} p^(1-s) P_Z^s + T_x^(1-s) T^s) (Chernoff,
+    then Hölder past z_max; `_TiltedRows`), a = E S - n delta summed on 0..z_max."""
+    rows = _TiltedRows(spec, z_max)
     means = rows.means()
     a = copies * float(means.sum()) - copies * means.size * delta
     return _least_over_tilts(lambda s: copies * np.log(rows.sums(s)).sum() + s * a)
@@ -151,7 +151,7 @@ def _check_bobkov_ledoux():
     spec = PoissonChannelSpec(support, 0.5)
     copies, delta = 50, 0.35
     bound = bobkov_ledoux_bound(lipschitz_seminorm(spec), spec.gain * 8, copies * 8, delta)
-    log_tail = _chernoff_log_tail(support, spec.gain, copies, delta, spec.z_max)
+    log_tail = _chernoff_log_tail(spec, copies, delta, spec.z_max)
     return CheckResult("bobkov-ledoux-mc", log_tail <= math.log(bound),
                        f"certified ln tail {log_tail:.2f} vs ln bound {math.log(bound):.4f}")
 

@@ -6,7 +6,8 @@ Gamma(1/2, 2g) integer input law, Poisson log-pmfs and entropies, and
 multinomial reads. Every banded Poisson table, here and in `mutual_info`,
 is built one `_row_runs` run of rows at a time, each run at most one block
 of _CHUNK_ELEMENTS = 2^16 cells (512 KiB of float64), by one walker,
-`_poisson_tables`, on the one kernel `_log_pmf_kernel`.
+`_poisson_tables`, on the one kernel `_log_pmf_kernel`; the mass a window
+leaves out is certified by one formula, `_missed_mass`.
 """
 
 import math
@@ -227,11 +228,22 @@ def poisson_band(lam):
     row runs of `mutual_info.mmpe`, which then tightens each run's ends to
     the exact 1e-16 quantiles with the band ends as its search bracket. Its
     two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30 for every mean
-    from 1e-9 to 1e6; callers certify what they drop.
+    from 1e-9 to 1e6; callers certify what they drop (`_missed_mass`).
     """
     half = 12.0 * np.sqrt(lam + 1.0) + 40.0
     lo = np.maximum(0.0, np.ceil(lam - half)).astype(np.int64)
     return lo, np.floor(lam + half).astype(np.int64)
+
+
+def _missed_mass(lam, lo, hi):
+    """P[Z < lo] + P[Z > hi] = Q_reg(lo, lam) + P_reg(hi + 1, lam) for Z ~ Poisson(lam).
+
+    The one certificate of every Poisson window. lo = 0 leaves P[Z > hi]
+    alone, as scipy's gammaincc(0, lam) is exactly 0.0.
+    """
+    from scipy.special import gammainc, gammaincc
+
+    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
 
 
 def _row_runs(lo, hi, budget: int) -> list:
@@ -272,8 +284,6 @@ def poisson_entropy(lam):
     tolerance; a mean whose band leaves out _ENTROPY_TAIL_TOL = 1e-14 or
     more raises.
     """
-    from scipy.special import gammainc, gammaincc
-
     lams = np.asarray(lam, dtype=float)
     if np.any(~(lams > 0.0)):
         raise ValueError(f"poisson_entropy needs lambda > 0, got {lam}")
@@ -291,8 +301,7 @@ def poisson_entropy(lam):
     near = np.flatnonzero(~far)
     lam_near = flat[near]
     lo, hi = poisson_band(lam_near)
-    # P[Z > hi] = P_reg(hi + 1, lam) and P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0
-    missed = gammainc(hi + 1.0, lam_near) + gammaincc(lo, lam_near)
+    missed = _missed_mass(lam_near, lo, hi)
     if np.any(missed >= _ENTROPY_TAIL_TOL):
         i = int(np.argmax(missed))
         raise RuntimeError(

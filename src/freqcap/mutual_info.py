@@ -10,12 +10,13 @@ certified with the regularized incomplete gamma functions
 (`band_missed_mass`, at most _BAND_ALLOWANCE = 1e-15), which keeps
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
-(in the tested laws, below e^-60). Every banded table (the output law, also
-past z_max, and `mmpe`) walks one row planner, `distributions._row_runs`,
-on `poisson_band` windows under one cell budget, _CHUNK_ELEMENTS = 2^16
-cells: a 512 KiB block that stays in a core's L2 cache, so the working set
-is a few blocks at any support size. The blocks come from one walker,
-`distributions._poisson_tables`, and each caller keeps its own reduction.
+(in the tested laws, below e^-60). Every Poisson table (the output law,
+also past z_max, `mmpe` and the tilted rows of the spectrum tail) walks
+one row planner, `distributions._row_runs`, on `poisson_band` windows or
+one window shared by every row, under one cell budget, _CHUNK_ELEMENTS =
+2^16 cells: a 512 KiB block that stays in a core's L2 cache, so the
+working set is a few blocks at any support size. The blocks come from one
+walker, `distributions._poisson_tables`; each caller keeps its reduction.
 `mmpe` then cuts each run's table to exact 1e-16 quantiles and joins
 neighbouring runs whose cut tables fit one block together. The spectrum
 draws its letters in blocks of _SPECTRUM_LETTERS = 2^15, also at any
@@ -37,8 +38,8 @@ differently at large means, so their residual (about 5e-14 at g=500,
 Blocklength enters only through the information spectrum: the channel is
 memoryless under product inputs, so single-letter quantities scale. The
 spectrum is sampled (`spectrum_mc`), and its left tail is certified by
-the Chernoff-Hölder row sums of `_TiltedRows`, which sum P_Z over
-every row with no band.
+the Chernoff-Hölder row sums of `_TiltedRows`: every positive-weight row
+dense on 0..z_max, from the same walker and the spec's own mixture sum.
 
 Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
 log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
@@ -72,11 +73,11 @@ from .distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _missed_mass,
     _poisson_tables,
     _row_runs,
     poisson_band,
     poisson_entropy,
-    poisson_log_pmf,
 )
 from .special_math import log_factorial
 from .special_math import regularized_gamma_p  # noqa: F401  (perfbench/spans.py traces this name)
@@ -190,15 +191,12 @@ class PoissonChannelSpec:
         Returns a list of (row indices, z_lo, z_hi); a run's window is the
         union of its rows' bands.
         """
-        from scipy.special import gammainc, gammaincc
-
         lam = self._lams[rows]
         lo[0] = 0
         # rows are sorted by mean, so stretching neighbours across each gap covers 0..z_max
         lo[1:], hi[:-1] = np.minimum(lo[1:], hi[:-1] + 1), np.maximum(hi[:-1], lo[1:] - 1)
 
-        # P[Z < lo] + P[Z > hi] per row; gammaincc(0, lam) = 0
-        missed = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
+        missed = _missed_mass(lam, lo, hi)
         self.band_missed_mass = float(np.einsum("i,i->", self._ws[rows], missed))
         if self.band_missed_mass > _BAND_ALLOWANCE:
             raise RuntimeError(
@@ -207,6 +205,12 @@ class PoissonChannelSpec:
             )
 
         return [(rows[a:b], z_lo, z_hi) for a, b, z_lo, z_hi in _row_runs(lo, hi, _CHUNK_ELEMENTS)]
+
+    def _runs_on(self, z_lo: int, z_hi: int) -> list:
+        """Every row with positive weight on all of z_lo..z_hi, in `_row_runs` runs."""
+        rows = self._rows
+        window = np.full(rows.size, z_lo), np.full(rows.size, z_hi)
+        return [(rows[a:b], z_lo, z_hi) for a, b, _, _ in _row_runs(*window, _CHUNK_ELEMENTS)]
 
     def _log_mixture(self, runs, z_lo: int, z_hi: int, row_entropy=None) -> np.ndarray:
         """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window.
@@ -251,11 +255,8 @@ class PoissonChannelSpec:
         inside = z <= self.z_max
         out[inside] = self._log_pz[z[inside]]
         if np.any(~inside):
-            # every row with positive weight, on the whole requested window
             z_lo, z_hi = int(z[~inside].min()), int(z[~inside].max())
-            rows = self._rows
-            window = np.full(rows.size, z_lo), np.full(rows.size, z_hi)
-            runs = [(rows[a:b], z_lo, z_hi) for a, b, _, _ in _row_runs(*window, _CHUNK_ELEMENTS)]
+            runs = self._runs_on(z_lo, z_hi)
             out[~inside] = self._log_mixture(runs, z_lo, z_hi)[z[~inside] - z_lo]
         return out
 
@@ -409,12 +410,10 @@ class _LetterTable:
 
     @classmethod
     def build(cls, spec: PoissonChannelSpec) -> "_LetterTable":
-        from scipy.special import gammainc
-
         lam, w = spec._lams[spec._rows], spec._ws[spec._rows]
         small = lam < _PTRS_MIN_MEAN
         top = poisson_band(lam[small])[1]
-        missed = float(w[small] @ gammainc(top + 1.0, lam[small]))
+        missed = float(w[small] @ _missed_mass(lam[small], 0, top))
         if missed > 2.0**-53:
             raise RuntimeError(
                 f"letter table drops mass {missed:g}, above one step 2^-53 of the uniform draw"
@@ -533,48 +532,35 @@ def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) ->
 
 
 class _TiltedRows:
-    """Per input row x, the sums behind a certified left tail of the information
-    density i(x, Z) = ln(p(Z|x) / P_Z(Z)), Z | x ~ Poisson(gain x).
+    """Per input row x with positive weight, the sums behind a certified left tail of
+    the information density i(x, Z) = ln(p(Z|x) / P_Z(Z)), Z | x ~ Poisson(gain x).
 
     `sums(s)` bounds E[exp(-s i(x, Z))] per row: sum_{z <= z_max} p^(1-s)
     P_Z^s, plus T_x^(1-s) T^s, which by Hölder's inequality bounds the terms
     past z_max; T_x = P[Z > z_max | x] and T = sum_x w_x T_x. `means()` is
-    sum_{z <= z_max} p ln(p / P_Z) per row. P_Z is summed over every row on
-    all of 0..z_max, with no band. Each call walks the rows in blocks of at
-    most _CHUNK_ELEMENTS cells, so the working set is a block or two
-    whatever the support.
+    sum_{z <= z_max} p ln(p / P_Z) per row. Every row is dense on all of
+    0..z_max (`PoissonChannelSpec._runs_on`), so P_Z is the spec's mixture
+    sum over every row with no band, and each call reduces the rows of the
+    walker's blocks, at most _CHUNK_ELEMENTS cells each.
     """
 
-    def __init__(self, input_pmf: DiscretePmf, gain: float, z_max: int):
-        from scipy.special import gammainc
+    def __init__(self, spec: PoissonChannelSpec, z_max: int):
+        self._lams = spec._lams
+        self._runs = spec._runs_on(0, z_max)
+        self._log_pz = spec._log_mixture(self._runs, 0, z_max)
+        self.weights = spec._ws[spec._rows]
+        self._tails = _missed_mass(spec._lams[spec._rows], 0, z_max)
+        self._tail = float(np.einsum("x,x->", self.weights, self._tails))
 
-        self._lam = gain * input_pmf.support.astype(float)
-        self._z = np.arange(z_max + 1)
-        step = max(1, _CHUNK_ELEMENTS // self._z.size)
-        self._blocks = [slice(a, a + step) for a in range(0, self._lam.size, step)]
-        log_pz = np.full(self._z.size, -np.inf)
-        for rows, log_p in self._log_p():
-            part = log_p + input_pmf.log_weights[rows, None]
-            log_pz = np.logaddexp(log_pz, np.logaddexp.reduce(part, axis=0))
-        self._log_pz = log_pz
-        self._tails = gammainc(z_max + 1, self._lam)
-        self._tail = float(np.einsum("x,x->", input_pmf.probs, self._tails))
-
-    def _log_p(self):
-        for rows in self._blocks:
-            yield rows, poisson_log_pmf(self._z, self._lam[rows, None])
+    def _reduce(self, row_sum) -> np.ndarray:
+        return np.concatenate([row_sum(lp) for *_, lp in _poisson_tables(self._lams, self._runs)])
 
     def sums(self, s: float) -> np.ndarray:
-        out = np.empty(self._lam.size)
-        for rows, log_p in self._log_p():
-            out[rows] = np.exp((1 - s) * log_p + s * self._log_pz).sum(axis=1)
+        out = self._reduce(lambda lp: np.exp((1 - s) * lp + s * self._log_pz).sum(axis=1))
         return out + self._tails ** (1 - s) * self._tail**s
 
     def means(self) -> np.ndarray:
-        out = np.empty(self._lam.size)
-        for rows, log_p in self._log_p():
-            out[rows] = (np.exp(log_p) * (log_p - self._log_pz)).sum(axis=1)
-        return out
+        return self._reduce(lambda lp: (np.exp(lp) * (lp - self._log_pz)).sum(axis=1))
 
 
 def _least_over_tilts(objective) -> float:

@@ -250,11 +250,12 @@ class TestGenerateCodebook:
             assert set(words) <= set(seqs)
             assert_chi2_fits([words[s] for s in seqs], probs / probs.sum(), len(cb))
 
-    def test_budget_exhaustion_reports_rate(self):
+    def test_budget_exhaustion_reports_rate(self, monkeypatch):
         pmf = truncated_rounded_input_pmf(8.0, 0.5)
+        monkeypatch.setattr(coding_experiment, "_MAX_ATTEMPTS_PER_WORD", 5000)
         with pytest.raises(RuntimeError, match="acceptance rate"):
             # a sum of 1 is unreachable for 50 positive entries
-            generate_codebook(2, 50, pmf, 1, RngStream(8), max_attempts_per_word=5000)
+            generate_codebook(2, 50, pmf, 1, RngStream(8))
 
 
 def fsum_scores(y, matrix, tau):
@@ -641,7 +642,8 @@ class TestCertifiedSpectrumTail:
     def test_grid_minimum_matches_mpmath_where_the_holder_term_counts(self):
         # z_max = 3 leaves a fifth to four fifths of a row's mass past the table
         law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
-        value = coding_experiment._spectrum_log_cdf_bound(law, 1.0, 3, 5, -1.0)
+        spec = PoissonChannelSpec(law, 1.0)
+        value = coding_experiment._spectrum_log_cdf_bound(spec, 3, 5, -1.0)
         assert value == pytest.approx(mp_spectrum_log_cdf_bound(law, 1.0, 3, 5, -1.0), abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -650,6 +652,7 @@ class TestCertifiedSpectrumTail:
         # every (x, z) letter with z <= 40, where each row misses less than 1e-30, and
         # every sequence of n of them
         law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
+        spec = PoissonChannelSpec(law, 1.0)
         log_p = poisson_log_pmf(np.arange(41), np.arange(1.0, 4.0)[:, None])
         density = (log_p - np.logaddexp.reduce(log_p + law.log_weights[:, None], axis=0)).ravel()
         prob = (np.exp(log_p) * law.probs[:, None]).ravel()
@@ -661,7 +664,7 @@ class TestCertifiedSpectrumTail:
         for gap in (0.1, 0.3, 0.5):
             log_threshold = n * (mi - gap)
             exact = probs[sums <= log_threshold].sum()
-            bound = coding_experiment._spectrum_log_cdf_bound(law, 1.0, z_max, n, log_threshold)
+            bound = coding_experiment._spectrum_log_cdf_bound(spec, z_max, n, log_threshold)
             assert 0.04 < exact <= math.exp(bound)
 
     def test_default_run_samples_no_spectrum(self, monkeypatch):
@@ -692,7 +695,7 @@ class TestCertifiedSpectrumTail:
         for gap in (0.05, 0.2):
             log_threshold = 24 * (mutual_information(spec) - gap)
             bound = math.exp(coding_experiment._spectrum_log_cdf_bound(
-                law, spec.gain, spec.z_max, 24, log_threshold))
+                spec, spec.z_max, 24, log_threshold))
             frequency = spectrum_mc(spec, 24, 4000, RngStream(3),
                                     thresholds=[log_threshold / 24]).cdf[0]
             assert 0.0 < frequency <= bound
@@ -702,7 +705,8 @@ class TestCertifiedSpectrumTail:
         config = ExperimentConfig(n=24, g=8.0, r=0.5, rho=0.5, delta=-2000.0, m=16, trials=5,
                                   seed=9)
         assert coding_experiment._spectrum_log_cdf_bound(
-            truncated_rounded_input_pmf(8.0, 0.5), 0.4, 40, 24, 96_000.0) > 709.0
+            PoissonChannelSpec(truncated_rounded_input_pmf(8.0, 0.5), 0.4), 40, 24,
+            96_000.0) > 709.0
         assert run_experiment(config).spectrum_cdf_at_gamma == 1.0
 
     def test_negative_sample_count_rejected(self):

@@ -151,9 +151,9 @@ def mp_chernoff_log_tail(xs, gain, copies, delta, z_max):
 @pytest.mark.parametrize("z_max", [None, 4])
 def test_certified_exponent_matches_mpmath(z_max):
     # z_max = 4 leaves up to 37% of a row's mass to the Hölder term
-    law = DiscretePmf.from_weights(1, np.ones(8))
-    z_max = PoissonChannelSpec(law, 0.5).z_max if z_max is None else z_max
-    value = diagnostics._chernoff_log_tail(law, 0.5, 50, 0.35, z_max)
+    spec = PoissonChannelSpec(DiscretePmf.from_weights(1, np.ones(8)), 0.5)
+    z_max = spec.z_max if z_max is None else z_max
+    value = diagnostics._chernoff_log_tail(spec, 50, 0.35, z_max)
     assert value == pytest.approx(mp_chernoff_log_tail(range(1, 9), 0.5, 50, 0.35, z_max),
                                   abs=1e-9)
 
@@ -169,4 +169,5 @@ def test_certified_tail_bounds_the_exact_tail(delta):
     sums = density[0][:, None, None] + density[1][None, :, None] + density[2]
     p = np.exp(log_p)
     exact = (p[0][:, None, None] * p[1][None, :, None] * p[2])[sums <= a].sum()
-    assert 0.01 < exact <= math.exp(diagnostics._chernoff_log_tail(law, 1.0, 1, delta, z_max))
+    spec = PoissonChannelSpec(law, 1.0)
+    assert 0.01 < exact <= math.exp(diagnostics._chernoff_log_tail(spec, 1, delta, z_max))

@@ -13,6 +13,7 @@ from freqcap.distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _missed_mass,
     _row_runs,
     gamma_half_tail_bounds,
     multinomial_sample,
@@ -245,6 +246,23 @@ class TestPoissonBand:
         # P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0; P[Z > hi] = P_reg(hi + 1, lam)
         tail = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
         assert np.all(tail < 1e-30)
+
+
+class TestMissedMass:
+    @pytest.mark.parametrize("lam, lo, hi", [(3.0, 1, 8), (50.0, 30, 70), (1e4, 9800, 10200)])
+    def test_both_tails_match_mpmath(self, lam, lo, hi):
+        # each tail is 9e-4 or more of the mass here, so dropping either one shows
+        with mpmath.workdps(30):
+            below = mpmath.gammainc(lo, lam, mpmath.inf, regularized=True)
+            above = mpmath.gammainc(hi + 1, 0, lam, regularized=True)
+        assert min(below, above) > 9e-4
+        assert _missed_mass(lam, lo, hi) == pytest.approx(float(below + above), rel=1e-12)
+
+    def test_lower_end_zero_keeps_the_upper_tail_bits(self):
+        # gammaincc(0, lam) is exactly 0.0, so a window from 0 adds nothing to P[Z > hi]
+        lam = np.logspace(-9, 6, 2001)
+        hi = poisson_band(lam)[1]
+        assert np.array_equal(_missed_mass(lam, 0, hi), gammainc(hi + 1.0, lam))
 
 
 @st.composite

@@ -631,6 +631,23 @@ def test_mi_between_zero_and_input_entropy_and_non_decreasing_in_gain(case, fact
     assert high <= h_x + 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(laws_with_zero_rows(), st.floats(-4.0, 2.0))
+def test_output_law_mass_is_one_within_its_certificate(case, log_gain):
+    # 1 - sum P_Z is the mass the bands drop, at most `band_missed_mass`, up to the
+    # kernel's rounding: 3.4e-14 was seen on {1, 10} at gain 30, where the bands drop
+    # about 2e-38, so the slack covers rounding, not bands. Near the mode the kernel
+    # z ln lam - lam - ln z! rounds terms of about lam ln lam, and the point mass at
+    # lam = 4576 is off by 8.5e-12 = 1.0 eps lam ln lam, so the slack is 1e-12 plus
+    # 4 eps lam ln(1 + lam) at the largest mean: about 1,000 times tighter than the
+    # 1e-9 mass gate of `mutual_information` at small means, 20 times at lam = 6500
+    spec = PoissonChannelSpec(case[0], 10.0**log_gain)
+    lam = spec._lams[spec._rows][-1]
+    slack = 1e-12 + 4 * np.finfo(float).eps * lam * math.log1p(lam)
+    deficit = 1.0 - float(np.exp(spec.log_pz).sum())
+    assert -slack <= deficit <= spec.band_missed_mass + slack
+
+
 class TestLipschitzSeminorm:
     @settings(max_examples=60, deadline=None)
     @given(laws_with_zero_rows())
@@ -712,7 +729,7 @@ class TestLeastOverTilts:
     def test_finds_the_grid_minimum_of_the_spectrum_tail(self, gap):
         # the coding configs' law and gain, z_max 97; the minimum moves from s = 0.01 to s = 1
         law = truncated_rounded_input_pmf(8.0, 0.5)
-        rows = mutual_info._TiltedRows(law, 0.4, 97)
+        rows = mutual_info._TiltedRows(PoissonChannelSpec(law, 0.4), 97)
         log_threshold = 2000 * (mutual_information(PoissonChannelSpec(law, 0.4)) - gap)
 
         def objective(s):
@@ -733,7 +750,7 @@ class TestLeastOverTilts:
     def test_rows_match_the_table_they_replace(self):
         # one tilt's sums and the means against the whole (letters x outputs) table
         law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
-        rows = mutual_info._TiltedRows(law, 1.0, 40)
+        rows = mutual_info._TiltedRows(PoissonChannelSpec(law, 1.0), 40)
         log_p = poisson_log_pmf(np.arange(41), np.arange(1.0, 4.0)[:, None])
         log_pz = np.logaddexp.reduce(log_p + law.log_weights[:, None], axis=0)
         np.testing.assert_allclose(rows.means(), (np.exp(log_p) * (log_p - log_pz)).sum(axis=1),
@@ -742,6 +759,34 @@ class TestLeastOverTilts:
         expected = (np.exp(0.6 * log_p + 0.4 * log_pz).sum(axis=1)
                     + tails**0.6 * (law.probs @ tails)**0.4)
         np.testing.assert_allclose(rows.sums(0.4), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("make, gain", [(far_two_point, 1.0),
+                                            (lambda: truncated_rounded_input_pmf(20.0, 0.5), 0.4)])
+    def test_rows_are_walker_blocks_of_positive_rows(self, monkeypatch, make, gain):
+        # every cell through `_poisson_tables`, none through `poisson_log_pmf`; on the
+        # {1, 400} law only its 2 positive rows take cells, not all 400
+        def refuse(*args, **kwargs):
+            raise AssertionError("poisson_log_pmf called")
+
+        walker, blocks = mutual_info._poisson_tables, []
+
+        def recording(*args, **kwargs):
+            for rows, z_lo, z_hi, lp in walker(*args, **kwargs):
+                blocks.append(lp.shape)
+                yield rows, z_lo, z_hi, lp
+
+        monkeypatch.setattr(distributions, "poisson_log_pmf", refuse)
+        monkeypatch.setattr(mutual_info, "poisson_log_pmf", refuse, raising=False)
+        monkeypatch.setattr(mutual_info, "_poisson_tables", recording)
+        spec = PoissonChannelSpec(make(), gain)
+        rows = mutual_info._TiltedRows(spec, spec.z_max)
+        blocks.clear()
+        rows.sums(0.5)
+        assert sum(r for r, _ in blocks) == spec._rows.size
+        assert sum(r * z for r, z in blocks) == spec._rows.size * (spec.z_max + 1)
+        assert max(r * z for r, z in blocks) <= mutual_info._CHUNK_ELEMENTS
+        if make is far_two_point:
+            assert spec._rows.size == 2
 
 
 def mmpe_bruteforce(xs, ws, a, z_hi=400):
