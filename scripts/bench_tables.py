@@ -20,8 +20,7 @@ after one warm-up run, and the `tracemalloc` peak of one more, untimed run:
 - the certified spectrum tail of `experiment` (`_spectrum_log_cdf_bound`)
   at g=200, rho=0.5, gain 0.4, n=2000 and theta = I - 0.1, with the spec
   and I computed once, outside the timing; the case calls whichever
-  signature the tree has, `(spec, z_max, ...)` or the older
-  `(input_pmf, gain, z_max, ...)`.
+  signature the tree has, `(spec, n, ...)` or the older `(spec, z_max, n, ...)`.
 
     python scripts/bench_tables.py                       # this checkout's src/
     python scripts/bench_tables.py parent=/path/to/other/src change=src > BENCH_tables.json
@@ -62,9 +61,9 @@ def _spectrum_tail(law, gain, n, gap):
 
     spec = PoissonChannelSpec(law, gain)
     log_threshold = n * (mutual_information(spec) - gap)
-    if "spec" in inspect.signature(_spectrum_log_cdf_bound).parameters:
+    if "z_max" in inspect.signature(_spectrum_log_cdf_bound).parameters:
         return lambda: _spectrum_log_cdf_bound(spec, spec.z_max, n, log_threshold)
-    return lambda: _spectrum_log_cdf_bound(law, gain, spec.z_max, n, log_threshold)
+    return lambda: _spectrum_log_cdf_bound(spec, n, log_threshold)
 
 
 def _child(case):

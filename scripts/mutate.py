@@ -54,6 +54,16 @@ MUTATIONS = {
         "    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)",
         "    return gammainc(hi + 1.0, lam)",
     ),
+    "chernoff-window-upper-end-one-short": (
+        "distributions.py",
+        "    return lo.astype(np.int64), np.floor(hi).astype(np.int64)",
+        "    return lo.astype(np.int64), np.floor(hi).astype(np.int64) - 1",
+    ),
+    "chernoff-window-lower-end-one-long": (
+        "distributions.py",
+        "    lo[far] = np.ceil(excess[far] / lambertw(arg[far], -1).real)",
+        "    lo[far] = np.ceil(excess[far] / lambertw(arg[far], -1).real) + 1",
+    ),
     "poissonization-box-only-slab-y0-0": (
         "channel.py",
         "    for y0 in grids[0]:",

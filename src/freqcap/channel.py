@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import RngStream, multinomial_sample, poisson_log_pmf
+from .distributions import RngStream, _chernoff_window, multinomial_sample, poisson_log_pmf
 from .special_math import log_factorial
 
 __all__ = [
@@ -216,16 +216,16 @@ def poissonization_identity_check(total_mean: float, probs) -> float:
 
     For G with a Poisson(M) number of trials split multinomially along p,
     the per-type counts are independent Poisson(M p_j). Enumerates all
-    outputs y in a box large enough to carry the mass (0..M p_j + 8 sqrt(M p_j)
-    + 15 on axis j) and compares Poi(sum y; M) * Mul(y; sum y, p) against
+    outputs y in a box that holds the mass, 0 to the 2^-53 `_chernoff_window`
+    end on axis j, and compares Poi(sum y; M) * Mul(y; sum y, p) against
     prod_j Poi(y_j; M p_j); the discrepancy is pure floating-point noise.
 
     The box is walked one slab y_0 = const at a time. The 1-D tables
     (ln y!, y ln p_j and Poi(y; M p_j) per axis, Poi(t; M) and ln t! for t
     up to the largest total) are built once, the other axes are broadcast
     over a slab, and a running maximum of |lhs - rhs| is kept. The working
-    set is a few slab-sized arrays, about 0.5 MB each at M = 20 in four
-    dimensions, instead of the 2M-point box. Raises ArithmeticError unless
+    set is a few slab-sized arrays, about 0.4 MB each at M = 20 in four
+    dimensions, instead of the 1.25M-point box. Raises ArithmeticError unless
     both sides sum to within 1e-12 of 1 over the box, so a box that leaves
     mass out cannot pass.
     """
@@ -238,7 +238,7 @@ def poissonization_identity_check(total_mean: float, probs) -> float:
         raise ValueError("probs must be positive and sum to 1")
 
     means = total_mean * p
-    highs = [int(m + 8.0 * math.sqrt(m) + 15.0) for m in means]
+    highs = _chernoff_window(means, 2.0**-53)[1]
     grids = [np.arange(h + 1) for h in highs]
     # per axis: the multinomial's y ln p_j - ln y! and the Poisson pmf
     log_mult_terms = [grid * math.log(pj) - log_factorial(grid) for grid, pj in zip(grids, p)]

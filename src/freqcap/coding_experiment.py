@@ -433,15 +433,14 @@ def _decode_threshold(y, codebook: Codebook, log_gamma: float, offset: float, re
     return int(codebook._first_copy[np.argmax(passing)])
 
 
-def _spectrum_log_cdf_bound(spec: PoissonChannelSpec, z_max: int, n: int,
-                            log_threshold: float) -> float:
+def _spectrum_log_cdf_bound(spec: PoissonChannelSpec, n: int, log_threshold: float) -> float:
     """Certified ln P[i(X_1, Z_1) + ... + i(X_n, Z_n) <= log_threshold] for n IID
     letters X_k of the input law of `spec`, Z_k ~ Poisson(gain X_k).
 
-    Chernoff at tilt -s, then Hölder past z_max (`_TiltedRows`): the least
+    Chernoff at tilt -s, then Hölder past spec.z_max (`_TiltedRows`): the least
     over _CHERNOFF_S of n ln sum_x w_x sums(s)[x] + s log_threshold.
     """
-    rows = _TiltedRows(spec, z_max)
+    rows = _TiltedRows(spec)
     return _least_over_tilts(
         lambda s: n * np.log(np.einsum("x,x->", rows.sums(s), rows.weights)) + s * log_threshold
     )
@@ -635,7 +634,7 @@ def run_experiment(config: ExperimentConfig, trace_path: str | None = None) -> E
     log_threshold = log_gamma + correction
     log_cdf = stage(
         "spectrum",
-        lambda: _spectrum_log_cdf_bound(spec, spec.z_max, config.n, log_threshold),
+        lambda: _spectrum_log_cdf_bound(spec, config.n, log_threshold),
     )
     spectrum_cdf = math.exp(min(0.0, log_cdf))
     if config.spectrum_samples > 0:

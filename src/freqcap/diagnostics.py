@@ -18,6 +18,7 @@ from .channel import event_poissonization_factor, poissonization_identity_check
 from .distributions import (
     _SERIES_MIN_MEAN,
     DiscretePmf,
+    _chernoff_window,
     gamma_half_tail_bounds,
     poisson_chernoff_lower_tail,
     poisson_entropy,
@@ -79,7 +80,7 @@ def _check_poisson_entropy():
 def _check_v_log_v():
     worst = -math.inf
     for lam in (0.1, 1.0, 5.0, 20.0):
-        k = np.arange(1, int(lam + 40 * math.sqrt(lam + 1)) + 60)
+        k = np.arange(1, _chernoff_window(lam, 1e-30)[1] + 1)
         p = np.exp(poisson_log_pmf(k, lam))
         value = float((p * k * np.log(k)).sum())
         worst = max(worst, value - lam * math.log1p(lam))
@@ -135,12 +136,12 @@ def _check_relative_chernoff():
     return _tail_check("relative-chernoff-mc", pairs)
 
 
-def _chernoff_log_tail(spec, copies, delta, z_max):
+def _chernoff_log_tail(spec, copies, delta):
     """Certified ln P[S <= a] for the information density S of `copies` of each letter
     x of the input law of `spec`, Z ~ Poisson(gain x): the least over _CHERNOFF_S of
     s a + copies sum_x ln(sum_{z <= z_max} p^(1-s) P_Z^s + T_x^(1-s) T^s) (Chernoff,
-    then Hölder past z_max; `_TiltedRows`), a = E S - n delta summed on 0..z_max."""
-    rows = _TiltedRows(spec, z_max)
+    then Hölder past spec.z_max; `_TiltedRows`), a = E S - n delta summed on 0..z_max."""
+    rows = _TiltedRows(spec)
     means = rows.means()
     a = copies * float(means.sum()) - copies * means.size * delta
     return _least_over_tilts(lambda s: copies * np.log(rows.sums(s)).sum() + s * a)
@@ -151,7 +152,7 @@ def _check_bobkov_ledoux():
     spec = PoissonChannelSpec(support, 0.5)
     copies, delta = 50, 0.35
     bound = bobkov_ledoux_bound(lipschitz_seminorm(spec), spec.gain * 8, copies * 8, delta)
-    log_tail = _chernoff_log_tail(spec, copies, delta, spec.z_max)
+    log_tail = _chernoff_log_tail(spec, copies, delta)
     return CheckResult("bobkov-ledoux-mc", log_tail <= math.log(bound),
                        f"certified ln tail {log_tail:.2f} vs ln bound {math.log(bound):.4f}")
 

@@ -6,8 +6,9 @@ Gamma(1/2, 2g) integer input law, Poisson log-pmfs and entropies, and
 multinomial reads. Every banded Poisson table, here and in `mutual_info`,
 is built one `_row_runs` run of rows at a time, each run at most one block
 of _CHUNK_ELEMENTS = 2^16 cells (512 KiB of float64), by one walker,
-`_poisson_tables`, on the one kernel `_log_pmf_kernel`; the mass a window
-leaves out is certified by one formula, `_missed_mass`.
+`_poisson_tables`, on the one kernel `_log_pmf_kernel`. Every Poisson window
+but the channel spec's (`poisson_band`) is `_chernoff_window` at its caller's
+tolerance; the mass a window leaves out is certified by `_missed_mass`.
 """
 
 import math
@@ -223,16 +224,40 @@ def _poisson_tables(means, runs, gains=1.0):
 def poisson_band(lam):
     """Integer band (lo, hi) = lam -+ (12 sqrt(lam + 1) + 40) of Poisson(lam), lo clipped at 0.
 
-    The one window formula of every banded Poisson table, as int64 arrays
-    shaped like `lam`: the exact output tables, `poisson_entropy` and the
-    row runs of `mutual_info.mmpe`, which then tightens each run's ends to
-    the exact 1e-16 quantiles with the band ends as its search bracket. Its
-    two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30 for every mean
-    from 1e-9 to 1e6; callers certify what they drop (`_missed_mass`).
+    The row bands of `mutual_info.PoissonChannelSpec`, and so its z_max, as
+    int64 arrays shaped like `lam`; every other window is `_chernoff_window`.
+    Its two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30 for every
+    mean from 1e-9 to 1e6; the spec certifies what it drops (`_missed_mass`).
     """
     half = 12.0 * np.sqrt(lam + 1.0) + 40.0
     lo = np.maximum(0.0, np.ceil(lam - half)).astype(np.int64)
     return lo, np.floor(lam + half).astype(np.int64)
+
+
+def _chernoff_window(lam, tail, lam_hi=None):
+    """Integer window (lo, hi) of Z ~ Poisson(lam) with P[Z < lo] <= tail and P[Z > hi] <= tail.
+
+    int64 arrays of lam, tail and lam_hi broadcast, never decreasing in lam. With lam_hi,
+    hi is taken there, so the window holds for every mean in [lam, lam_hi]: Z grows
+    stochastically with its mean. Bennett's bound exp(-lam h(u)), h(u) = (1 + u) ln(1 + u)
+    - u, on P[Z >= lam (1 + u)] (u > 0) and P[Z <= lam (1 + u)] (-1 <= u < 0) meets
+    tail = e^-L at lam (1 + u) = (L - lam) / W with W = W((L - lam) / (e lam)): W0 gives
+    hi, rounded down, and W-1 gives lo, rounded up, where lam > L (lo = 0 elsewhere).
+    This form is finite at every lam > 0; at lam = L, where W0 = 0, hi is e lam.
+    """
+    from scipy.special import lambertw
+
+    lam = np.asarray(lam, dtype=float)
+    top = lam if lam_hi is None else np.asarray(lam_hi, dtype=float)
+    log_inv = -np.log(tail)
+    excess = log_inv - top
+    with np.errstate(invalid="ignore"):
+        hi = np.where(excess == 0.0, math.e * top, excess / lambertw(excess / (math.e * top)).real)
+    excess = np.asarray(log_inv - lam)
+    arg, far = excess / (math.e * lam), excess < 0.0
+    lo = np.zeros(far.shape)
+    lo[far] = np.ceil(excess[far] / lambertw(arg[far], -1).real)
+    return lo.astype(np.int64), np.floor(hi).astype(np.int64)
 
 
 def _missed_mass(lam, lo, hi):
@@ -277,12 +302,12 @@ def poisson_entropy(lam):
     series and the Poisson central moments). The first dropped term,
     3250433/11880 / lam^9, is below 7.2e-18 there, and the series takes no
     table. Below 150, the sorted means go in `_row_runs` runs, and each mean
-    is summed over its run's window, which contains its `poisson_band`.
-    The mass left outside the band is certified analytically through the
-    regularized incomplete gamma functions (P above the band, Q below it)
-    rather than by 1 - sum(p), which drowns in float rounding at this
-    tolerance; a mean whose band leaves out _ENTROPY_TAIL_TOL = 1e-14 or
-    more raises.
+    is summed over its run's window, which contains its band: its
+    `_chernoff_window` at 1e-20 min(1, lam) a side, so H keeps its relative
+    digits where it is tiny. The mass left outside the band is certified
+    analytically through the regularized incomplete gamma functions (P above
+    the band, Q below it) rather than by 1 - sum(p), which drowns in float
+    rounding; a mean whose band leaves out _ENTROPY_TAIL_TOL = 1e-14 or more raises.
     """
     lams = np.asarray(lam, dtype=float)
     if np.any(~(lams > 0.0)):
@@ -300,7 +325,7 @@ def poisson_entropy(lam):
 
     near = np.flatnonzero(~far)
     lam_near = flat[near]
-    lo, hi = poisson_band(lam_near)
+    lo, hi = _chernoff_window(lam_near, 1e-20 * np.minimum(1.0, lam_near))
     missed = _missed_mass(lam_near, lo, hi)
     if np.any(missed >= _ENTROPY_TAIL_TOL):
         i = int(np.argmax(missed))

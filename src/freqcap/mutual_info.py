@@ -12,13 +12,13 @@ truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). Every Poisson table (the output law,
 also past z_max, `mmpe` and the tilted rows of the spectrum tail) walks
-one row planner, `distributions._row_runs`, on `poisson_band` windows or
-one window shared by every row, under one cell budget, _CHUNK_ELEMENTS =
-2^16 cells: a 512 KiB block that stays in a core's L2 cache, so the
-working set is a few blocks at any support size. The blocks come from one
-walker, `distributions._poisson_tables`; each caller keeps its reduction.
-`mmpe` then cuts each run's table to exact 1e-16 quantiles and joins
-neighbouring runs whose cut tables fit one block together. The spectrum
+one row planner, `distributions._row_runs`, under one cell budget,
+_CHUNK_ELEMENTS = 2^16 cells: a 512 KiB block that stays in a core's L2
+cache, so the working set is a few blocks at any support size. Rows plan
+on the spec's bands, on one window shared by every row, or (`mmpe`) on
+`distributions._chernoff_window`, joining neighbouring runs whose tables
+fit one block together. The blocks come from one walker,
+`distributions._poisson_tables`; each caller keeps its reduction. The spectrum
 draws its letters in blocks of _SPECTRUM_LETTERS = 2^15, also at any
 blocklength. Sums over the input support are einsum reductions, not BLAS
 products, so neither the exact MI nor `mmpe` (nor `i_mmpe_integral`)
@@ -44,10 +44,10 @@ dense on 0..z_max, from the same walker and the spec's own mixture sum.
 Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
 log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
 it. The spectrum draws letters (X, Z) from one letter table per call: each
-positive-weight row with lam < 10 gets one cell per z from 0 to its band
-end, each row with lam >= 10 one cell whose z is drawn afterwards by
-numpy's transformed-rejection Poisson sampler (10 is where numpy switches
-to it). One uniform per letter picks a bucket of a bucket table; a bucket
+positive-weight row with lam < 10 gets one cell per z from 0 to its 2^-53
+`_chernoff_window` end, each row with lam >= 10 one cell whose z is drawn
+afterwards by numpy's transformed-rejection Poisson sampler (10 is where
+numpy switches to it). One uniform per letter picks a bucket of a bucket table; a bucket
 that lands in one non-PTRS cell holds its density, so most letters take
 one gather. The others find their cell through a Chen-Asau guide table,
 or by binary search where its guide bucket spans more than one cell. The
@@ -73,6 +73,7 @@ from .distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _chernoff_window,
     _missed_mass,
     _poisson_tables,
     _row_runs,
@@ -119,33 +120,6 @@ _CHERNOFF_S = np.arange(1, 101) / 100
 # PoissonChannelSpec: a linear mixture sum below this is redone in log space; the cells that
 # underflow or are subnormal in it lose at most 2^-1074 each, far below its last digit
 _LINEAR_FLOOR = 1e-280
-
-
-def _poisson_window(lam_lo, lam_hi, tail: float):
-    """Tight window of Z ~ Poisson(lam) for every mean lam in [lam_lo, lam_hi], for tail < 1/2.
-
-    Returns int64 arrays (lo, hi): the largest lo with P[Z < lo] =
-    Q_reg(lo, lam_lo) < tail and the smallest hi with P[Z > hi] =
-    P_reg(hi + 1, lam_hi) < tail. Z grows stochastically with its mean, so
-    every mean in between leaves out less on each side. Both ends are found
-    by bisection between the median, which lies in [floor(lam), ceil(lam)],
-    and the `poisson_band` ends, whose tails are below 1e-30 <= tail.
-    """
-    from scipy.special import gammainc, gammaincc
-
-    lam_lo, lam_hi = np.asarray(lam_lo, dtype=float), np.asarray(lam_hi, dtype=float)
-    lo_ok, hi_ok = poisson_band(lam_lo)[0], poisson_band(lam_hi)[1]
-    lo_bad = np.ceil(lam_lo).astype(np.int64) + 1
-    hi_bad = np.floor(lam_hi).astype(np.int64) - 1
-    # each step takes a bracket of width w to at most ceil(w / 2)
-    widest = max(np.max(lo_bad - lo_ok), np.max(hi_ok - hi_bad))
-    for _ in range(math.ceil(math.log2(widest))):
-        lo_mid, hi_mid = (lo_ok + lo_bad) // 2, (hi_ok + hi_bad) // 2
-        below = gammaincc(lo_mid, lam_lo) < tail
-        above = gammainc(hi_mid + 1.0, lam_hi) < tail
-        lo_ok, lo_bad = np.where(below, lo_mid, lo_ok), np.where(below, lo_bad, lo_mid)
-        hi_ok, hi_bad = np.where(above, hi_mid, hi_ok), np.where(above, hi_bad, hi_mid)
-    return lo_ok, hi_ok
 
 
 class PoissonChannelSpec:
@@ -412,7 +386,7 @@ class _LetterTable:
     def build(cls, spec: PoissonChannelSpec) -> "_LetterTable":
         lam, w = spec._lams[spec._rows], spec._ws[spec._rows]
         small = lam < _PTRS_MIN_MEAN
-        top = poisson_band(lam[small])[1]
+        top = _chernoff_window(lam[small], 2.0**-53)[1]
         missed = float(w[small] @ _missed_mass(lam[small], 0, top))
         if missed > 2.0**-53:
             raise RuntimeError(
@@ -544,12 +518,12 @@ class _TiltedRows:
     walker's blocks, at most _CHUNK_ELEMENTS cells each.
     """
 
-    def __init__(self, spec: PoissonChannelSpec, z_max: int):
+    def __init__(self, spec: PoissonChannelSpec):
         self._lams = spec._lams
-        self._runs = spec._runs_on(0, z_max)
-        self._log_pz = spec._log_mixture(self._runs, 0, z_max)
+        self._runs = spec._runs_on(0, spec.z_max)
+        self._log_pz = spec._log_mixture(self._runs, 0, spec.z_max)
         self.weights = spec._ws[spec._rows]
-        self._tails = _missed_mass(spec._lams[spec._rows], 0, z_max)
+        self._tails = _missed_mass(spec._lams[spec._rows], 0, spec.z_max)
         self._tail = float(np.einsum("x,x->", self.weights, self._tails))
 
     def _reduce(self, row_sum) -> np.ndarray:
@@ -593,34 +567,28 @@ def _least_over_tilts(objective) -> float:
 def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
     """Per gain, sum_z (E[U ln U; V=z] - P_V(z) m(z) ln m(z)) with m(z) = E[U | V=z].
 
-    The rows, sorted by u, go in `_row_runs` runs planned on the
-    `poisson_band` starts at the smallest gain and band ends at the largest,
-    with a budget of _CHUNK_ELEMENTS / len(gains) cells. A run's table then
-    runs only from its first row's exact _MMPE_TAIL quantile at the smallest
-    gain to its last row's at the largest (`_poisson_window`), so every row
-    at every gain misses less than _MMPE_TAIL on each side; neighbouring
-    runs whose cut tables fit that budget together are joined. The columns
+    The rows, sorted by u, go in `_row_runs` runs planned on their
+    `_chernoff_window` at _MMPE_TAIL, lower ends at the smallest gain and
+    upper ends at the largest, with a budget of _CHUNK_ELEMENTS / len(gains)
+    cells, so every row at every gain misses at most _MMPE_TAIL on each side;
+    neighbouring runs whose tables fit that budget together are joined. The columns
     (P_V, E[U | V], E[U ln U; V]) of all gains are one einsum reduction of
     `moments` = (w, w u, w u ln u) with each run's gains x rows x z table.
     """
-    lam_lo, lam_hi = gains.min() * xs, gains.max() * xs
-    lo_band, hi_band = poisson_band(lam_lo)[0], poisson_band(lam_hi)[1]
-    budget = _CHUNK_ELEMENTS // gains.size
-    starts, stops = np.array(_row_runs(lo_band, hi_band, budget)).T[:2]
-    z_lo, z_hi = _poisson_window(lam_lo[starts], lam_hi[stops - 1], _MMPE_TAIL)
-    if z_hi[-1] > _Z_HARD_CAP:
+    lo, hi = _chernoff_window(gains.min() * xs, _MMPE_TAIL, gains.max() * xs)
+    if hi[-1] > _Z_HARD_CAP:
         raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
 
-    # at small means the cut windows are far narrower than the planned bands
+    # at small means `_row_runs` ends a run long before its table fills the budget
+    budget = _CHUNK_ELEMENTS // gains.size
     runs = []
-    for run in zip(starts, stops, z_lo, z_hi):
-        if runs and (run[1] - runs[-1][0]) * (run[3] - runs[-1][2] + 1) <= budget:
-            runs[-1] = (runs[-1][0], run[1], runs[-1][2], run[3])
-        else:
-            runs.append(run)
+    for a, b, z_lo, z_hi in _row_runs(lo, hi, budget):
+        if runs and (b - runs[-1][0]) * (z_hi - runs[-1][2] + 1) <= budget:
+            a, _, z_lo, _ = runs.pop()
+        runs.append((a, b, z_lo, z_hi))
 
-    cols = np.zeros((gains.size, 3, int(z_hi.max()) + 1))
-    runs = [(slice(start, stop), int(lo), int(hi)) for start, stop, lo, hi in runs]
+    cols = np.zeros((gains.size, 3, int(hi[-1]) + 1))
+    runs = [(slice(a, b), z_lo, z_hi) for a, b, z_lo, z_hi in runs]
     for rows, lo, hi, cond in _poisson_tables(xs, runs, gains):
         np.exp(cond, out=cond)
         cols[:, :, lo : hi + 1] += np.einsum("kr,grz->gkz", moments[:, rows], cond)
@@ -642,18 +610,16 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
 
     `a` is a scalar gain or an array of gains; a scalar returns a float.
     Gains whose means at the largest row lie close together form a group,
-    and a group's gains share one gains x rows x z table per run of rows,
-    planned like every banded table on `poisson_band` windows. A run's
-    z-window is then tightened: from the exact 1e-16 lower quantile of its
-    first row at the smallest gain to the exact 1e-16 upper quantile of its
-    last row at the largest (regularized incomplete gamma functions), so
-    each row leaves out less than 1e-16 of its mass on either side at every
-    gain. Each table of more than one row holds at most one block,
-    _CHUNK_ELEMENTS = 2^16 cells, and a group takes as many gains as keep
-    its columns on 0..the band end of the largest mean within 16 blocks (at
-    least one), so memory stays bounded at any support size. A window end
-    past the hard cap of 1e6 raises. The sums over the rows are einsum
-    reductions, so the result does not depend on the BLAS thread count.
+    and a group's gains share one gains x rows x z table per `_row_runs` run
+    of rows, planned on each row's `_chernoff_window` at 1e-16: its lower
+    end at the group's smallest gain, its upper end at the largest, so no
+    row leaves out more than 1e-16 on either side at any gain. Each table of
+    more than one row holds at most one block, _CHUNK_ELEMENTS = 2^16 cells,
+    and a group takes as many gains as keep its columns on 0..the window end
+    of the largest mean within 16 blocks (at least one), so memory stays
+    bounded at any support size. A window end past the hard cap of 1e6
+    raises. The sums over the rows are einsum reductions, so the result does
+    not depend on the BLAS thread count.
     """
     gains = np.asarray(a, dtype=float)
     if not np.all((0.0 < gains) & (gains < np.inf)):
@@ -668,13 +634,13 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     flat = gains.ravel()
     # A row's table spans the means of every gain of its group, so gains are grouped by
     # floor(sqrt(lam) / 3) of the mean lam they give the largest row: there a group's
-    # means spread by about 6 sqrt(lam), half the square-root term of a band's
-    # half-width, and a quadrature panel splits only where its means spread apart. A
-    # group holds its columns on 0..z_end while it streams its tables; they may take one
-    # block per Gauss-Legendre node.
+    # means spread by about 6 sqrt(lam), less than a row window's half-width there,
+    # sqrt(2 ln(1e16) lam) = 8.6 sqrt(lam), and a quadrature panel splits only where its
+    # means spread apart. A group holds its columns on 0..z_end while it streams its
+    # tables; they may take one block per Gauss-Legendre node.
     lam_top = flat * xs[-1]
     key = np.sqrt(lam_top) // 3.0
-    z_end = poisson_band(lam_top.max())[1]
+    z_end = _chernoff_window(lam_top.max(), _MMPE_TAIL)[1]
     step = max(1, _QUAD_POINTS * _CHUNK_ELEMENTS // int(3 * (z_end + 1)))
     out = np.empty(flat.size)
     for part in np.split(np.arange(flat.size), np.flatnonzero(np.diff(key)) + 1):

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import freqcap
+from freqcap.mutual_info import PoissonChannelSpec
 
 
 def python_at_blas_threads(args, threads):
@@ -17,3 +18,11 @@ def python_at_blas_threads(args, threads):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def spec_with_z_max(input_pmf, gain, z_max):
+    """A throwaway channel spec whose certified tails (`_TiltedRows`) sum their tables on
+    0..z_max instead of 0..its own z_max; a lower z_max leaves more mass to the Hölder term."""
+    spec = PoissonChannelSpec(input_pmf, gain)
+    spec.z_max = z_max
+    return spec

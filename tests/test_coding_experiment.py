@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
 from scipy.stats import chi2
+from conftest import spec_with_z_max
 
 from freqcap import coding_experiment, mutual_info
 from freqcap.channel import ChannelParams, CountVector, transmit
@@ -642,8 +643,7 @@ class TestCertifiedSpectrumTail:
     def test_grid_minimum_matches_mpmath_where_the_holder_term_counts(self):
         # z_max = 3 leaves a fifth to four fifths of a row's mass past the table
         law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
-        spec = PoissonChannelSpec(law, 1.0)
-        value = coding_experiment._spectrum_log_cdf_bound(spec, 3, 5, -1.0)
+        value = coding_experiment._spectrum_log_cdf_bound(spec_with_z_max(law, 1.0, 3), 5, -1.0)
         assert value == pytest.approx(mp_spectrum_log_cdf_bound(law, 1.0, 3, 5, -1.0), abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -652,7 +652,7 @@ class TestCertifiedSpectrumTail:
         # every (x, z) letter with z <= 40, where each row misses less than 1e-30, and
         # every sequence of n of them
         law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
-        spec = PoissonChannelSpec(law, 1.0)
+        spec = spec_with_z_max(law, 1.0, z_max)
         log_p = poisson_log_pmf(np.arange(41), np.arange(1.0, 4.0)[:, None])
         density = (log_p - np.logaddexp.reduce(log_p + law.log_weights[:, None], axis=0)).ravel()
         prob = (np.exp(log_p) * law.probs[:, None]).ravel()
@@ -664,7 +664,7 @@ class TestCertifiedSpectrumTail:
         for gap in (0.1, 0.3, 0.5):
             log_threshold = n * (mi - gap)
             exact = probs[sums <= log_threshold].sum()
-            bound = coding_experiment._spectrum_log_cdf_bound(spec, z_max, n, log_threshold)
+            bound = coding_experiment._spectrum_log_cdf_bound(spec, n, log_threshold)
             assert 0.04 < exact <= math.exp(bound)
 
     def test_default_run_samples_no_spectrum(self, monkeypatch):
@@ -694,8 +694,7 @@ class TestCertifiedSpectrumTail:
         spec = PoissonChannelSpec(law, 0.4)
         for gap in (0.05, 0.2):
             log_threshold = 24 * (mutual_information(spec) - gap)
-            bound = math.exp(coding_experiment._spectrum_log_cdf_bound(
-                spec, spec.z_max, 24, log_threshold))
+            bound = math.exp(coding_experiment._spectrum_log_cdf_bound(spec, 24, log_threshold))
             frequency = spectrum_mc(spec, 24, 4000, RngStream(3),
                                     thresholds=[log_threshold / 24]).cdf[0]
             assert 0.0 < frequency <= bound
@@ -705,7 +704,7 @@ class TestCertifiedSpectrumTail:
         config = ExperimentConfig(n=24, g=8.0, r=0.5, rho=0.5, delta=-2000.0, m=16, trials=5,
                                   seed=9)
         assert coding_experiment._spectrum_log_cdf_bound(
-            PoissonChannelSpec(truncated_rounded_input_pmf(8.0, 0.5), 0.4), 40, 24,
+            spec_with_z_max(truncated_rounded_input_pmf(8.0, 0.5), 0.4, 40), 24,
             96_000.0) > 709.0
         assert run_experiment(config).spectrum_cdf_at_gamma == 1.0
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import spec_with_z_max
 
 from freqcap import diagnostics, mutual_info
 from freqcap.channel import poissonization_identity_check
@@ -19,8 +20,8 @@ from freqcap.diagnostics import SUITES, run_suite
 from freqcap.distributions import DiscretePmf, poisson_log_pmf
 from freqcap.mutual_info import PoissonChannelSpec
 
-# The Poissonization box at M = 20 in four dimensions holds 1.97M points;
-# built whole it took about 285 MB, walked slab by slab about 5 MB.
+# The Poissonization box at M = 20 in four dimensions holds 1.25M points; a
+# 1.97M-point box built whole took about 285 MB, walked slab by slab about 5 MB.
 CEILING_MB = 16.0
 
 
@@ -151,10 +152,10 @@ def mp_chernoff_log_tail(xs, gain, copies, delta, z_max):
 @pytest.mark.parametrize("z_max", [None, 4])
 def test_certified_exponent_matches_mpmath(z_max):
     # z_max = 4 leaves up to 37% of a row's mass to the Hölder term
-    spec = PoissonChannelSpec(DiscretePmf.from_weights(1, np.ones(8)), 0.5)
-    z_max = spec.z_max if z_max is None else z_max
-    value = diagnostics._chernoff_log_tail(spec, 50, 0.35, z_max)
-    assert value == pytest.approx(mp_chernoff_log_tail(range(1, 9), 0.5, 50, 0.35, z_max),
+    law = DiscretePmf.from_weights(1, np.ones(8))
+    spec = PoissonChannelSpec(law, 0.5) if z_max is None else spec_with_z_max(law, 0.5, z_max)
+    value = diagnostics._chernoff_log_tail(spec, 50, 0.35)
+    assert value == pytest.approx(mp_chernoff_log_tail(range(1, 9), 0.5, 50, 0.35, spec.z_max),
                                   abs=1e-9)
 
 
@@ -169,5 +170,5 @@ def test_certified_tail_bounds_the_exact_tail(delta):
     sums = density[0][:, None, None] + density[1][None, :, None] + density[2]
     p = np.exp(log_p)
     exact = (p[0][:, None, None] * p[1][None, :, None] * p[2])[sums <= a].sum()
-    spec = PoissonChannelSpec(law, 1.0)
-    assert 0.01 < exact <= math.exp(diagnostics._chernoff_log_tail(spec, 1, delta, z_max))
+    spec = spec_with_z_max(law, 1.0, z_max)
+    assert 0.01 < exact <= math.exp(diagnostics._chernoff_log_tail(spec, 1, delta))

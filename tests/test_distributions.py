@@ -13,6 +13,7 @@ from freqcap.distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _chernoff_window,
     _missed_mass,
     _row_runs,
     gamma_half_tail_bounds,
@@ -185,6 +186,18 @@ class TestPoissonEntropy:
         with pytest.raises(ValueError):
             poisson_entropy(np.array([1.0, 0.0, 3.0]))
 
+    @pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-3, 1.0, 50.0, 149.0])
+    def test_band_sum_matches_mpmath(self, lam):
+        # relative error: at lam = 1e-12, H = 2.9e-11, and a band whose tail is a flat 1e-20
+        # rather than one that shrinks with lam drops the z = 2 term, 1e-12 of H
+        with mpmath.workdps(40):
+            mean = mpmath.mpf(lam)
+            exact = mpmath.mpf(0)
+            for z in range(int(lam + 40 * math.sqrt(lam + 1)) + 60):
+                log_p = z * mpmath.log(mean) - mean - mpmath.loggamma(z + 1)
+                exact -= mpmath.exp(log_p) * log_p
+            assert abs((poisson_entropy(lam) - exact) / exact) <= 1e-13
+
     @pytest.mark.parametrize("lam", [LAM0, 2 * LAM0, 1e3, 5e3, 2e4, 1e5, 1e6])
     def test_series_matches_mpmath(self, lam):
         # -sum p ln p at 40 digits over lam +- 40 sqrt(lam), one term from the last
@@ -216,7 +229,7 @@ class TestPoissonEntropy:
         assert np.all(np.diff(poisson_entropy(np.sort(grid))) > 0.0)
 
     def test_band_certificate_refuses_a_tolerance_it_cannot_meet(self, monkeypatch):
-        # the unit-mean band ends at z = 57, whose tail (~1e-79) is far above 1e-300
+        # the unit-mean band ends at z = 21, whose tail (~3e-22) is far above 1e-300
         monkeypatch.setattr(distributions, "_ENTROPY_TAIL_TOL", 1e-300)
         with pytest.raises(RuntimeError, match="band"):
             poisson_entropy(1.0)
@@ -263,6 +276,69 @@ class TestMissedMass:
         lam = np.logspace(-9, 6, 2001)
         hi = poisson_band(lam)[1]
         assert np.array_equal(_missed_mass(lam, 0, hi), gammainc(hi + 1.0, lam))
+
+
+TAILS = (2.0**-53, 1e-16, 1e-20, 1e-30)
+
+
+class TestChernoffWindow:
+    """Bennett's Poisson tail bound inverted through Lambert W, certified by the exact tails."""
+
+    @staticmethod
+    def assert_certified(lam, tail):
+        lo, hi = _chernoff_window(lam, tail)
+        # P[Z < lo] = Q_reg(lo, lam), 0 at lo = 0; P[Z > hi] = P_reg(hi + 1, lam)
+        assert np.all(gammaincc(lo, lam) <= tail)
+        assert np.all(gammainc(hi + 1.0, lam) <= tail)
+        return lo, hi
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_both_tails_certified_and_ends_never_decrease(self, tail):
+        lam = np.logspace(-12, 6, 20_001)
+        lo, hi = self.assert_certified(lam, tail)
+        assert lo.dtype == hi.dtype == np.int64
+        # `_row_runs` plans on windows whose ends never decrease with the mean
+        assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+        assert np.all(lo <= np.floor(lam)) and np.all(np.ceil(lam) <= hi)
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_finite_at_the_extremes_and_at_the_switch(self, tail):
+        # lam = ln(1/tail) is where W0 is 0 and where the lower end leaves 0
+        switch = -math.log(tail)
+        lam = np.array([1e-300, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1e3)])
+        lo, hi = self.assert_certified(lam, tail)
+        assert lo[0] == hi[0] == 0
+        assert np.array_equal(lo, [0, 0, 0, 1])
+        assert hi[2] == math.floor(math.e * switch) and abs(hi[3] - hi[1]) <= 1
+
+    def test_array_tail_broadcasts(self):
+        lam = np.logspace(-3, 4, 15)[:, None]
+        lo, hi = _chernoff_window(lam, np.array(TAILS))
+        assert lo.shape == hi.shape == (15, len(TAILS))
+        for j, tail in enumerate(TAILS):
+            column = _chernoff_window(lam[:, 0], tail)
+            assert np.array_equal(lo[:, j], column[0]) and np.array_equal(hi[:, j], column[1])
+
+    def test_a_range_of_means_takes_each_end_at_its_own_mean(self):
+        # `mmpe` certifies one window for every gain of a group
+        lam = np.logspace(-3, 4, 15)
+        lo, hi = _chernoff_window(lam, 1e-16, 1.5 * lam)
+        assert np.array_equal(lo, _chernoff_window(lam, 1e-16)[0])
+        assert np.array_equal(hi, _chernoff_window(1.5 * lam, 1e-16)[1])
+
+    def test_narrower_than_the_spec_band(self):
+        lam = np.logspace(-9, 6, 301)
+        lo, hi = _chernoff_window(lam, 1e-17)
+        band_lo, band_hi = poisson_band(lam)
+        assert np.all(band_lo <= lo) and np.all(hi < band_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-12, 1e6), st.floats(1e-12, 1e6), st.sampled_from(TAILS))
+def test_chernoff_window_certified_and_monotone(a, b, tail):
+    lam = np.array(sorted((a, b)))
+    lo, hi = TestChernoffWindow.assert_certified(lam, tail)
+    assert lo[0] <= lo[1] and hi[0] <= hi[1]
 
 
 @st.composite

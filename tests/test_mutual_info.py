@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from conftest import python_at_blas_threads
+from conftest import python_at_blas_threads, spec_with_z_max
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, gammaln, logsumexp
@@ -446,11 +446,11 @@ class TestSpectrumMc:
     def test_letter_table_certificate_refuses(self, monkeypatch):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
 
-        def narrow(lam):
+        def narrow(lam, tail):
             lo = np.maximum(0.0, np.ceil(lam - 10.0)).astype(np.int64)
             return lo, np.floor(lam + 10.0).astype(np.int64)
 
-        monkeypatch.setattr(mutual_info, "poisson_band", narrow)
+        monkeypatch.setattr(mutual_info, "_chernoff_window", narrow)
         with pytest.raises(RuntimeError, match="letter table"):
             spectrum_mc(spec, 10, 10, RngStream(1))
 
@@ -729,7 +729,7 @@ class TestLeastOverTilts:
     def test_finds_the_grid_minimum_of_the_spectrum_tail(self, gap):
         # the coding configs' law and gain, z_max 97; the minimum moves from s = 0.01 to s = 1
         law = truncated_rounded_input_pmf(8.0, 0.5)
-        rows = mutual_info._TiltedRows(PoissonChannelSpec(law, 0.4), 97)
+        rows = mutual_info._TiltedRows(spec_with_z_max(law, 0.4, 97))
         log_threshold = 2000 * (mutual_information(PoissonChannelSpec(law, 0.4)) - gap)
 
         def objective(s):
@@ -750,7 +750,7 @@ class TestLeastOverTilts:
     def test_rows_match_the_table_they_replace(self):
         # one tilt's sums and the means against the whole (letters x outputs) table
         law = DiscretePmf.from_weights(1, np.array([0.5, 0.3, 0.2]))
-        rows = mutual_info._TiltedRows(PoissonChannelSpec(law, 1.0), 40)
+        rows = mutual_info._TiltedRows(spec_with_z_max(law, 1.0, 40))
         log_p = poisson_log_pmf(np.arange(41), np.arange(1.0, 4.0)[:, None])
         log_pz = np.logaddexp.reduce(log_p + law.log_weights[:, None], axis=0)
         np.testing.assert_allclose(rows.means(), (np.exp(log_p) * (log_p - log_pz)).sum(axis=1),
@@ -779,7 +779,7 @@ class TestLeastOverTilts:
         monkeypatch.setattr(mutual_info, "poisson_log_pmf", refuse, raising=False)
         monkeypatch.setattr(mutual_info, "_poisson_tables", recording)
         spec = PoissonChannelSpec(make(), gain)
-        rows = mutual_info._TiltedRows(spec, spec.z_max)
+        rows = mutual_info._TiltedRows(spec)
         blocks.clear()
         rows.sums(0.5)
         assert sum(r for r, _ in blocks) == spec._rows.size
