@@ -6,7 +6,7 @@ command, the median and quartiles of the process's CPU seconds (user +
 system), its median wall seconds and its median peak RSS (`ru_maxrss`).
 One more, untimed, process per tree and command runs under
 `python -X importtime` and records whether the command loads
-`scipy.special`:
+`scipy.special` and whether it loads numpy:
 
     python scripts/bench_cli.py                       # this checkout's src/
     python scripts/bench_cli.py parent=/path/to/other/src change=src > BENCH_cli.json
@@ -65,14 +65,18 @@ def _run_once(src, argv, workdir):
     return usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss
 
 
-def _loads_scipy_special(src, argv, workdir):
-    """Whether a `python -m freqcap.cli argv` process imports `scipy.special`,
-    read from the interpreter's import log (`-X importtime`, one line per module)."""
+def _imports(src, argv, workdir):
+    """Whether a `python -m freqcap.cli argv` process imports `scipy.special` and whether
+    it imports `numpy`, read from the interpreter's import log (`-X importtime`, one line
+    per module)."""
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "freqcap.cli", *argv],
                           cwd=workdir, env=child_env(src), capture_output=True, text=True,
                           check=True)
-    return any(line.rpartition("|")[2].strip() == "scipy.special"
-               for line in done.stderr.splitlines())
+    modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    # a module loaded through `importlib.import_module`, as the CLI loads numpy, gets no
+    # line of its own, so any numpy submodule counts
+    return {"loads_scipy_special": "scipy.special" in modules,
+            "loads_numpy": any(m.partition(".")[0] == "numpy" for m in modules)}
 
 
 def main(trees):
@@ -80,7 +84,7 @@ def main(trees):
     with tempfile.TemporaryDirectory() as workdir:
         with open(os.path.join(workdir, "experiment.cfg"), "w") as fh:
             fh.write(EXPERIMENT_CFG)
-        special = {label: {name: _loads_scipy_special(src, argv, workdir)
+        imports = {label: {name: _imports(src, argv, workdir)
                            for name, argv in COMMANDS.items()} for label, src in trees.items()}
         for sample in range(SAMPLES):
             for name, argv in COMMANDS.items():
@@ -100,12 +104,12 @@ def main(trees):
                 "cpu_s": cpu,
                 "wall_s_median": statistics.median(s[1] for s in samples),
                 "ru_maxrss_kb_median": statistics.median(s[2] for s in samples),
-                "loads_scipy_special": special[label][name],
+                **imports[label][name],
             }
     doc = {
         "benchmark": f"each README CLI command in {SAMPLES} fresh processes per tree: CPU s "
                      "(user + system) and wall s of the process, its ru_maxrss (KiB); whether it "
-                     "loads scipy.special, from one more untimed process",
+                     "loads scipy.special and numpy, from one more untimed process",
         "commands": {name: " ".join(argv) for name, argv in COMMANDS.items()},
         "environment": environment("scipy"),
         "results": results,

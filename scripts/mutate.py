@@ -61,8 +61,13 @@ MUTATIONS = {
     ),
     "chernoff-window-lower-end-one-long": (
         "distributions.py",
-        "    lo[far] = np.ceil(excess[far] / lambertw(arg[far], -1).real)",
-        "    lo[far] = np.ceil(excess[far] / lambertw(arg[far], -1).real) + 1",
+        "        lo[far] = np.ceil(excess[far] / _lambert_w_array(arg[far], -1))",
+        "        lo[far] = np.ceil(excess[far] / _lambert_w_array(arg[far], -1)) + 1",
+    ),
+    "lambert-w-halley-cut-to-one-step": (
+        "special_math.py",
+        "_W_STEP_TOL = 1e-8",
+        "_W_STEP_TOL = math.inf",
     ),
     "poissonization-box-only-slab-y0-0": (
         "channel.py",

@@ -4,26 +4,66 @@ All numeric output is in nats unless --bits is given on subcommands that
 support it. Every command prints JSON, except `verify` (one line per check)
 and `figure2` (a CSV file); identical arguments always produce
 byte-identical output. Seeds come from --seed (else 0) or an experiment config.
+
+The capacity commands (`bounds`, `dna`, `figure2`) run on the standard
+library alone. numpy and the numeric modules load when a command that needs
+them runs: each such handler binds the names of `_NUMERIC` as module globals
+first, and reads them from there.
 """
 
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import capacity_bounds as cb
-from .channel import ChannelParams, CountVector, transmit, transmit_poissonized
-from .coding_experiment import ExperimentConfig, run_experiment
-from .diagnostics import run_suite
-from .distributions import _SUPPORT_CAP, DiscretePmf, RngStream, truncated_rounded_input_pmf
-from .mutual_info import PoissonChannelSpec, i_mmpe_integral, mutual_information, spectrum_mc
 from .special_math import NATS_PER_BIT
 
 __all__ = ["run", "main"]
+
+# module -> the names its handlers read as globals of this module; numpy is bound as `np`.
+# A name that is bound already keeps its value: perfbench/spans.py rebinds some of them
+# here to trace them.
+_NUMERIC = {
+    ".channel": ("ChannelParams", "CountVector", "transmit", "transmit_poissonized"),
+    ".coding_experiment": ("ExperimentConfig", "run_experiment"),
+    ".diagnostics": ("run_suite",),
+    ".distributions": ("_SUPPORT_CAP", "DiscretePmf", "RngStream", "truncated_rounded_input_pmf"),
+    ".mutual_info": ("PoissonChannelSpec", "i_mmpe_integral", "mutual_information",
+                     "spectrum_mc"),
+}
+
+
+def _bind_numeric():
+    """Import numpy and the modules of `_NUMERIC`, and bind each of their names that is not
+    bound yet."""
+    bound = globals()
+    bound.setdefault("np", importlib.import_module("numpy"))
+    for module, names in _NUMERIC.items():
+        source = importlib.import_module(module, __package__)
+        for name in names:
+            bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    if name == "np" or any(name in names for names in _NUMERIC.values()):
+        _bind_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _numeric(handler):
+    """`handler`, run after `_bind_numeric`."""
+
+    @functools.wraps(handler)
+    def bound(args):
+        _bind_numeric()
+        return handler(args)
+
+    return bound
 
 
 def _to_bits(payload):
@@ -99,6 +139,7 @@ def _cmd_dna(args):
     return 0
 
 
+@_numeric
 def _cmd_mi(args):
     input_pmf = _parse_input_law(args)
     spec = PoissonChannelSpec(input_pmf, args.gain)
@@ -127,6 +168,7 @@ def _cmd_mi(args):
     return 0
 
 
+@_numeric
 def _cmd_spectrum(args):
     input_pmf = _parse_input_law(args)
     spec = PoissonChannelSpec(input_pmf, args.gain)
@@ -141,6 +183,7 @@ def _cmd_spectrum(args):
     return 0
 
 
+@_numeric
 def _cmd_simulate(args):
     counts = CountVector([int(c) for c in args.codeword.split(",")])
     kernel = None
@@ -165,6 +208,7 @@ def _cmd_simulate(args):
     return 0
 
 
+@_numeric
 def _cmd_experiment(args):
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
@@ -174,6 +218,7 @@ def _cmd_experiment(args):
     return 0
 
 
+@_numeric
 def _cmd_verify(args):
     results = run_suite(args.suite)
     failed = 0

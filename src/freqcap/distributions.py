@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_math import log_factorial
+from .special_math import _lambert_w_array, log_factorial
 from .special_math import regularized_gamma_p  # noqa: F401  (perfbench/spans.py traces this name)
 
 __all__ = [
@@ -50,7 +50,8 @@ _ENTROPY_SERIES = (
     -1 / 12, -1 / 24, -19 / 360, -9 / 80, -863 / 2520, -1375 / 1008, -33953 / 5040, -57281 / 1440
 )
 _TWO_PI_E = 2.0 * math.pi * math.e
-# `poisson_entropy` refuses a band sum whose band leaves out this much mass or more
+# `poisson_entropy` refuses a band sum whose band leaves out this much mass or more, times
+# min(1, lam): H is about lam ln(1/lam) at small means, so the gate keeps its relative digits
 _ENTROPY_TAIL_TOL = 1e-14
 
 
@@ -245,18 +246,18 @@ def _chernoff_window(lam, tail, lam_hi=None):
     hi, rounded down, and W-1 gives lo, rounded up, where lam > L (lo = 0 elsewhere).
     This form is finite at every lam > 0; at lam = L, where W0 = 0, hi is e lam.
     """
-    from scipy.special import lambertw
-
     lam = np.asarray(lam, dtype=float)
     top = lam if lam_hi is None else np.asarray(lam_hi, dtype=float)
     log_inv = -np.log(tail)
     excess = log_inv - top
     with np.errstate(invalid="ignore"):
-        hi = np.where(excess == 0.0, math.e * top, excess / lambertw(excess / (math.e * top)).real)
+        hi = np.where(excess == 0.0, math.e * top,
+                      excess / _lambert_w_array(excess / (math.e * top)))
     excess = np.asarray(log_inv - lam)
     arg, far = excess / (math.e * lam), excess < 0.0
     lo = np.zeros(far.shape)
-    lo[far] = np.ceil(excess[far] / lambertw(arg[far], -1).real)
+    if far.any():
+        lo[far] = np.ceil(excess[far] / _lambert_w_array(arg[far], -1))
     return lo.astype(np.int64), np.floor(hi).astype(np.int64)
 
 
@@ -307,7 +308,8 @@ def poisson_entropy(lam):
     digits where it is tiny. The mass left outside the band is certified
     analytically through the regularized incomplete gamma functions (P above
     the band, Q below it) rather than by 1 - sum(p), which drowns in float
-    rounding; a mean whose band leaves out _ENTROPY_TAIL_TOL = 1e-14 or more raises.
+    rounding; a mean whose band leaves out _ENTROPY_TAIL_TOL min(1, lam), that is
+    1e-14 min(1, lam), or more raises.
     """
     lams = np.asarray(lam, dtype=float)
     if np.any(~(lams > 0.0)):
@@ -327,7 +329,7 @@ def poisson_entropy(lam):
     lam_near = flat[near]
     lo, hi = _chernoff_window(lam_near, 1e-20 * np.minimum(1.0, lam_near))
     missed = _missed_mass(lam_near, lo, hi)
-    if np.any(missed >= _ENTROPY_TAIL_TOL):
+    if np.any(missed >= _ENTROPY_TAIL_TOL * np.minimum(1.0, lam_near)):
         i = int(np.argmax(missed))
         raise RuntimeError(
             f"poisson_entropy band misses mass {missed[i]:g} at lambda={lam_near[i]}"

@@ -1,21 +1,21 @@
 """Special functions.
 
-Everything here is a pure function of its arguments. Lambert W, ln k! and
-the regularized incomplete gamma function are scipy's (`lambertw`,
-`gammaln`, `gammainc`) behind domain checks; the tests hold them to
-mpmath. All entropic quantities are in nats; conversion to bits happens
-only at the presentation layer.
+Everything here is a pure function of its arguments. Lambert W is Halley's
+iteration in real arithmetic (Corless, Gonnet, Hare, Jeffrey and Knuth
+1996), on floats and on numpy arrays; ln k! and the regularized incomplete
+gamma function are scipy's (`gammaln`, `gammainc`) behind domain checks;
+the tests hold them all to mpmath. All entropic quantities are in nats;
+conversion to bits happens only at the presentation layer.
 
-The scipy functions, here and in every other module, are imported inside
-the function that calls them, so `scipy.special` loads on the first such
-call and not at import: it would cost more than half of what
-`import freqcap.cli` takes, and commands such as `bounds` and `simulate`
-never call it.
+The capacity bounds (`bounds`, `dna`, `figure2`) need nothing here but
+`math`, so this module imports numpy only inside the functions that take
+arrays. The scipy functions, here and in every other module, are imported
+inside the function that calls them, so `scipy.special` loads on the first
+such call and not at import, where it would cost more CPU time than numpy's
+own import.
 """
 
 import math
-
-import numpy as np
 
 __all__ = [
     "NATS_PER_BIT",
@@ -51,20 +51,106 @@ def psi_max_entropy(mu: float) -> float:
     return (mu + 1.0) * binary_entropy(1.0 / (mu + 1.0))
 
 
+# 1/e; both real branches of W start at their branch point -1/e
+_INV_E = math.exp(-1.0)
+# Halley's iteration stops at the first step below this fraction of the iterate; the
+# error left is about its cube, far below an ulp
+_W_STEP_TOL = 1e-8
+_W_MAX_STEPS = 100
+
+
+def _w_branch_point_series(p):
+    """-1 + p - p^2/3: W near its branch point -1/e, with p = sqrt(2 (e x + 1)) for W0 and
+    p = -sqrt(2 (e x + 1)) for W-1 (Corless et al. 4.22)."""
+    return (-1.0 / 3.0 * p + 1.0) * p - 1.0
+
+
+def _w_pade(x):
+    """The (3, 2) Pade approximant of W0 around 0."""
+    num = (12.85106382978723404255 * x + 12.34042553191489361902) * x + 1.0
+    den = (32.53191489361702127660 * x + 14.34042553191489361702) * x + 1.0
+    return x * num / den
+
+
+def _halley_step(w, x, shift, exp):
+    """Halley's step for w e^w = x (Corless et al. 5.9), on floats or arrays, with both
+    sides divided by e^shift: shift = w where w >= 0, so that nothing overflows, else 0."""
+    a, b = exp(w - shift), x * exp(-shift)
+    f = w * a - b
+    return w - f / (w * a + a - (w + 2.0) * f / (2.0 * w + 2.0))
+
+
+def _lambert_w(x: float, branch: int = 0) -> float:
+    """Real branch 0 or -1 of Lambert W at a float x, by Halley's iteration.
+
+    W0 is defined for x >= -1/e and W-1 for -1/e <= x < 0; W-1 is refused above
+    -1e-300 too, where e^W would be subnormal and lose its digits. The starting guess is
+    the branch-point series within 0.3 of -1/e, the Pade approximant elsewhere on
+    (-1, 1.5) for W0, and the asymptotic ln|x| - ln|ln|x|| beyond (Corless et al. 4.20).
+    For W0 these are the guesses of scipy's `lambertw`, so the two agree bit for bit
+    beyond 1.5; below it scipy evaluates them with fused multiply-adds, and the values can
+    part in the last bits, or by more next to -1/e. At the branch point the guess is -1
+    itself, where the step would divide by zero.
+    """
+    if x < -_INV_E or branch == -1 and not x <= -1e-300:
+        domain = "-1/e <= x" if branch == 0 else "-1/e <= x <= -1e-300"
+        raise ValueError(f"Lambert W on branch {branch} needs {domain}, got x={x}")
+    if not x < math.inf:
+        return x  # W0(inf) = inf, and nan stays nan
+    if abs(x + _INV_E) < 0.3:
+        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        w = _w_branch_point_series(p if branch == 0 else -p)
+    elif branch == 0 and -1.0 < x < 1.5:
+        w = _w_pade(x)
+    else:
+        w = math.log(abs(x))
+        w -= math.log(abs(w))
+    if w == -1.0:
+        return w
+    divided = w >= 0.0
+    for _ in range(_W_MAX_STEPS):
+        following = _halley_step(w, x, w if divided else 0.0, math.exp)
+        if abs(following - w) <= _W_STEP_TOL * abs(following):
+            return following
+        w = following
+    raise ArithmeticError(f"Lambert W iteration did not converge at x={x}")
+
+
+def _lambert_w_array(x, branch: int = 0):
+    """`_lambert_w` on every element of an array x in the branch's domain, unchecked: the
+    same guesses and Halley steps, each element stopping at its own step. numpy's exp
+    may round otherwise than `math.exp`, so an element can differ in its last bit."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):  # each guess is also evaluated outside its own region
+        p = np.sqrt(2.0 * (math.e * x + 1.0))
+        log_x = np.log(np.abs(x))
+        w = log_x - np.log(np.abs(log_x))
+        if branch == 0:
+            w = np.where((-1.0 < x) & (x < 1.5), _w_pade(x), w)
+        near = np.abs(x + _INV_E) < 0.3
+        w = np.where(near, _w_branch_point_series(p if branch == 0 else -p), w)
+        divided = w >= 0.0
+        done = w == -1.0
+        for _ in range(_W_MAX_STEPS):
+            if done.all():
+                return w
+            following = _halley_step(w, x, w * divided, np.exp)
+            converged = np.abs(following - w) <= _W_STEP_TOL * np.abs(following)
+            np.copyto(w, following, where=~done)
+            done |= converged
+    raise ArithmeticError("Lambert W iteration did not converge")
+
+
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function: w with w*exp(w) = x.
 
-    Defined for x >= -1/e; the real part of scipy's `lambertw` on branch 0.
-    Near -1/e the value is ill-conditioned: 1 + e*x cancels, so the error
-    grows like eps / sqrt(x + 1/e).
+    Defined for x >= -1/e; `_lambert_w` on branch 0, which is also what scipy's
+    `lambertw` computes, in real arithmetic. Near -1/e the value is
+    ill-conditioned: 1 + e*x cancels, so the error grows like eps / sqrt(x + 1/e).
     """
-    if x < -1.0 / math.e:
-        raise ValueError(f"lambert_w0 needs x >= -1/e, got {x}")
-    if x == -1.0 / math.e:
-        return -1.0  # the branch point; the double nearest -1/e makes scipy return nan
-    from scipy.special import lambertw
-
-    return float(lambertw(x).real)
+    return _lambert_w(x)
 
 
 def regularized_gamma_p(k: float, x: float) -> float:
@@ -88,6 +174,8 @@ def log_factorial(k):
     tests) and monotone in k. A scalar or 0-d input gives a float, an
     array or list an array of its shape.
     """
+    import numpy as np
+
     arr = np.asarray(k)
     if np.any(arr < 0):
         raise ValueError("log_factorial needs k >= 0")

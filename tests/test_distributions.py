@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, lambertw
 
 from freqcap import distributions
 from freqcap.distributions import (
@@ -234,6 +234,15 @@ class TestPoissonEntropy:
         with pytest.raises(RuntimeError, match="band"):
             poisson_entropy(1.0)
 
+    def test_band_certificate_scales_with_the_mean(self, monkeypatch):
+        # H = 2.9e-11 at lam = 1e-12, so a band that drops 1e-15 there moves H by about
+        # 1e-3 relative; the same drop at lam = 1 is below the gate's 1e-14
+        monkeypatch.setattr(distributions, "_missed_mass",
+                            lambda lam, lo, hi: np.full(np.shape(lam), 1e-15))
+        assert poisson_entropy(1.0) > 0.0
+        with pytest.raises(RuntimeError, match="band"):
+            poisson_entropy(1e-12)
+
 
 class TestPoissonBand:
     def test_scalar_and_array(self):
@@ -331,6 +340,51 @@ class TestChernoffWindow:
         lo, hi = _chernoff_window(lam, 1e-17)
         band_lo, band_hi = poisson_band(lam)
         assert np.all(band_lo <= lo) and np.all(hi < band_hi)
+
+
+def _lambertw_window(lam, tail):
+    """The window as it was computed through scipy's complex-valued `lambertw`."""
+    excess = -np.log(tail) - lam
+    with np.errstate(invalid="ignore"):
+        hi = np.where(excess == 0.0, math.e * lam, excess / lambertw(excess / (math.e * lam)).real)
+    far = excess < 0.0
+    lo = np.zeros(lam.shape)
+    lo[far] = np.ceil(excess[far] / lambertw(excess[far] / (math.e * lam[far]), -1).real)
+    return lo, np.floor(hi)
+
+
+def _bennett_exponent(lam, n):
+    """lam h(n / lam - 1), h(u) = (1 + u) ln(1 + u) - u: Bennett's bound e^-exponent on
+    P[Z >= n] for n above the mean of Z ~ Poisson(lam), and on P[Z <= n] for n below it."""
+    u = (n - lam) / lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = lam * ((1.0 + u) * np.log1p(u) - u)
+    return np.where(n == 0.0, lam, exponent)  # (1 + u) ln(1 + u) is 0 at u = -1
+
+
+# every caller's tail: mmpe, the poisson_entropy bands, the letter table and the
+# Poissonization box, the v-log-v range
+CALLER_TAILS = {
+    "1e-16": lambda lam: 1e-16,
+    "1e-20_min_1_lam": lambda lam: 1e-20 * np.minimum(1.0, lam),
+    "2^-53": lambda lam: 2.0**-53,
+    "1e-30": lambda lam: 1e-30,
+}
+
+
+@pytest.mark.parametrize("tail_of", CALLER_TAILS.values(), ids=CALLER_TAILS.keys())
+def test_real_lambert_w_keeps_every_window_end_and_bennett_certifies_it(tail_of):
+    lam = np.logspace(-9, 6, 200_001)
+    tail = tail_of(lam)
+    lo, hi = _chernoff_window(lam, tail)
+    reference = _lambertw_window(lam, tail)
+    assert np.array_equal(lo, reference[0]) and np.array_equal(hi, reference[1])
+    # the first count left out on each side meets Bennett's bound exactly, so no end
+    # rests on the last bits of W
+    log_inv = np.broadcast_to(-np.log(tail), lam.shape)
+    assert np.all(_bennett_exponent(lam, hi + 1.0) >= log_inv)
+    below = lo >= 1
+    assert np.all(_bennett_exponent(lam[below], lo[below] - 1.0) >= log_inv[below])
 
 
 @settings(max_examples=300, deadline=None)

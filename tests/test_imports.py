@@ -1,7 +1,8 @@
 """Every name a library module imports is used in it, every private
 module-level name it defines is used somewhere in the package, importing
-the CLI loads none of scipy's heavy subpackages nor `scipy.special`, and a
-command loads `scipy.special` only when it calls one of its functions.
+the package or the CLI loads neither numpy nor any part of scipy, a
+command loads `scipy.special` only when it calls one of its functions, and
+the capacity commands run on the standard library alone.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import freqcap
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "freqcap"
@@ -127,9 +130,21 @@ def test_every_private_definition_is_used():
 
 
 def exported_names(init_source: str) -> list:
-    """The names a package's `__init__` re-exports from its modules."""
-    return sorted(alias.asname or alias.name for node in ast.parse(init_source).body
-                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+    """The names a package's `__init__` re-exports from its modules: the strings of its
+    `_EXPORTS` table (module -> names)."""
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+                "_EXPORTS"]:
+            return sorted(leaf.value for names in node.value.values for leaf in ast.walk(names)
+                          if isinstance(leaf, ast.Constant))
+    return []
+
+
+def test_exported_names_reads_the_export_table():
+    # pinned, so that the reader check below cannot pass on an empty list
+    names = exported_names((SRC / "__init__.py").read_text())
+    assert len(names) == 52
+    assert names == sorted(freqcap.__all__)
 
 
 def unread_public_names(names, sources: dict, texts=()) -> list:
@@ -182,11 +197,6 @@ def test_every_public_name_has_a_reader():
     assert unread_public_names(names, sources, [(ROOT / "README.md").read_text()]) == []
 
 
-# subpackages a freqcap process has no use for; scipy.integrate alone pulls in the first six
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
-               "scipy.fft", "scipy.spatial", "scipy.stats")
-
-
 def _fresh_modules(code: str) -> list:
     """The names in `sys.modules` at the end of a fresh process that runs `code`."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
@@ -197,21 +207,41 @@ def _fresh_modules(code: str) -> list:
     return done.stdout.split()
 
 
-def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # scipy.special costs most of the import; each library function imports it on first call
-    loaded = _fresh_modules("import freqcap.cli")
-    unwanted = HEAVY_SCIPY + ("scipy.special",)
-    assert [m for m in loaded if ".".join(m.split(".")[:2]) in unwanted] == []
+@pytest.mark.parametrize("module", ["freqcap", "freqcap.cli"])
+def test_import_loads_neither_numpy_nor_scipy(module):
+    # the package's names and the CLI's numeric names are imported on first use
+    loaded = _fresh_modules(f"import {module}")
+    assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
-# README commands; the last calls scipy's gammainc, so the test cannot pass vacuously
-@pytest.mark.parametrize("argv, loads_special", [
-    (["bounds", "--g", "100", "--r", "40"], False),
-    (["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2", "--seed", "7"], False),
-    (["mi", "--input", "trunc-gamma", "--g", "20", "--rho", "0.1", "--gain", "0.4", "--i-mmpe"],
-     True),
-], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special):
+def _run_command(argv) -> list:
+    """The modules a fresh process has loaded after `cli.run(argv)` returned 0."""
     code = ("import contextlib, io\nfrom freqcap import cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run({argv!r}) == 0")
-    assert ("scipy.special" in _fresh_modules(code)) is loads_special
+    return _fresh_modules(code)
+
+
+BOUNDS = ["bounds", "--g", "100", "--r", "40"]
+DNA = ["dna", "--alphabet", "4", "--beta-log-a", "0.76", "--kl", "4e21"]
+FIGURE2 = ["figure2", "--out", os.devnull]
+SIMULATE = ["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2", "--seed", "7"]
+MI = ["mi", "--input", "trunc-gamma", "--g", "20", "--rho", "0.1", "--gain", "0.4", "--i-mmpe"]
+
+
+# README commands; `mi` calls scipy's gammainc, so the test cannot pass vacuously
+@pytest.mark.parametrize("argv, loads_special", [
+    (BOUNDS, False), (DNA, False), (FIGURE2, False), (SIMULATE, False), (MI, True),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special):
+    assert ("scipy.special" in _run_command(argv)) is loads_special
+
+
+# the capacity commands need only `math`; the others cannot run without numpy
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (BOUNDS, False), (DNA, False), (FIGURE2, False), (SIMULATE, True), (MI, True),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_only_the_numeric_commands_load_numpy(argv, loads_numpy):
+    roots = {m.split(".")[0] for m in _run_command(argv)}
+    assert ("numpy" in roots) is loads_numpy
+    if not loads_numpy:
+        assert "scipy" not in roots

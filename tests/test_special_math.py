@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from freqcap.special_math import (
+    _lambert_w,
+    _lambert_w_array,
     binary_entropy,
     lambert_w0,
     log_factorial,
@@ -98,6 +100,71 @@ class TestLambertW:
             ref = mpmath.lambertw(mpmath.mpf(float(x)))
             assert ref.imag == 0
             assert abs(lambert_w0(float(x)) - float(ref.real)) <= 1e-14 * abs(float(ref.real))
+
+
+EPS = 2.0**-52
+# the double nearest -1/e, the branch point both real branches share
+BRANCH_POINT = -1 / math.e
+
+
+def _from_branch_point(x: float) -> float:
+    """x + 1/e for a double x, exactly enough to scale an error bound."""
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(x) + 1 / mpmath.e)
+
+
+def _doubles_above_branch_point():
+    """The first doubles above -1/e, then a log-spaced run out to 1e-12 above it."""
+    steps = [BRANCH_POINT]
+    for _ in range(8):
+        steps.append(math.nextafter(steps[-1], 0.0))
+    return steps[1:] + list(BRANCH_POINT + np.logspace(-15, -12, 13))
+
+
+class TestLambertWBothBranches:
+    """Halley's iteration in real arithmetic against mpmath: W0 on [-1/e, 1e300] and W-1 on
+    [-1/e, -1e-300], log-spaced, plus the branch point and the doubles just above it."""
+
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_matches_mpmath(self, branch):
+        grid = list(-np.logspace(-300, math.log10(-BRANCH_POINT), 601)[:-1])
+        if branch == 0:
+            grid += list(np.logspace(-300, 300, 601))
+        for x in grid + _doubles_above_branch_point():
+            with mpmath.workdps(30):
+                ref = float(mpmath.lambertw(mpmath.mpf(x), branch).real)
+            # 1 + e x cancels near -1/e, so a double method loses digits as eps / sqrt(x + 1/e)
+            tol = max(1e-14, EPS / math.sqrt(_from_branch_point(x)))
+            assert abs(_lambert_w(float(x), branch) - ref) <= tol * abs(ref), (branch, x)
+
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_branch_point_is_minus_one(self, branch):
+        assert _lambert_w(BRANCH_POINT, branch) == -1.0
+        assert _lambert_w_array(np.array([BRANCH_POINT]), branch)[0] == -1.0
+
+    def test_tiny_and_infinite_arguments_of_w0(self):
+        for x in (5e-324, -5e-324, 2.2e-308, -2.2e-308):
+            assert _lambert_w(x) == x  # W0(x) = x - x^2 + ..., and x^2 is below an ulp of x
+        assert _lambert_w(math.inf) == math.inf and math.isnan(_lambert_w(math.nan))
+
+    @pytest.mark.parametrize("branch, x", [
+        (0, BRANCH_POINT - 1e-6), (0, -1.0), (-1, BRANCH_POINT - 1e-6), (-1, 0.0), (-1, 0.5),
+        (-1, -1e-301), (-1, -5e-324),
+    ])
+    def test_domain(self, branch, x):
+        with pytest.raises(ValueError, match=f"branch {branch}"):
+            _lambert_w(x, branch)
+
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_array_matches_scalar_calls(self, branch):
+        # numpy's exp and math.exp may round apart, which moves W by at most a few ulps
+        x = -np.logspace(-300, math.log10(-BRANCH_POINT), 2001)[:-1]
+        if branch == 0:
+            x = np.concatenate((x, np.logspace(-300, 300, 2001), [0.0]))
+        values = _lambert_w_array(x.reshape(-1, 1), branch)
+        assert values.shape == (x.size, 1)
+        scalar = np.array([_lambert_w(float(v), branch) for v in x])
+        assert np.all(np.abs(values[:, 0] - scalar) <= 4 * np.spacing(np.abs(scalar)))
 
 
 class TestRegularizedGammaP:
