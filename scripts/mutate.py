@@ -44,15 +44,20 @@ MUTATIONS = {
         "-57281 / 1440",
         "    -1 / 12, -1 / 24, -19 / 360, -9 / 80, -863 / 2520, -1375 / 1008, -33953 / 5040",
     ),
-    "band-tails-gammainc-gammaincc-swapped": (
+    "band-tails-sides-swapped": (
         "distributions.py",
-        "    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)",
-        "    return gammainc(lo, lam) + gammaincc(hi + 1.0, lam)",
+        "    below, above = lo - 1.0, hi + 1.0",
+        "    above, below = lo - 1.0, hi + 1.0",
     ),
     "window-lower-tail-dropped": (
         "distributions.py",
-        "    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)",
-        "    return gammainc(hi + 1.0, lam)",
+        "    return np.where(below < 0.0, 0.0, np.exp(-lower)) + np.exp(-upper)",
+        "    return np.exp(-upper)",
+    ),
+    "band-gate-lets-nan-through": (
+        "mutual_info.py",
+        "        if not self.band_missed_mass <= _BAND_ALLOWANCE:",
+        "        if self.band_missed_mass > _BAND_ALLOWANCE:",
     ),
     "chernoff-window-upper-end-one-short": (
         "distributions.py",

@@ -8,7 +8,10 @@ is built one `_row_runs` run of rows at a time, each run at most one block
 of _CHUNK_ELEMENTS = 2^16 cells (512 KiB of float64), by one walker,
 `_poisson_tables`, on the one kernel `_log_pmf_kernel`. Every Poisson window
 but the channel spec's (`poisson_band`) is `_chernoff_window` at its caller's
-tolerance; the mass a window leaves out is certified by `_missed_mass`.
+tolerance. One inequality picks and certifies them all: Bennett's Poisson tail
+bound e^-E, with E = `_bennett_exponent`, inverted through Lambert W to pick a
+window and evaluated at its ends by `_missed_mass` to certify the mass it
+leaves out. `poisson_chernoff_lower_tail` is the same bound.
 """
 
 import math
@@ -228,7 +231,8 @@ def poisson_band(lam):
     The row bands of `mutual_info.PoissonChannelSpec`, and so its z_max, as
     int64 arrays shaped like `lam`; every other window is `_chernoff_window`.
     Its two-sided tail P[Z < lo] + P[Z > hi] stays below 1e-30 for every
-    mean from 1e-9 to 1e6; the spec certifies what it drops (`_missed_mass`).
+    mean from 1e-9 to 1e6. The spec certifies what it drops with Bennett's
+    bound on that tail (`_missed_mass`), below 1e-31 at every mean from 1e-300.
     """
     half = 12.0 * np.sqrt(lam + 1.0) + 40.0
     lo = np.maximum(0.0, np.ceil(lam - half)).astype(np.int64)
@@ -261,15 +265,36 @@ def _chernoff_window(lam, tail, lam_hi=None):
     return lo.astype(np.int64), np.floor(hi).astype(np.int64)
 
 
-def _missed_mass(lam, lo, hi):
-    """P[Z < lo] + P[Z > hi] = Q_reg(lo, lam) + P_reg(hi + 1, lam) for Z ~ Poisson(lam).
+def _bennett_exponent(lam, n):
+    """E(lam, n) = n ln(n / lam) - (n - lam), and lam at n = 0: Bennett's bound e^-E
+    on P[Z >= n] for n at or above the mean of Z ~ Poisson(lam), and on P[Z <= n] for
+    n at or below it.
 
-    The one certificate of every Poisson window. lo = 0 leaves P[Z > hi]
-    alone, as scipy's gammaincc(0, lam) is exactly 0.0.
+    ln(n / lam) is log1p((n - lam) / lam) below twice the mean, so E keeps its digits
+    where it is small, and ln n - ln lam from there on, where n / lam could overflow at
+    a subnormal mean. So E is finite or +inf, never NaN, at every finite lam > 0 and
+    n >= 0; lam and n broadcast.
     """
-    from scipy.special import gammainc, gammaincc
+    lam, n = np.asarray(lam, dtype=float), np.asarray(n, dtype=float)
+    d = n - lam
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.where(np.abs(d) < lam, np.log1p(d / lam), np.log(n) - np.log(lam))
+        return np.where(n == 0.0, lam, n * log_ratio - d)
 
-    return gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
+
+def _missed_mass(lam, lo, hi):
+    """Bennett's bound on P[Z < lo] + P[Z > hi] for Z ~ Poisson(lam): e^-E(lam, lo - 1)
+    + e^-E(lam, hi + 1), with E = `_bennett_exponent`.
+
+    The one certificate of every Poisson window, from the inequality that
+    `_chernoff_window` inverts to pick them. A term whose count lies on the
+    mean's own side bounds nothing tighter than 1, and is 1; lo = 0 leaves
+    P[Z > hi] alone, as P[Z < 0] = 0. lam, lo and hi broadcast.
+    """
+    below, above = lo - 1.0, hi + 1.0
+    lower = np.where(below < lam, _bennett_exponent(lam, np.maximum(below, 0.0)), 0.0)
+    upper = np.where(above > lam, _bennett_exponent(lam, above), 0.0)
+    return np.where(below < 0.0, 0.0, np.exp(-lower)) + np.exp(-upper)
 
 
 def _row_runs(lo, hi, budget: int) -> list:
@@ -305,11 +330,11 @@ def poisson_entropy(lam):
     table. Below 150, the sorted means go in `_row_runs` runs, and each mean
     is summed over its run's window, which contains its band: its
     `_chernoff_window` at 1e-20 min(1, lam) a side, so H keeps its relative
-    digits where it is tiny. The mass left outside the band is certified
-    analytically through the regularized incomplete gamma functions (P above
-    the band, Q below it) rather than by 1 - sum(p), which drowns in float
-    rounding; a mean whose band leaves out _ENTROPY_TAIL_TOL min(1, lam), that is
-    1e-14 min(1, lam), or more raises.
+    digits where it is tiny. The mass left outside the band is certified in
+    closed form by the bound that picked the band, Bennett's (`_missed_mass`),
+    rather than by 1 - sum(p), which drowns in float rounding; a mean whose
+    certificate is not at most _ENTROPY_TAIL_TOL min(1, lam), that is
+    1e-14 min(1, lam), raises, and so does a NaN certificate.
     """
     lams = np.asarray(lam, dtype=float)
     if np.any(~(lams > 0.0)):
@@ -329,8 +354,9 @@ def poisson_entropy(lam):
     lam_near = flat[near]
     lo, hi = _chernoff_window(lam_near, 1e-20 * np.minimum(1.0, lam_near))
     missed = _missed_mass(lam_near, lo, hi)
-    if np.any(missed >= _ENTROPY_TAIL_TOL * np.minimum(1.0, lam_near)):
-        i = int(np.argmax(missed))
+    refused = ~(missed <= _ENTROPY_TAIL_TOL * np.minimum(1.0, lam_near))
+    if refused.any():
+        i = int(np.argmax(refused))
         raise RuntimeError(
             f"poisson_entropy band misses mass {missed[i]:g} at lambda={lam_near[i]}"
         )
@@ -394,16 +420,15 @@ def multinomial_sample(trials: int, probs, rng: RngStream) -> np.ndarray:
 def poisson_chernoff_lower_tail(lam: float, alpha: float) -> float:
     """Chernoff bound on P[Z <= alpha * lam] for Z ~ Poisson(lam), alpha <= 1.
 
-    Returns exp(-lam (1 - alpha ln(e/alpha))), never above the looser
-    exp(-lam (1-alpha)^2 / 2).
+    Returns Bennett's bound exp(-E(lam, alpha lam)) = exp(-lam (1 - alpha ln(e/alpha)))
+    (`_bennett_exponent`), never above the looser exp(-lam (1-alpha)^2 / 2), as
+    1 - alpha + alpha ln alpha >= (1 - alpha)^2 / 2 on (0, 1].
     """
     if lam <= 0.0:
         raise ValueError(f"needs lambda > 0, got {lam}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"needs alpha in (0, 1], got {alpha}")
-    tight = math.exp(-lam * (1.0 - alpha * (1.0 - math.log(alpha))))
-    loose = math.exp(-0.5 * lam * (1.0 - alpha) ** 2)
-    return min(tight, loose)
+    return float(np.exp(-_bennett_exponent(lam, alpha * lam)))
 
 
 def gamma_half_tail_bounds(g: float, eta: float, rho: float):

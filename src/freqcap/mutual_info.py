@@ -6,8 +6,9 @@ band per input row, lam +- (12 sqrt(lam + 1) + 40) (`poisson_band`),
 stretched to meet its neighbours so that every output value has a row.
 The output window 0..z_max ends at the band end of the largest mean. The
 mass the bands drop, below each band and above it (past z_max too), is
-certified with the regularized incomplete gamma functions
-(`band_missed_mass`, at most _BAND_ALLOWANCE = 1e-15), which keeps
+certified by Bennett's Poisson tail bound at the band ends, the inequality
+that picks every other Poisson window (`distributions._missed_mass`;
+`band_missed_mass`, at most _BAND_ALLOWANCE = 1e-15), which keeps
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). Every Poisson table (the output law,
@@ -47,12 +48,13 @@ it. The spectrum draws letters (X, Z) from one letter table per call: each
 positive-weight row with lam < 10 gets one cell per z from 0 to its 2^-53
 `_chernoff_window` end, each row with lam >= 10 one cell whose z is drawn
 afterwards by numpy's transformed-rejection Poisson sampler (10 is where
-numpy switches to it). One uniform per letter picks a bucket of a bucket table; a bucket
-that lands in one non-PTRS cell holds its density, so most letters take
-one gather. The others find their cell through a Chen-Asau guide table,
-or by binary search where its guide bucket spans more than one cell. The
-mass the small rows' cells leave out is certified with the regularized
-incomplete gamma function and must stay below 2^-53, one step of the
+numpy switches to it). One uniform per letter picks a bucket of one lookup
+table; a bucket that lands in one non-PTRS cell holds its density, so most
+letters take one gather. Each bucket also holds the first cell its range
+reaches, so the table is a Chen-Asau guide too: the other letters start
+there, and search the CDF only where their bucket spans more than one cell.
+The mass the small rows' cells leave out is certified by Bennett's bound
+(`distributions._missed_mass`) and must be at most 2^-53, one step of the
 uniform draw.
 
 Two integrals are quadratures, on one composite 16-point Gauss-Legendre
@@ -130,8 +132,9 @@ class PoissonChannelSpec:
     row. z_max is the band end of the largest mean with positive weight,
     hard-capped at 1e6 with an explicit failure. The mixture mass that the
     bands drop, below each band and above it (past z_max too),
-    `band_missed_mass`, is certified with the regularized incomplete gamma
-    functions and must stay below _BAND_ALLOWANCE = 1e-15. The raw
+    `band_missed_mass`, is certified by Bennett's bound at the band ends
+    (`distributions._missed_mass`) and must be at most _BAND_ALLOWANCE =
+    1e-15; a NaN certificate is refused too. The raw
     (unnormalized) log output PMF is tabulated once, one `_row_runs` run of
     rows at a time, and from the same tables the build sums
     `band_conditional_entropy`; past z_max the log output PMF and every
@@ -172,7 +175,7 @@ class PoissonChannelSpec:
 
         missed = _missed_mass(lam, lo, hi)
         self.band_missed_mass = float(np.einsum("i,i->", self._ws[rows], missed))
-        if self.band_missed_mass > _BAND_ALLOWANCE:
+        if not self.band_missed_mass <= _BAND_ALLOWANCE:
             raise RuntimeError(
                 f"row bands drop mass {self.band_missed_mass:g}, "
                 f"above the allowance {_BAND_ALLOWANCE:g}"
@@ -325,22 +328,13 @@ class SpectrumEstimate:
     cdf: tuple
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Chen-Asau guide: entry k is the first cell whose CDF exceeds k / K.
-
-    K is the power of two at or above the number of cells, so u * K and
-    k / K are exact in floating point.
-    """
-    size = 1 << (cdf.size - 1).bit_length()
-    return np.searchsorted(cdf, np.arange(size) / size, side="right")
-
-
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cdf, u, side="right") for u in [0, 1) and cdf[-1] == 1.
 
-    The guide entry of u's bucket is never past the answer, and it is the
-    answer unless that cell's CDF is at most u; only those letters are
-    searched in the whole CDF.
+    guide[k] is the first cell whose CDF exceeds k / K, K = guide.size (a
+    Chen-Asau guide), so the entry of u's bucket is never past the answer,
+    and it is the answer unless that cell's CDF is at most u; only those
+    letters are searched in the whole CDF.
     """
     idx = guide[(u * guide.size).astype(np.int64)]
     todo = np.flatnonzero(cdf[idx] <= u)
@@ -348,20 +342,23 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
     return idx
 
 
-def _bucket_densities(cdf: np.ndarray, guide: np.ndarray, density: np.ndarray, ptrs: np.ndarray):
-    """Density of each bucket [k / K, (k + 1) / K) of the uniform that lands in one table cell.
+def _bucket_table(cdf: np.ndarray, density: np.ndarray, ptrs: np.ndarray):
+    """(cells, densities) of the buckets [k / K, (k + 1) / K) of the uniform.
 
-    K is 8 times the guide's size, at most _CHUNK_ELEMENTS, a power of two
-    either way, so u * K and k / K are exact. Bucket k is pure when every u
-    in it finds the same cell c = searchsorted(cdf, k / K, "right"), that is
-    cdf[c] >= (k + 1) / K, and c is not a PTRS cell; it holds c's density,
-    and NaN otherwise.
+    Cell k = searchsorted(cdf, k / K, "right") is the first cell that bucket k
+    reaches, a Chen-Asau guide for `_guided_search`. K is 8 times the power of
+    two at or above the number of cells, capped at _CHUNK_ELEMENTS but never
+    below that power of two, so it is a power of two and u * K and k / K are
+    exact. Bucket k is pure when every u in it finds cell k, that is
+    cdf[cell] >= (k + 1) / K, and that cell is not a PTRS cell; its density is
+    the cell's, and NaN otherwise.
     """
-    size = min(8 * guide.size, _CHUNK_ELEMENTS)
+    size = 1 << (cdf.size - 1).bit_length()
+    size = max(size, min(8 * size, _CHUNK_ELEMENTS))
     edges = np.arange(size + 1) / size
-    cell = _guided_search(cdf, guide, edges[:-1])
+    cell = np.searchsorted(cdf, edges[:-1], side="right")
     pure = (cdf[cell] >= edges[1:]) & ~ptrs[cell]
-    return np.where(pure, density[cell], np.nan)
+    return cell, np.where(pure, density[cell], np.nan)
 
 
 @dataclass(frozen=True)
@@ -371,7 +368,8 @@ class _LetterTable:
     A cell of a row with lam < 10 is one z; a row with lam >= 10 is a single
     cell (`ptrs`) whose z is drawn by Generator.poisson once the row is known.
     `bucket` holds the density of every bucket of the uniform that lands in
-    one non-PTRS cell (`_bucket_densities`), so most letters take one gather.
+    one non-PTRS cell, so most letters take one gather, and `guide` the first
+    cell of every bucket (`_bucket_table`), where the others start to search.
     """
 
     cdf: np.ndarray
@@ -388,7 +386,7 @@ class _LetterTable:
         small = lam < _PTRS_MIN_MEAN
         top = _chernoff_window(lam[small], 2.0**-53)[1]
         missed = float(w[small] @ _missed_mass(lam[small], 0, top))
-        if missed > 2.0**-53:
+        if not missed <= 2.0**-53:
             raise RuntimeError(
                 f"letter table drops mass {missed:g}, above one step 2^-53 of the uniform draw"
             )
@@ -405,17 +403,16 @@ class _LetterTable:
         cdf = np.cumsum(mass)
         cdf /= cdf[-1]
         density = np.where(ptrs, 0.0, kernel - spec.density_offset(z))
-        guide = _guide_table(cdf)
-        bucket = _bucket_densities(cdf, guide, density, ptrs)
+        guide, bucket = _bucket_table(cdf, density, ptrs)
         return cls(cdf, guide, bucket, density, ptrs, lam_c, log_lam)
 
     def draw_density(self, spec: PoissonChannelSpec, gen: np.random.Generator, size: int):
         """Densities of `size` letters: one uniform each, then Z for the PTRS rows.
 
         A letter whose bucket is pure takes its density from `bucket`; the
-        others find their cell by `_guided_search`, in letter order, so every
-        letter gets the cell and the Generator.poisson draw of a plain
-        searchsorted on the CDF.
+        others find their cell by `_guided_search` from their bucket's `guide`
+        cell, in letter order, so every letter gets the cell and the
+        Generator.poisson draw of a plain searchsorted on the CDF.
         """
         u = gen.random(size)
         out = self.bucket[(u * self.bucket.size).astype(np.int64)]
@@ -511,7 +508,10 @@ class _TiltedRows:
 
     `sums(s)` bounds E[exp(-s i(x, Z))] per row: sum_{z <= z_max} p^(1-s)
     P_Z^s, plus T_x^(1-s) T^s, which by Hölder's inequality bounds the terms
-    past z_max; T_x = P[Z > z_max | x] and T = sum_x w_x T_x. `means()` is
+    past z_max; T_x = P[Z > z_max | x], exact (scipy's `gammainc`), and T =
+    sum_x w_x T_x. T_x is part of the reported bound and gates nothing, so it
+    is not Bennett's looser bound on it (`distributions._missed_mass`), which
+    would weaken the Hölder term wherever it counts. `means()` is
     sum_{z <= z_max} p ln(p / P_Z) per row. Every row is dense on all of
     0..z_max (`PoissonChannelSpec._runs_on`), so P_Z is the spec's mixture
     sum over every row with no band, and each call reduces the rows of the
@@ -519,11 +519,13 @@ class _TiltedRows:
     """
 
     def __init__(self, spec: PoissonChannelSpec):
+        from scipy.special import gammainc
+
         self._lams = spec._lams
         self._runs = spec._runs_on(0, spec.z_max)
         self._log_pz = spec._log_mixture(self._runs, 0, spec.z_max)
         self.weights = spec._ws[spec._rows]
-        self._tails = _missed_mass(spec._lams[spec._rows], 0, spec.z_max)
+        self._tails = gammainc(spec.z_max + 1.0, spec._lams[spec._rows])
         self._tail = float(np.einsum("x,x->", self.weights, self._tails))
 
     def _reduce(self, row_sum) -> np.ndarray:

@@ -13,6 +13,7 @@ from freqcap.distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _bennett_exponent,
     _chernoff_window,
     _missed_mass,
     _row_runs,
@@ -243,6 +244,12 @@ class TestPoissonEntropy:
         with pytest.raises(RuntimeError, match="band"):
             poisson_entropy(1e-12)
 
+    def test_band_certificate_refuses_nan(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_missed_mass",
+                            lambda lam, lo, hi: np.full(np.shape(lam), np.nan))
+        with pytest.raises(RuntimeError, match="band"):
+            poisson_entropy(1.0)
+
 
 class TestPoissonBand:
     def test_scalar_and_array(self):
@@ -270,21 +277,59 @@ class TestPoissonBand:
         assert np.all(tail < 1e-30)
 
 
+def mpmath_bennett_exponent(lam, n):
+    """n ln(n / lam) - (n - lam) at 50 digits, and lam at n = 0."""
+    with mpmath.workdps(50):
+        mean, count = mpmath.mpf(lam), mpmath.mpf(n)
+        return mean if n == 0 else count * mpmath.log(count / mean) - (count - mean)
+
+
 class TestMissedMass:
+    """Bennett's bound at a window's ends, e^-E(lam, lo - 1) + e^-E(lam, hi + 1)."""
+
     @pytest.mark.parametrize("lam, lo, hi", [(3.0, 1, 8), (50.0, 30, 70), (1e4, 9800, 10200)])
-    def test_both_tails_match_mpmath(self, lam, lo, hi):
-        # each tail is 9e-4 or more of the mass here, so dropping either one shows
+    def test_both_tails_dominate_mpmath(self, lam, lo, hi):
+        # each tail is 9e-4 or more of the mass here, so dropping either term shows
         with mpmath.workdps(30):
             below = mpmath.gammainc(lo, lam, mpmath.inf, regularized=True)
             above = mpmath.gammainc(hi + 1, 0, lam, regularized=True)
         assert min(below, above) > 9e-4
-        assert _missed_mass(lam, lo, hi) == pytest.approx(float(below + above), rel=1e-12)
+        lower, upper = (math.exp(-float(mpmath_bennett_exponent(lam, n))) for n in (lo - 1, hi + 1))
+        assert lower >= below and upper >= above
+        assert _missed_mass(lam, lo, hi) == pytest.approx(lower + upper, rel=1e-12)
 
     def test_lower_end_zero_keeps_the_upper_tail_bits(self):
-        # gammaincc(0, lam) is exactly 0.0, so a window from 0 adds nothing to P[Z > hi]
+        # P[Z < 0] is 0, so a window from 0 adds nothing to the bound on P[Z > hi]
         lam = np.logspace(-9, 6, 2001)
         hi = poisson_band(lam)[1]
-        assert np.array_equal(_missed_mass(lam, 0, hi), gammainc(hi + 1.0, lam))
+        assert np.array_equal(_missed_mass(lam, 0, hi), np.exp(-_bennett_exponent(lam, hi + 1.0)))
+
+    def test_a_side_that_holds_the_mean_is_bounded_by_one(self):
+        # the bound on P[Z < lo] is 1 once lo - 1 reaches the mean, and so on P[Z > hi]
+        assert _missed_mass(5.0, 6, 100) == pytest.approx(1.0, abs=1e-20)
+        assert _missed_mass(5.0, 0, 4) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e4), st.integers(0, 12_000), st.integers(0, 12_000))
+def test_missed_mass_dominates_the_exact_tails_of_any_window(lam, lo, hi):
+    exact = gammaincc(lo, lam) + gammainc(hi + 1.0, lam)
+    assert _missed_mass(lam, lo, hi) >= exact * (1.0 - 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(5e-324, 1e300), st.one_of(st.integers(0, 10**6).map(float),
+                                           st.floats(0.0, 1e300)))
+def test_bennett_exponent_is_finite_or_inf_never_nan(lam, n):
+    exponent = _bennett_exponent(lam, n)
+    assert exponent == np.inf or (np.isfinite(exponent) and exponent >= -1e-12 * max(lam, n))
+
+
+@pytest.mark.parametrize("lam, n", [(1e-300, 1.0), (1e-300, 0.0), (0.3, 2.0), (50.0, 49.999),
+                                    (50.0, 20.0), (1e4, 1.02e4), (1e6, 0.0), (1e6, 3e6)])
+def test_bennett_exponent_matches_mpmath(lam, n):
+    exact = float(mpmath_bennett_exponent(lam, n))
+    assert _bennett_exponent(lam, n) == pytest.approx(exact, rel=1e-12)
 
 
 TAILS = (2.0**-53, 1e-16, 1e-20, 1e-30)
@@ -353,15 +398,6 @@ def _lambertw_window(lam, tail):
     return lo, np.floor(hi)
 
 
-def _bennett_exponent(lam, n):
-    """lam h(n / lam - 1), h(u) = (1 + u) ln(1 + u) - u: Bennett's bound e^-exponent on
-    P[Z >= n] for n above the mean of Z ~ Poisson(lam), and on P[Z <= n] for n below it."""
-    u = (n - lam) / lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = lam * ((1.0 + u) * np.log1p(u) - u)
-    return np.where(n == 0.0, lam, exponent)  # (1 + u) ln(1 + u) is 0 at u = -1
-
-
 # every caller's tail: mmpe, the poisson_entropy bands, the letter table and the
 # Poissonization box, the v-log-v range
 CALLER_TAILS = {
@@ -370,6 +406,23 @@ CALLER_TAILS = {
     "2^-53": lambda lam: 2.0**-53,
     "1e-30": lambda lam: 1e-30,
 }
+
+
+# every caller's window: the spec's `poisson_band` and `_chernoff_window` at each tail
+CALLER_WINDOWS = {"poisson_band": poisson_band, **{
+    name: lambda lam, tail_of=tail_of: _chernoff_window(lam, tail_of(lam))
+    for name, tail_of in CALLER_TAILS.items()}}
+
+
+@pytest.mark.parametrize("window", CALLER_WINDOWS.values(), ids=CALLER_WINDOWS.keys())
+def test_bennett_certificate_dominates_the_exact_tails(window):
+    # the certificate of every gate is at least the mass its window leaves out, at every
+    # mean from 1e-300 to 1e6, and never NaN
+    lam = np.logspace(-300, 6, 100_001)
+    lo, hi = window(lam)
+    certificate = _missed_mass(lam, lo, hi)
+    assert not np.any(np.isnan(certificate))
+    assert np.all(certificate >= gammaincc(lo, lam) + gammainc(hi + 1.0, lam))
 
 
 @pytest.mark.parametrize("tail_of", CALLER_TAILS.values(), ids=CALLER_TAILS.keys())
@@ -521,7 +574,11 @@ class TestPoissonChernoff:
         assert exact <= poisson_chernoff_lower_tail(lam, alpha)
 
     def test_weaker_quadratic_form(self):
-        assert poisson_chernoff_lower_tail(50.0, 0.2) <= math.exp(-50.0 * 0.8**2 / 2)
+        # 1 - alpha + alpha ln alpha >= (1 - alpha)^2 / 2 on (0, 1], so no min is needed
+        for lam in np.logspace(-6, 6, 25):
+            for alpha in (1e-12, 1e-3, 0.01, 0.2, 0.5, 0.9, 0.999, 1 - 1e-9, 1.0):
+                loose = math.exp(-lam * (1.0 - alpha) ** 2 / 2)
+                assert poisson_chernoff_lower_tail(lam, alpha) <= loose
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in it, every private
 module-level name it defines is used somewhere in the package, importing
 the package or the CLI loads neither numpy nor any part of scipy, a
-command loads `scipy.special` only when it calls one of its functions, and
-the capacity commands run on the standard library alone.
+command loads `scipy.special` only when it calls one of its functions, the
+capacity commands run on the standard library alone, and the channel spec,
+the Poisson entropy and the spectrum call no incomplete gamma function.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -245,3 +246,28 @@ def test_only_the_numeric_commands_load_numpy(argv, loads_numpy):
     assert ("numpy" in roots) is loads_numpy
     if not loads_numpy:
         assert "scipy" not in roots
+
+
+def test_only_the_input_law_and_the_tilted_rows_call_the_incomplete_gamma(monkeypatch):
+    # every Poisson window is certified by Bennett's bound in closed form; scipy's incomplete
+    # gamma is left to the input law and to the exact tails T_x of the certified spectrum tail
+    import scipy.special
+
+    from freqcap.distributions import RngStream, poisson_entropy, truncated_rounded_input_pmf
+    from freqcap.mutual_info import PoissonChannelSpec, _LetterTable, _TiltedRows, spectrum_mc
+
+    law = truncated_rounded_input_pmf(20.0, 0.5)
+
+    def refuse(*args):
+        raise AssertionError("incomplete gamma called")
+
+    monkeypatch.setattr(scipy.special, "gammainc", refuse)
+    monkeypatch.setattr(scipy.special, "gammaincc", refuse)
+    spec = PoissonChannelSpec(law, 0.4)
+    poisson_entropy([1e-300, 1e-9, 1.0, 50.0, 149.0, 500.0])
+    _LetterTable.build(spec)
+    spectrum_mc(spec, 10, 10, RngStream(1))
+    with pytest.raises(AssertionError, match="incomplete gamma"):
+        truncated_rounded_input_pmf(20.0, 0.5)
+    with pytest.raises(AssertionError, match="incomplete gamma"):
+        _TiltedRows(spec)

@@ -281,6 +281,13 @@ def test_band_certificate_refuses_a_tolerance_it_cannot_meet(monkeypatch):
         PoissonChannelSpec(two_point_12(), 1.0)
 
 
+def test_band_certificate_refuses_nan(monkeypatch):
+    monkeypatch.setattr(mutual_info, "_missed_mass",
+                        lambda lam, lo, hi: np.full(np.shape(lam), np.nan))
+    with pytest.raises(RuntimeError, match="row bands"):
+        PoissonChannelSpec(two_point_12(), 1.0)
+
+
 class TestOutputPmf:
     def test_point_mass_reduces_to_poisson(self):
         spec = PoissonChannelSpec(point_mass(3), 1.5)
@@ -454,6 +461,13 @@ class TestSpectrumMc:
         with pytest.raises(RuntimeError, match="letter table"):
             spectrum_mc(spec, 10, 10, RngStream(1))
 
+    def test_letter_table_certificate_refuses_nan(self, monkeypatch):
+        spec = PoissonChannelSpec(two_point_12(), 1.0)
+        monkeypatch.setattr(mutual_info, "_missed_mass",
+                            lambda lam, lo, hi: np.full(np.shape(lam), np.nan))
+        with pytest.raises(RuntimeError, match="letter table"):
+            spectrum_mc(spec, 10, 10, RngStream(1))
+
     def test_chunk_edges(self):
         spec = PoissonChannelSpec(two_point_12(), 1.0)
         mi = mutual_information(spec)
@@ -519,28 +533,57 @@ def guided_cases(draw):
     return masses, cdf, u
 
 
+def bucket_table(cdf, density=None, ptrs=None):
+    """`_bucket_table` of `cdf`, by default with zero densities and no PTRS cell; checks
+    that its guide is plain searchsorted at every bucket's left end, and its size."""
+    density = np.zeros(cdf.size) if density is None else density
+    ptrs = np.zeros(cdf.size, dtype=bool) if ptrs is None else ptrs
+    guide, bucket = mutual_info._bucket_table(cdf, density, ptrs)
+    # 8 times the power of two at or above the cell count, capped at one block but
+    # never coarser than that power of two
+    power = 1 << (cdf.size - 1).bit_length()
+    assert guide.size == bucket.size == max(power, min(8 * power, mutual_info._CHUNK_ELEMENTS))
+    edges = np.arange(guide.size) / guide.size
+    assert np.array_equal(guide, np.searchsorted(cdf, edges, side="right"))
+    return guide, bucket
+
+
 @settings(max_examples=200, deadline=None)
 @given(guided_cases())
 def test_guided_search_equals_searchsorted(case):
     masses, cdf, u = case
-    idx = mutual_info._guided_search(cdf, mutual_info._guide_table(cdf), u)
+    guide = bucket_table(cdf)[0]
+    idx = mutual_info._guided_search(cdf, guide, u)
     assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
     assert np.all(masses[idx] > 0.0)
 
 
 def test_guided_search_equals_searchsorted_across_a_long_bucket():
-    # cells 1..100 are tiny and all lie in the guide bucket [1/2, 1/2 + 1/128), whose
+    # cells 1..100 are tiny and all lie in the guide bucket [1/2, 1/2 + 1/1024), whose
     # entry is cell 0, so a letter there is up to 100 cells past its guide entry
     masses = np.concatenate(([1.0 + 1e-9], np.full(100, 1e-12), [1.0]))
     cdf = np.cumsum(masses)
     cdf /= cdf[-1]
-    guide = mutual_info._guide_table(cdf)
-    assert guide.size == 128 and cdf[0] > 0.5 and cdf[100] < 0.5 + 1 / 128
+    guide = bucket_table(cdf)[0]
+    assert guide.size == 1024 and cdf[0] > 0.5 and cdf[100] < 0.5 + 1 / 1024
     assert guide[int(cdf[100] * guide.size)] == 0
     u = np.concatenate((cdf[:-1], 0.5 * (cdf[:-2] + cdf[1:-1]), [0.0, np.nextafter(1.0, 0.0)]))
     idx = mutual_info._guided_search(cdf, guide, u)
     assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
     assert np.array_equal(np.unique(idx), np.arange(masses.size))
+
+
+def test_guided_search_past_one_block_of_cells():
+    # 100,000 cells take 2^17 buckets, more than one block: the guide is never coarser
+    # than the power of two at or above the cell count
+    rng = np.random.default_rng(2)
+    cdf = np.cumsum(rng.random(100_000))
+    cdf /= cdf[-1]
+    guide = bucket_table(cdf)[0]
+    assert guide.size == 1 << 17
+    u = np.concatenate((cdf[:-1], rng.random(10_000)))
+    assert np.array_equal(mutual_info._guided_search(cdf, guide, u),
+                          np.searchsorted(cdf, u, side="right"))
 
 
 def searchsorted_draw(table, spec, gen, size):
@@ -559,7 +602,9 @@ def test_bucket_draw_equals_searchsorted_draw(g):
     # g=500 has 11,157 transformed-rejection rows, so most letters miss their bucket
     spec = PoissonChannelSpec(truncated_rounded_input_pmf(g, 0.5), 0.4)
     table = mutual_info._LetterTable.build(spec)
-    assert table.bucket.size == min(8 * table.guide.size, mutual_info._CHUNK_ELEMENTS)
+    guide, bucket = bucket_table(table.cdf, table.density, table.ptrs)
+    assert np.array_equal(table.guide, guide)
+    assert np.array_equal(table.bucket, bucket, equal_nan=True)
     fast, slow = RngStream(4).generator, RngStream(4).generator
     for size in (1, 1000, mutual_info._SPECTRUM_LETTERS):
         assert np.array_equal(table.draw_density(spec, fast, size),
@@ -578,9 +623,7 @@ def test_pure_buckets_hold_their_searchsorted_cell(case, seed):
     rng = np.random.default_rng(seed)
     density = rng.standard_normal(cdf.size)
     ptrs = rng.random(cdf.size) < 0.3
-    guide = mutual_info._guide_table(cdf)
-    bucket = mutual_info._bucket_densities(cdf, guide, density, ptrs)
-    assert bucket.size == min(8 * guide.size, mutual_info._CHUNK_ELEMENTS)
+    bucket = bucket_table(cdf, density, ptrs)[1]
     # every bucket's two ends and the case's uniforms
     edges = np.arange(bucket.size) / bucket.size
     u = np.concatenate((u, edges, np.nextafter(edges + 1.0 / bucket.size, 0.0)))
