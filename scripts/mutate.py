@@ -104,6 +104,11 @@ MUTATIONS = {
         "    return _least_over_tilts(lambda s: copies * np.log(rows.sums(s)).sum() + s * a)",
         "    return 100 * _least_over_tilts(lambda s: copies * np.log(rows.sums(s)).sum() + s * a)",
     ),
+    "spec-keeps-zero-weight-rows": (
+        "mutual_info.py",
+        "        rows = input_pmf.probs > 0.0",
+        "        rows = input_pmf.probs >= 0.0",
+    ),
     "chernoff-holder-tail-dropped": (
         "mutual_info.py",
         "        return out + self._tails ** (1 - s) * self._tail**s",

@@ -118,9 +118,6 @@ class CountVector:
             raise ValueError("cannot normalize an empty count vector")
         return self.counts / total
 
-    def __eq__(self, other):
-        return isinstance(other, CountVector) and np.array_equal(self.counts, other.counts)
-
     def __repr__(self):
         return f"CountVector(n={self.n}, total={self.total})"
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .capacity_bounds import achievability_bound, converse_bound
 from .channel import ChannelParams, CountVector, transmit
-from .distributions import DiscretePmf, RngStream, truncated_rounded_input_pmf
+from .distributions import _CHUNK_ELEMENTS, DiscretePmf, RngStream, truncated_rounded_input_pmf
 from .mutual_info import (
     PoissonChannelSpec,
     _least_over_tilts,
@@ -61,9 +61,6 @@ _COMPLETED_LETTERS = 8
 
 # `generate_codebook` raises once its candidates pass this many per codeword
 _MAX_ATTEMPTS_PER_WORD = 200_000
-
-# letters per row block when the float32 score table is built
-_TABLE_BLOCK_LETTERS = 1 << 14
 
 # unit roundoffs of float32 and float64
 _U32 = 2.0**-24
@@ -141,10 +138,12 @@ class Codebook:
 
     @cached_property
     def _score_table(self) -> np.ndarray:
-        """`log_frequencies` rounded to float32, built a block of rows at a time
-        so that no whole float64 table is ever held."""
+        """`log_frequencies` rounded to float32, built a quarter block of letters
+        (_CHUNK_ELEMENTS / 4, or one row) at a time: their float64 quotients and
+        numpy's int-to-float cast buffer stay within half a block, and no whole
+        float64 table is ever held."""
         table = np.empty(self.matrix.shape, dtype=np.float32)
-        step = max(1, _TABLE_BLOCK_LETTERS // self.n)
+        step = max(1, _CHUNK_ELEMENTS // 4 // self.n)
         for start in range(0, len(self), step):
             rows = slice(start, start + step)
             table[rows] = self._log_rows(rows)

@@ -200,27 +200,27 @@ def _log_pmf_kernel(k, lam, log_lam, log_k_factorial):
 def _poisson_tables(means, runs, gains=1.0):
     """Yield (rows, z_lo, z_hi, ln p) per run of a banded Poisson table, one block at a time.
 
-    Each run (rows, z_lo, z_hi) names rows of `means` (a slice or an index
-    array) and the counts z_lo..z_hi they share; runs planned by `_row_runs`
-    hold at most its budget of cells. The block ln p is the log-pmf of
-    every gain times every mean of the run's rows at every count, shaped
-    np.shape(gains) + (rows, z_hi - z_lo + 1). This is the one walker of
-    the banded tables: it checks the means, gains and counts once per call,
-    takes ln z! from one table over every run's window and passes the
-    counts as float64, so each cell costs one multiply and two subtractions.
+    Each run is a `_row_runs` tuple (start, stop, z_lo, z_hi): rows
+    start..stop - 1 of `means` share the counts z_lo..z_hi, and `rows` is
+    slice(start, stop). The block ln p is the log-pmf of every gain times
+    every mean of the run's rows at every count, shaped np.shape(gains) +
+    (rows, z_hi - z_lo + 1). This is the one walker of the banded tables: it
+    checks the means, gains and counts once per call, takes ln z! from one
+    table over every run's window and passes the counts as float64, so each
+    cell costs one multiply and two subtractions.
     """
     if not runs:
         return
     means, gains = np.asarray(means, dtype=float), np.asarray(gains, dtype=float)
     if not (np.all(means > 0.0) and np.all(gains > 0.0)):
         raise ValueError("_poisson_tables needs positive means and gains")
-    z_min, z_max = min(run[1] for run in runs), max(run[2] for run in runs)
+    z_min, z_max = min(run[2] for run in runs), max(run[3] for run in runs)
     if z_min < 0:
         raise ValueError(f"_poisson_tables needs counts >= 0, got {z_min}")
     counts = np.arange(z_min, z_max + 1, dtype=float)
     log_fact = log_factorial(counts)
-    for rows, z_lo, z_hi in runs:
-        window = slice(z_lo - z_min, z_hi - z_min + 1)
+    for start, stop, z_lo, z_hi in runs:
+        rows, window = slice(start, stop), slice(z_lo - z_min, z_hi - z_min + 1)
         lam = np.multiply.outer(gains, means[rows])[..., None]
         yield rows, z_lo, z_hi, _log_pmf_kernel(counts[window], lam, np.log(lam), log_fact[window])
 
@@ -361,8 +361,7 @@ def poisson_entropy(lam):
             f"poisson_entropy band misses mass {missed[i]:g} at lambda={lam_near[i]}"
         )
     order = np.argsort(lam_near, kind="stable")
-    runs = [(slice(a, b), z_lo, z_hi) for a, b, z_lo, z_hi in
-            _row_runs(lo[order], hi[order], _CHUNK_ELEMENTS)]
+    runs = _row_runs(lo[order], hi[order], _CHUNK_ELEMENTS)
     for rows, _, _, logp in _poisson_tables(lam_near[order], runs):
         out[near[order[rows]]] = -(np.exp(logp) * logp).sum(axis=1)
     if np.ndim(lam) == 0:

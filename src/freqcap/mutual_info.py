@@ -11,15 +11,17 @@ that picks every other Poisson window (`distributions._missed_mass`;
 `band_missed_mass`, at most _BAND_ALLOWANCE = 1e-15), which keeps
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
-(in the tested laws, below e^-60). Every Poisson table (the output law,
-also past z_max, `mmpe` and the tilted rows of the spectrum tail) walks
-one row planner, `distributions._row_runs`, under one cell budget,
-_CHUNK_ELEMENTS = 2^16 cells: a 512 KiB block that stays in a core's L2
-cache, so the working set is a few blocks at any support size. Rows plan
-on the spec's bands, on one window shared by every row, or (`mmpe`) on
-`distributions._chernoff_window`, joining neighbouring runs whose tables
-fit one block together. The blocks come from one walker,
-`distributions._poisson_tables`; each caller keeps its reduction. The spectrum
+(in the tested laws, below e^-60). The spec's rows are the input points of
+positive weight alone, filtered once when it is built. Every Poisson table
+(the output law, also past z_max, `mmpe` and the tilted rows of the
+spectrum tail) walks one row planner, `distributions._row_runs`, under one
+cell budget, _CHUNK_ELEMENTS = 2^16 cells: a 512 KiB block that stays in a
+core's L2 cache, so the working set is a few blocks at any support size.
+Rows plan on the spec's bands, on one window shared by every row, or
+(`mmpe`) on `distributions._chernoff_window`, joining neighbouring runs
+whose tables fit one block together. The blocks come from one walker,
+`distributions._poisson_tables`, which takes the planner's (start, stop,
+z_lo, z_hi) runs as they come; each caller keeps its reduction. The spectrum
 draws its letters in blocks of _SPECTRUM_LETTERS = 2^15, also at any
 blocklength. Sums over the input support are einsum reductions, not BLAS
 products, so neither the exact MI nor `mmpe` (nor `i_mmpe_integral`)
@@ -139,7 +141,9 @@ class PoissonChannelSpec:
     rows at a time, and from the same tables the build sums
     `band_conditional_entropy`; past z_max the log output PMF and every
     density are extended exactly on demand by the same mixture sum over
-    every row with positive weight, `_rows`.
+    every row. The rows are the input points of positive weight alone: the
+    build filters the input law once into `_xs`, `_ws`, `_log_ws` and
+    `_lams`, and every run is a slice of them.
     """
 
     def __init__(self, input_pmf: DiscretePmf, gain: float):
@@ -149,45 +153,44 @@ class PoissonChannelSpec:
             raise ValueError("input law must be supported on {1, 2, ...}")
         self.input = input_pmf
         self.gain = float(gain)
-        self._xs = input_pmf.support.astype(float)
-        self._ws = input_pmf.probs
+        rows = input_pmf.probs > 0.0
+        self._xs = input_pmf.support[rows].astype(float)
+        self._ws = input_pmf.probs[rows]
+        self._log_ws = input_pmf.log_weights[rows]
         self._lams = self.gain * self._xs
-        self._rows = np.flatnonzero(self._ws > 0.0)
-        lo, hi = poisson_band(self._lams[self._rows])
+        lo, hi = poisson_band(self._lams)
         self.z_max = int(hi[-1])
         if self.z_max > _Z_HARD_CAP:
             raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
-        self._bands = self._choose_bands(self._rows, lo, hi)
+        self._bands = self._choose_bands(lo, hi)
         row_entropy = np.zeros(self._ws.size)
         self._log_pz = self._log_mixture(self._bands, 0, self.z_max, row_entropy)
         self._band_entropy = float(np.einsum("i,i->", self._ws, row_entropy))
 
-    def _choose_bands(self, rows, lo, hi):
+    def _choose_bands(self, lo, hi):
         """Certify the row bands and group the rows into `_row_runs` runs.
 
-        Returns a list of (row indices, z_lo, z_hi); a run's window is the
+        Returns its (start, stop, z_lo, z_hi) runs; a run's window is the
         union of its rows' bands.
         """
-        lam = self._lams[rows]
         lo[0] = 0
         # rows are sorted by mean, so stretching neighbours across each gap covers 0..z_max
         lo[1:], hi[:-1] = np.minimum(lo[1:], hi[:-1] + 1), np.maximum(hi[:-1], lo[1:] - 1)
 
-        missed = _missed_mass(lam, lo, hi)
-        self.band_missed_mass = float(np.einsum("i,i->", self._ws[rows], missed))
+        missed = _missed_mass(self._lams, lo, hi)
+        self.band_missed_mass = float(np.einsum("i,i->", self._ws, missed))
         if not self.band_missed_mass <= _BAND_ALLOWANCE:
             raise RuntimeError(
                 f"row bands drop mass {self.band_missed_mass:g}, "
                 f"above the allowance {_BAND_ALLOWANCE:g}"
             )
 
-        return [(rows[a:b], z_lo, z_hi) for a, b, z_lo, z_hi in _row_runs(lo, hi, _CHUNK_ELEMENTS)]
+        return _row_runs(lo, hi, _CHUNK_ELEMENTS)
 
     def _runs_on(self, z_lo: int, z_hi: int) -> list:
-        """Every row with positive weight on all of z_lo..z_hi, in `_row_runs` runs."""
-        rows = self._rows
-        window = np.full(rows.size, z_lo), np.full(rows.size, z_hi)
-        return [(rows[a:b], z_lo, z_hi) for a, b, _, _ in _row_runs(*window, _CHUNK_ELEMENTS)]
+        """Every row on all of z_lo..z_hi, in `_row_runs` runs."""
+        size = self._lams.size
+        return _row_runs(np.full(size, z_lo), np.full(size, z_hi), _CHUNK_ELEMENTS)
 
     def _log_mixture(self, runs, z_lo: int, z_hi: int, row_entropy=None) -> np.ndarray:
         """Raw log P_Z on z_lo..z_hi, each run of rows summed over its own window.
@@ -202,17 +205,16 @@ class PoissonChannelSpec:
         """
         linear = np.zeros(z_hi - z_lo + 1)
         logs = np.full(z_hi - z_lo + 1, -np.inf)
-        logw = self.input.log_weights
         for rows, lo, hi, lp in _poisson_tables(self._lams, runs):
             window = slice(lo - z_lo, hi - z_lo + 1)
             p = np.exp(lp)
             low = np.ones(hi - lo + 1, dtype=bool)
-            if rows.size > 1:
+            if len(p) > 1:
                 mix = np.einsum("r,rz->z", self._ws[rows], p)
                 low = mix < _LINEAR_FLOOR
                 linear[window] += np.where(low, 0.0, mix)
             if low.any():
-                part = lp[:, low] + logw[rows][:, None]
+                part = lp[:, low] + self._log_ws[rows, None]
                 top = part.max(axis=0)
                 part -= top
                 np.exp(part, out=part)
@@ -290,8 +292,7 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
         raise ArithmeticError(f"output law sums to {mass!r}, not 1 within 1e-9")
     h_z = float(-(pz * log_pz).sum())
     mi = h_z - spec.band_conditional_entropy
-    rows = spec._rows
-    series = h_z - float(np.einsum("i,i->", spec._ws[rows], poisson_entropy(spec._lams[rows])))
+    series = h_z - float(np.einsum("i,i->", spec._ws, poisson_entropy(spec._lams)))
     if abs(mi - series) > 1e-9:
         raise ArithmeticError(
             f"mutual information routes disagree: band {mi} vs series {series}"
@@ -302,13 +303,12 @@ def mutual_information(spec: PoissonChannelSpec) -> float:
 def information_density(x: int, z: int, spec: PoissonChannelSpec) -> float:
     """Single-letter information density log P[Z=z|X=x] / P_Z(z) in nats.
 
-    Requires P_X(x) > 0. Exact past z_max, where the output law is summed
+    Requires P_X(x) > 0, that is x among the spec's rows. Exact past z_max, where the output law is summed
     on demand (`PoissonChannelSpec.density_offset`), and within the band
     certificate below it; near z_max, where P_Z is far below the mass the
     bands may drop, the tabulated log P_Z can be off.
     """
-    idx = x - spec.input.support_offset
-    if idx < 0 or idx >= spec.input.size or spec._ws[idx] <= 0.0:
+    if x not in spec._xs:
         raise ValueError(f"x={x} is outside the support of the input law")
     if z < 0:
         raise ValueError(f"z must be non-negative, got {z}")
@@ -382,7 +382,7 @@ class _LetterTable:
 
     @classmethod
     def build(cls, spec: PoissonChannelSpec) -> "_LetterTable":
-        lam, w = spec._lams[spec._rows], spec._ws[spec._rows]
+        lam, w = spec._lams, spec._ws
         small = lam < _PTRS_MIN_MEAN
         top = _chernoff_window(lam[small], 2.0**-53)[1]
         missed = float(w[small] @ _missed_mass(lam[small], 0, top))
@@ -486,8 +486,7 @@ def lipschitz_seminorm(spec: PoissonChannelSpec) -> float:
     the largest as z grows. So the supremum is ln(x_max / x_min) over the
     positive-weight rows, in closed form, and 0 for a point mass.
     """
-    xs = spec._xs[spec._rows]
-    return math.log(xs[-1] / xs[0])
+    return math.log(spec._xs[-1] / spec._xs[0])
 
 
 def bobkov_ledoux_bound(beta: float, lambda_max: float, n: int, delta: float) -> float:
@@ -524,8 +523,8 @@ class _TiltedRows:
         self._lams = spec._lams
         self._runs = spec._runs_on(0, spec.z_max)
         self._log_pz = spec._log_mixture(self._runs, 0, spec.z_max)
-        self.weights = spec._ws[spec._rows]
-        self._tails = gammainc(spec.z_max + 1.0, spec._lams[spec._rows])
+        self.weights = spec._ws
+        self._tails = gammainc(spec.z_max + 1.0, spec._lams)
         self._tail = float(np.einsum("x,x->", self.weights, self._tails))
 
     def _reduce(self, row_sum) -> np.ndarray:
@@ -590,7 +589,6 @@ def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
         runs.append((a, b, z_lo, z_hi))
 
     cols = np.zeros((gains.size, 3, int(hi[-1]) + 1))
-    runs = [(slice(a, b), z_lo, z_hi) for a, b, z_lo, z_hi in runs]
     for rows, lo, hi, cond in _poisson_tables(xs, runs, gains):
         np.exp(cond, out=cond)
         cols[:, :, lo : hi + 1] += np.einsum("kr,grz->gkz", moments[:, rows], cond)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,16 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         code, _, _ = invoke(["warp"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, code", [(["bounds", "--g", "100", "--r", "40"], 0),
+                                            (["bounds", "--g", "100"], 2)])
+    def test_console_entry_point_exits_with_the_run_code(self, monkeypatch, capsys, argv, code):
+        # `freqcap` runs `cli.main`, which reads sys.argv and exits with `run`'s code
+        monkeypatch.setattr(sys, "argv", ["freqcap", *argv])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert done.value.code == code
+        assert capsys.readouterr().out == invoke(argv)[1]
 
 
 # a NaN or an infinity passes a plain `x <= 0` check, so each positivity check also asks for finite

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, lambertw
 
 from freqcap import distributions
+from freqcap.channel import CountVector
 from freqcap.distributions import (
     DiscretePmf,
     RngStream,
@@ -25,11 +26,24 @@ from freqcap.distributions import (
     poisson_log_pmf,
     truncated_rounded_input_pmf,
 )
+from freqcap.mutual_info import PoissonChannelSpec
 
 # the mean from which poisson_entropy sums its asymptotic series
 LAM0 = distributions._SERIES_MIN_MEAN
 # frozen before the main build by direct summation with tail_tol 1e-15
 H_POISSON_1 = 1.3048422422562516
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: RngStream(7, 1, 2), "RngStream(seed=7, path=(1, 2))"),
+    (lambda: DiscretePmf.from_weights(3, [1.0, 0.0, 2.0]), "DiscretePmf(offset=3, size=3)"),
+    (lambda: CountVector([4, 0, 2]), "CountVector(n=3, total=6)"),
+    # z_max is the band end of mean 3, 3 + 12 sqrt(4) + 40 = 67
+    (lambda: PoissonChannelSpec(DiscretePmf.from_weights(1, [0.5, 0.0, 0.5]), 1.0),
+     "PoissonChannelSpec(support=1..3, gain=1.0, z_max=67)"),
+], ids=["RngStream", "DiscretePmf", "CountVector", "PoissonChannelSpec"])
+def test_repr_names_its_class_and_key_fields(make, text):
+    assert repr(make()) == text
 
 
 class TestRngStream:

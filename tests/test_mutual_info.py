@@ -108,6 +108,13 @@ def far_two_point():
     return DiscretePmf.from_weights(1, weights)
 
 
+def gapped_law():
+    # {1: 0.2, 5: 0.3, 40: 0.5}: three rows among 37 points of zero weight
+    weights = np.zeros(40)
+    weights[[0, 4, 39]] = 0.2, 0.3, 0.5
+    return DiscretePmf.from_weights(1, weights)
+
+
 def recording_kernel(seen):
     """The banded-table walker's kernel, appending (counts, means, block) of each call to `seen`."""
     kernel = distributions._log_pmf_kernel
@@ -124,6 +131,7 @@ BANDED_CASES = {
     "point-mass": (lambda: point_mass(3), 1.0),
     "two-point-1-3": (two_point_13, 1.0),
     "two-point-1-400": (far_two_point, 1.0),
+    "gapped-1-5-40": (gapped_law, 0.7),
     "trunc-gamma-20": (lambda: truncated_rounded_input_pmf(20.0, 0.5), 0.4),
     "trunc-gamma-200": (lambda: truncated_rounded_input_pmf(200.0, 0.5), 0.4),
     "trunc-gamma-500": (lambda: truncated_rounded_input_pmf(500.0, 0.5), 0.4),
@@ -155,10 +163,13 @@ def test_build_evaluates_each_band_cell_once(case, monkeypatch):
     monkeypatch.setattr(distributions, "_log_pmf_kernel", recording_kernel(tables))
     spec = PoissonChannelSpec(pmf, gain)
     sizes = [np.size(out) for _, _, out in tables]
-    assert sizes == [rows.size * (hi - lo + 1) for rows, lo, hi in spec._bands]
+    assert sizes == [(stop - start) * (hi - lo + 1) for start, stop, lo, hi in spec._bands]
+    # the blocks' means are gain x each point of positive weight, once and in order
+    means = gain * pmf.support[pmf.probs > 0.0]
+    assert np.array_equal(np.concatenate([lam.ravel() for _, lam, _ in tables]), means)
     # the series route's `poisson_entropy` walks tables of its own; given its values,
     # the MI evaluates no cell
-    entropy = poisson_entropy(spec._lams[spec._rows])
+    entropy = poisson_entropy(means)
     tables.clear()
     with mock.patch.object(mutual_info, "poisson_entropy", lambda lam: entropy):
         mutual_information(spec)
@@ -169,14 +180,18 @@ def test_build_evaluates_each_band_cell_once(case, monkeypatch):
 def test_band_conditional_entropy_matches_kl_walk(case):
     # the averaged-KL loop over the spec's bands that the build replaced, as oracle
     make, gain = BANDED_CASES[case]
-    spec = PoissonChannelSpec(make(), gain)
+    pmf = make()
+    spec = PoissonChannelSpec(pmf, gain)
+    keep = pmf.probs > 0.0
+    lams, ws = gain * pmf.support[keep], pmf.probs[keep]
     log_pz = spec.log_pz
     kl = 0.0
-    for rows, z_lo, z_hi in spec._bands:
-        lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), spec._lams[rows, None])
+    for start, stop, z_lo, z_hi in spec._bands:
+        lp = poisson_log_pmf(np.arange(z_lo, z_hi + 1), lams[start:stop, None])
         ratio = lp - log_pz[None, z_lo : z_hi + 1]
         ratio *= np.exp(lp)
-        kl += float(spec._ws[rows] @ ratio.sum(axis=1))
+        kl += float(ws[start:stop] @ ratio.sum(axis=1))
+    assert spec._bands[-1][1] == ws.size
     oracle = float(-(np.exp(log_pz) * log_pz).sum()) - kl
     assert abs(spec.band_conditional_entropy - oracle) <= 1e-14 * oracle
 
@@ -336,7 +351,9 @@ class TestMutualInformation:
         # the routes cancel z ln lam - ln z! differently, over 11,181 rows with means up to 4,472
         spec = PoissonChannelSpec(truncated_rounded_input_pmf(500.0, 0.5), 0.4)
         pz = np.exp(spec.log_pz)
-        series = float(-(pz * spec.log_pz).sum()) - float(spec._ws @ poisson_entropy(spec._lams))
+        keep = spec.input.probs > 0.0
+        entropies = poisson_entropy(spec.gain * spec.input.support[keep])
+        series = float(-(pz * spec.log_pz).sum()) - float(spec.input.probs[keep] @ entropies)
         assert abs(mutual_information(spec) - series) <= 2e-13
 
     def test_far_two_point_carries_one_bit(self):
@@ -390,8 +407,9 @@ class TestInformationDensity:
 
     def test_rejects_off_support(self):
         spec = PoissonChannelSpec(two_point_13(), 1.0)
-        with pytest.raises(ValueError):
-            information_density(2, 0, spec)  # the zero-weight middle point
+        for x in (2, 0, 4):  # the zero-weight middle point, and either side of the support
+            with pytest.raises(ValueError, match="outside the support"):
+                information_density(x, 0, spec)
 
 
 class TestSpectrumMc:
@@ -640,7 +658,7 @@ def dense_lipschitz_seminorm(spec):
     log P_Z is an exact log-sum-exp over every positive-weight row, not
     `spec.log_pz`, whose cells near z_max the row bands leave short.
     """
-    rows = spec._rows
+    rows = spec.input.probs > 0.0
     lam = spec.gain * spec.input.support[rows].astype(float)
     z = np.arange(spec.z_max + 302)
     log_cond = z[None, :] * np.log(lam)[:, None] - lam[:, None] - gammaln(z + 1.0)[None, :]
@@ -684,8 +702,9 @@ def test_output_law_mass_is_one_within_its_certificate(case, log_gain):
     # lam = 4576 is off by 8.5e-12 = 1.0 eps lam ln lam, so the slack is 1e-12 plus
     # 4 eps lam ln(1 + lam) at the largest mean: about 1,000 times tighter than the
     # 1e-9 mass gate of `mutual_information` at small means, 20 times at lam = 6500
-    spec = PoissonChannelSpec(case[0], 10.0**log_gain)
-    lam = spec._lams[spec._rows][-1]
+    pmf = case[0]
+    spec = PoissonChannelSpec(pmf, 10.0**log_gain)
+    lam = spec.gain * pmf.support[pmf.probs > 0.0][-1]
     slack = 1e-12 + 4 * np.finfo(float).eps * lam * math.log1p(lam)
     deficit = 1.0 - float(np.exp(spec.log_pz).sum())
     assert -slack <= deficit <= spec.band_missed_mass + slack
@@ -825,11 +844,12 @@ class TestLeastOverTilts:
         rows = mutual_info._TiltedRows(spec)
         blocks.clear()
         rows.sums(0.5)
-        assert sum(r for r, _ in blocks) == spec._rows.size
-        assert sum(r * z for r, z in blocks) == spec._rows.size * (spec.z_max + 1)
+        positive = np.count_nonzero(spec.input.probs)
+        assert sum(r for r, _ in blocks) == positive
+        assert sum(r * z for r, z in blocks) == positive * (spec.z_max + 1)
         assert max(r * z for r, z in blocks) <= mutual_info._CHUNK_ELEMENTS
         if make is far_two_point:
-            assert spec._rows.size == 2
+            assert positive == 2
 
 
 def mmpe_bruteforce(xs, ws, a, z_hi=400):
