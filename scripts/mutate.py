@@ -129,6 +129,16 @@ MUTATIONS = {
         "    log_threshold = log_gamma + correction",
         "    log_threshold = log_gamma",
     ),
+    "log-factorial-table-uncompensated": (
+        "special_math.py",
+        "        values[k] = total + error",
+        "        values[k] = total",
+    ),
+    "input-law-upper-cells-from-erf": (
+        "distributions.py",
+        "    sf = np.fromiter(map(math.erfc, roots[split:]), float)",
+        "    sf = 1.0 - np.fromiter(map(math.erf, roots[split:]), float)",
+    ),
 }
 
 

@@ -132,16 +132,16 @@ class Codebook:
         Each entry depends on its letter alone, so a row computed here is
         bit for bit the same row of `log_frequencies`.
         """
-        out = self.matrix[rows] / self.tau
+        out = self.matrix[rows].astype(float)  # cast first: a mixed divide buffers the cast
+        out /= self.tau
         with np.errstate(divide="ignore"):
             return np.log(out, out=out)
 
     @cached_property
     def _score_table(self) -> np.ndarray:
         """`log_frequencies` rounded to float32, built a quarter block of letters
-        (_CHUNK_ELEMENTS / 4, or one row) at a time: their float64 quotients and
-        numpy's int-to-float cast buffer stay within half a block, and no whole
-        float64 table is ever held."""
+        (_CHUNK_ELEMENTS / 4, or one row) at a time: their float64 quotients stay
+        within a quarter block, and no whole float64 table is ever held."""
         table = np.empty(self.matrix.shape, dtype=np.float32)
         step = max(1, _CHUNK_ELEMENTS // 4 // self.n)
         for start in range(0, len(self), step):

@@ -41,6 +41,8 @@ _U32, _U64 = 2**32, 2**64
 _CHUNK_ELEMENTS = 1 << 16
 # largest input support a law may have: 10^7 float64 weights are 80 MB
 _SUPPORT_CAP = 10**7
+# erf(t) = 1/2: the input law's median is 2g t^2
+_ERF_MEDIAN = 0.4769362762044699
 # `poisson_entropy` sums its asymptotic series from this mean on, where the
 # first term it drops, 3250433/11880 / lam^9, is below 1e-17
 _SERIES_MIN_MEAN = 150.0
@@ -374,12 +376,12 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
 
     The window is [g^-(1+3 rho), g^(1+rho)]. For integer k >= 1 the mass is
     (F(min(k, s_max)) - F(max(k-1, s_min)))+ renormalized by the window mass,
-    with F the Gamma(1/2, 2g) CDF. The support is {1, ..., ceil(g^(1+rho))}
-    and there is never mass at zero; a support above _SUPPORT_CAP points is
-    refused before anything is allocated.
+    with F the Gamma(1/2, 2g) CDF, F(s) = erf(sqrt(s / 2g)). Below the median the
+    cells are differences of `math.erf`, above it of `math.erfc`, so that the
+    smallest cells, at the top, keep their relative digits. The support is
+    {1, ..., ceil(g^(1+rho))} and there is never mass at zero; a support above
+    _SUPPORT_CAP points is refused before anything is allocated.
     """
-    from scipy.special import gammainc
-
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if g < 2.0:
@@ -390,14 +392,17 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     if top > _SUPPORT_CAP:
         raise ValueError(f"input support {top} exceeds the cap {_SUPPORT_CAP}")
 
-    # Gamma(1/2, 2g) CDF at the clipped cell boundaries 0..top; differences give cells.
-    bounds = np.clip(np.arange(0, top + 1, dtype=float), s_min, s_max)
-    cdf = gammainc(0.5, bounds / (2.0 * g))
-    cells = np.clip(np.diff(cdf), 0.0, None)
-    denom = cdf[-1] - cdf[0]
-    if denom <= 0.0:
-        raise ArithmeticError(f"truncation window mass underflowed at g={g}, rho={rho}")
-    return DiscretePmf.from_weights(1, cells / denom)
+    # sqrt(s / 2g) at the clipped cell boundaries 0..top. The window straddles the median
+    # (s_min < 1 and s_max / 2g = g^rho / 2 > 1/2), so both sides hold a boundary, and
+    # each boundary takes the one of F and 1 - F that is below 1/2; the window mass
+    # 1 - (1 - F(s_max)) - F(s_min) is then above 0 too.
+    roots = np.sqrt(np.clip(np.arange(0, top + 1, dtype=float), s_min, s_max) / (2.0 * g))
+    split = int(np.searchsorted(roots, _ERF_MEDIAN))
+    cdf = np.fromiter(map(math.erf, roots[:split]), float)
+    sf = np.fromiter(map(math.erfc, roots[split:]), float)
+    cells = np.concatenate((np.diff(cdf), [(1.0 - sf[0]) - cdf[-1]], -np.diff(sf)))
+    mass = (1.0 - sf[-1]) - cdf[0]
+    return DiscretePmf.from_weights(1, np.clip(cells, 0.0, None) / mass)
 
 
 def multinomial_sample(trials: int, probs, rng: RngStream) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Everything here is a pure function of its arguments. Lambert W is Halley's
 iteration in real arithmetic (Corless, Gonnet, Hare, Jeffrey and Knuth
-1996), on floats and on numpy arrays; ln k! and the regularized incomplete
-gamma function are scipy's (`gammaln`, `gammainc`) behind domain checks;
-the tests hold them all to mpmath. All entropic quantities are in nats;
-conversion to bits happens only at the presentation layer.
+1996), on floats and on numpy arrays. ln k! below 2^16 is read from a table
+of compensated running sums of ln k, built on first use; above, and the
+regularized incomplete gamma function, are scipy's (`gammaln`, `gammainc`)
+behind domain checks; the tests hold them all to mpmath. All entropic
+quantities are in nats; conversion to bits happens only at the presentation
+layer.
 
 The capacity bounds (`bounds`, `dna`, `figure2`) need nothing here but
 `math`, so this module imports numpy only inside the functions that take
@@ -167,12 +169,48 @@ def regularized_gamma_p(k: float, x: float) -> float:
     return float(gammainc(k, x))
 
 
-def log_factorial(k):
-    """log(k!) = gammaln(k + 1) for non-negative integers, scalar or array.
+# ln k! for k below this is read from `_log_factorials`; scipy's `gammaln` takes the rest
+_TABULATED_BELOW = 1 << 16
+# ln k! for k = 0..n-1, n a power of two; None until the first call. A longer table
+# replaces it whole, so a reader that holds the old one keeps a complete table.
+_log_factorials = None
 
-    scipy's `gammaln` is within 2 ulps of the exact value (mpmath in the
-    tests) and monotone in k. A scalar or 0-d input gives a float, an
-    array or list an array of its shape.
+
+def _log_factorial_table(k_max: int):
+    """The ln k! table, rebuilt at the least power-of-two length above k_max if it is shorter.
+
+    Entry k is the running sum of ln 2, ..., ln k, carried with its rounding errors by
+    TwoSum (Knuth; Ogita, Rump and Oishi 2005, Sum2) and rounded once: the sum is as
+    accurate as in twice the working precision, so each entry is within an ulp of ln k!.
+    """
+    global _log_factorials
+    table = _log_factorials
+    if table is not None and k_max < table.size:
+        return table
+    import numpy as np
+
+    size = 1 << k_max.bit_length()
+    values = [0.0] * size
+    total = error = 0.0
+    for k in range(2, size):
+        term = math.log(k)
+        following = total + term
+        part = following - total
+        error += (total - (following - part)) + (term - part)
+        total = following
+        values[k] = total + error
+    _log_factorials = table = np.array(values)
+    return table
+
+
+def log_factorial(k):
+    """log(k!) for non-negative integers, scalar or array.
+
+    Each k below 2^16 reads the compensated table of `_log_factorial_table`, within an
+    ulp of the exact value (mpmath in the tests); each larger k takes scipy's
+    `gammaln(k + 1)`, within 2 ulps. The values are monotone in k across the seam, and
+    `scipy.special` loads only for an input that reaches past it. A scalar or 0-d input
+    gives a float, an array or list an array of its shape.
     """
     import numpy as np
 
@@ -181,7 +219,11 @@ def log_factorial(k):
         raise ValueError("log_factorial needs k >= 0")
     if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
         raise ValueError("log_factorial needs integer k")
-    from scipy.special import gammaln
+    tabulated = arr < _TABULATED_BELOW
+    index = np.where(tabulated, arr, 0).astype(np.intp)
+    out = np.asarray(_log_factorial_table(int(index.max(initial=0)))[index])
+    if not tabulated.all():
+        from scipy.special import gammaln
 
-    out = gammaln(arr + 1.0)
+        out[~tabulated] = gammaln(arr[~tabulated] + 1.0)
     return float(out) if out.ndim == 0 else out

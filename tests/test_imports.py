@@ -1,9 +1,10 @@
 """Every name a library module imports is used in it, every private
 module-level name it defines is used somewhere in the package, importing
 the package or the CLI loads neither numpy nor any part of scipy, a
-command loads `scipy.special` only when it calls one of its functions, the
-capacity commands run on the standard library alone, and the channel spec,
-the Poisson entropy and the spectrum call no incomplete gamma function.
+command loads scipy only when it calls a `scipy.special` function (`mi` and
+`spectrum` do not), the capacity commands run on the standard library
+alone, and the input law, the channel spec, the Poisson entropy and the
+spectrum call no incomplete gamma function.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -227,14 +228,21 @@ DNA = ["dna", "--alphabet", "4", "--beta-log-a", "0.76", "--kl", "4e21"]
 FIGURE2 = ["figure2", "--out", os.devnull]
 SIMULATE = ["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2", "--seed", "7"]
 MI = ["mi", "--input", "trunc-gamma", "--g", "20", "--rho", "0.1", "--gain", "0.4", "--i-mmpe"]
+SPECTRUM = ["spectrum", "--input", "trunc-gamma", "--g", "8", "--rho", "0.5", "--gain", "0.4",
+            "--n", "500", "--samples", "2000", "--thresholds", "0.3,0.5", "--seed", "7"]
+VERIFY = ["verify", "--suite", "appendix"]
 
 
-# README commands; `mi` calls scipy's gammainc, so the test cannot pass vacuously
+# README commands; one that calls no `scipy.special` function loads no scipy module at all,
+# and `verify` calls scipy's gammainc, so the test cannot pass vacuously
 @pytest.mark.parametrize("argv, loads_special", [
-    (BOUNDS, False), (DNA, False), (FIGURE2, False), (SIMULATE, False), (MI, True),
+    (BOUNDS, False), (DNA, False), (FIGURE2, False), (SIMULATE, False), (MI, False),
+    (SPECTRUM, False), (VERIFY, True),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special):
-    assert ("scipy.special" in _run_command(argv)) is loads_special
+    scipy = [m for m in _run_command(argv) if m.split(".")[0] == "scipy"]
+    assert ("scipy.special" in scipy) is loads_special
+    assert bool(scipy) is loads_special
 
 
 # the capacity commands need only `math`; the others cannot run without numpy
@@ -248,26 +256,24 @@ def test_only_the_numeric_commands_load_numpy(argv, loads_numpy):
         assert "scipy" not in roots
 
 
-def test_only_the_input_law_and_the_tilted_rows_call_the_incomplete_gamma(monkeypatch):
-    # every Poisson window is certified by Bennett's bound in closed form; scipy's incomplete
-    # gamma is left to the input law and to the exact tails T_x of the certified spectrum tail
+def test_only_the_tilted_rows_call_the_incomplete_gamma(monkeypatch):
+    # the input law takes its cells from math.erf and math.erfc, and every Poisson window is
+    # certified by Bennett's bound in closed form; scipy's incomplete gamma is left to the
+    # exact tails T_x of the certified spectrum tail
     import scipy.special
 
     from freqcap.distributions import RngStream, poisson_entropy, truncated_rounded_input_pmf
     from freqcap.mutual_info import PoissonChannelSpec, _LetterTable, _TiltedRows, spectrum_mc
-
-    law = truncated_rounded_input_pmf(20.0, 0.5)
 
     def refuse(*args):
         raise AssertionError("incomplete gamma called")
 
     monkeypatch.setattr(scipy.special, "gammainc", refuse)
     monkeypatch.setattr(scipy.special, "gammaincc", refuse)
+    law = truncated_rounded_input_pmf(20.0, 0.5)
     spec = PoissonChannelSpec(law, 0.4)
     poisson_entropy([1e-300, 1e-9, 1.0, 50.0, 149.0, 500.0])
     _LetterTable.build(spec)
     spectrum_mc(spec, 10, 10, RngStream(1))
-    with pytest.raises(AssertionError, match="incomplete gamma"):
-        truncated_rounded_input_pmf(20.0, 0.5)
     with pytest.raises(AssertionError, match="incomplete gamma"):
         _TiltedRows(spec)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from freqcap import special_math
 from freqcap.special_math import (
     _lambert_w,
     _lambert_w_array,
@@ -253,6 +254,38 @@ class TestLogFactorial:
                 result = log_factorial(scalar)
                 assert isinstance(result, float)
                 assert result == value
+
+    def test_table_within_one_ulp_of_mpmath(self):
+        # every k of the table up to 20,000, then every 13th k to its end at 2^16 - 1
+        ks = np.concatenate((np.arange(20_001), np.arange(20_007, 1 << 16, 13)))
+        got = log_factorial(ks)
+        with mpmath.workdps(40):
+            for k, value in zip(ks.tolist(), got):
+                exact = mpmath.loggamma(k + 1)
+                assert abs(mpmath.mpf(value) - exact) <= np.spacing(float(exact)), k
+
+    def test_input_forms_agree_and_are_monotone_across_the_seam(self):
+        # the table ends at 2^16 and scipy's gammaln takes over; each element picks its own
+        ks = np.concatenate((np.arange(1 << 15, 1 << 17, 97), [(1 << 16) - 1, 1 << 16]))
+        ks.sort()
+        got = log_factorial(ks)
+        assert np.all(np.diff(got) > 0)
+        assert np.array_equal(log_factorial(ks.tolist()), got)
+        assert np.array_equal(log_factorial(ks.astype(float)), got)
+        assert np.array_equal(log_factorial(ks[::-1]), got[::-1])
+        assert [log_factorial(int(k)) for k in ks] == got.tolist()
+        assert [log_factorial(np.int64(k)) for k in ks] == got.tolist()
+
+    def test_table_grows_by_replacement_to_the_same_values(self, monkeypatch):
+        monkeypatch.setattr(special_math, "_log_factorials", None)
+        first = log_factorial(np.arange(10))
+        short = special_math._log_factorials
+        kept = short.copy()
+        assert short.size == 16
+        longer = log_factorial(np.arange(1000))
+        assert special_math._log_factorials.size == 1024
+        assert np.array_equal(short, kept)  # the shorter table is left as it was
+        assert np.array_equal(longer[:10], first)
 
     def test_rejects_negative_and_fractional(self):
         with pytest.raises(ValueError):
