@@ -106,8 +106,18 @@ MUTATIONS = {
     ),
     "spec-keeps-zero-weight-rows": (
         "mutual_info.py",
-        "        rows = input_pmf.probs > 0.0",
-        "        rows = input_pmf.probs >= 0.0",
+        "    rows = input_pmf.probs > 0.0",
+        "    rows = input_pmf.probs >= 0.0",
+    ),
+    "rows-support-check-off-by-one": (
+        "mutual_info.py",
+        "    if input_pmf.support_offset < 1:",
+        "    if input_pmf.support_offset < 0:",
+    ),
+    "quadrature-ladder-keeps-base-level": (
+        "mutual_info.py",
+        "        coarse = fine",
+        "",
     ),
     "chernoff-holder-tail-dropped": (
         "mutual_info.py",

@@ -67,10 +67,10 @@ class ChannelParams:
             w = np.asarray(self.kernel, dtype=float)
             if w.shape != (self.n, self.n):
                 raise ValueError(f"kernel must be {self.n}x{self.n}, got {w.shape}")
-            if np.any(w < 0):
+            # NaN compares False, so each check asks that every entry pass it
+            if not np.all(w >= 0):
                 raise ValueError("kernel entries must be non-negative")
-            col_sums = w.sum(axis=0)
-            if np.any(np.abs(col_sums - 1.0) > 1e-9):
+            if not np.all(np.abs(w.sum(axis=0) - 1.0) <= 1e-9):
                 raise ValueError("kernel columns must each sum to 1 within 1e-9")
             w = w.copy()
             w.setflags(write=False)

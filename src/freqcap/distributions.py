@@ -1,7 +1,7 @@
 """Seeded random streams, finite PMFs, Poisson tables, and certified tail bounds.
 
 The laws here are the ones the channel machinery needs: finite integer
-laws (sampled through `DiscretePmf.sample`), the truncated-and-rounded
+laws held in log space (`DiscretePmf`), the truncated-and-rounded
 Gamma(1/2, 2g) integer input law, Poisson log-pmfs and entropies, and
 multinomial reads. Every banded Poisson table, here and in `mutual_info`,
 is built one `_row_runs` run of rows at a time, each run at most one block
@@ -413,10 +413,11 @@ def multinomial_sample(trials: int, probs, rng: RngStream) -> np.ndarray:
     if trials < 0:
         raise ValueError(f"multinomial_sample needs trials >= 0, got {trials}")
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
+    # NaN compares False, so each check asks that every probability pass it
+    if not np.all(p >= 0):
         raise ValueError("probabilities must be non-negative")
     total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities must sum to 1 within 1e-9, got {total}")
     return rng.generator.multinomial(int(trials), p / total).astype(np.int64)
 

@@ -60,10 +60,13 @@ The mass the small rows' cells leave out is certified by Bennett's bound
 uniform draw.
 
 Two integrals are quadratures, on one composite 16-point Gauss-Legendre
-panel rule (`_panel_rule`) whose panel-doubling residual each caller gates:
-the gain integral of `i_mmpe_integral` and the tail integral
-J(u) = int_u^inf sqrt(s) ln(s) e^-s ds of the truncation-loss term t2. The
-term t3 and the rest of t2 are closed forms in scipy's `gammaincc`.
+panel rule (`_panel_rule`): the gain integral of `i_mmpe_integral` and the
+tail integral J(u) = int_u^inf sqrt(s) ln(s) e^-s ds of the truncation-loss
+term t2. One call of the rule sums one level of panels, and each caller
+gates the residual between a level and the one of half as many panels, so
+every level is summed once: `i_mmpe_integral` doubles its panels until two
+levels in a row agree, and t2 sums 60 and 120 panels. The term t3 and the
+rest of t2 are closed forms in scipy's `gammaincc`.
 """
 
 import math
@@ -126,6 +129,19 @@ _CHERNOFF_S = np.arange(1, 101) / 100
 _LINEAR_FLOOR = 1e-280
 
 
+def _rows(input_pmf: DiscretePmf):
+    """(x, w, ln w) of the input law's points of positive weight, x as floats.
+
+    The one view of an input law that the spec, `mmpe` and `i_mmpe_integral`
+    read; a law whose support reaches below 1 is refused here.
+    """
+    if input_pmf.support_offset < 1:
+        raise ValueError("input law must be supported on {1, 2, ...}")
+    rows = input_pmf.probs > 0.0
+    return (input_pmf.support[rows].astype(float), input_pmf.probs[rows],
+            input_pmf.log_weights[rows])
+
+
 class PoissonChannelSpec:
     """Input law plus gain, with a certified output-support cutoff.
 
@@ -141,22 +157,17 @@ class PoissonChannelSpec:
     rows at a time, and from the same tables the build sums
     `band_conditional_entropy`; past z_max the log output PMF and every
     density are extended exactly on demand by the same mixture sum over
-    every row. The rows are the input points of positive weight alone: the
-    build filters the input law once into `_xs`, `_ws`, `_log_ws` and
-    `_lams`, and every run is a slice of them.
+    every row. The rows are the input points of positive weight alone
+    (`_rows`), kept as `_xs`, `_ws`, `_log_ws` and `_lams`, and every run is
+    a slice of them.
     """
 
     def __init__(self, input_pmf: DiscretePmf, gain: float):
         if not 0.0 < gain < math.inf:
             raise ValueError(f"gain must be positive and finite, got {gain}")
-        if input_pmf.support_offset < 1:
-            raise ValueError("input law must be supported on {1, 2, ...}")
+        self._xs, self._ws, self._log_ws = _rows(input_pmf)
         self.input = input_pmf
         self.gain = float(gain)
-        rows = input_pmf.probs > 0.0
-        self._xs = input_pmf.support[rows].astype(float)
-        self._ws = input_pmf.probs[rows]
-        self._log_ws = input_pmf.log_weights[rows]
         self._lams = self.gain * self._xs
         lo, hi = poisson_band(self._lams)
         self.z_max = int(hi[-1])
@@ -310,10 +321,10 @@ def information_density(x: int, z: int, spec: PoissonChannelSpec) -> float:
     """
     if x not in spec._xs:
         raise ValueError(f"x={x} is outside the support of the input law")
-    if z < 0:
-        raise ValueError(f"z must be non-negative, got {z}")
+    if not (z >= 0 and z % 1 == 0):
+        raise ValueError(f"z must be a non-negative integer, got {z}")
     lam = spec.gain * x
-    return z * math.log(lam) - lam - float(spec.density_offset(np.array([z]))[0])
+    return z * math.log(lam) - lam - float(spec.density_offset(np.array([z], np.int64))[0])
 
 
 @dataclass(frozen=True)
@@ -577,8 +588,6 @@ def _jensen_gap_sums(xs, moments, gains) -> np.ndarray:
     `moments` = (w, w u, w u ln u) with each run's gains x rows x z table.
     """
     lo, hi = _chernoff_window(gains.min() * xs, _MMPE_TAIL, gains.max() * xs)
-    if hi[-1] > _Z_HARD_CAP:
-        raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
 
     # at small means `_row_runs` ends a run long before its table fills the budget
     budget = _CHUNK_ELEMENTS // gains.size
@@ -617,18 +626,15 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     more than one row holds at most one block, _CHUNK_ELEMENTS = 2^16 cells,
     and a group takes as many gains as keep its columns on 0..the window end
     of the largest mean within 16 blocks (at least one), so memory stays
-    bounded at any support size. A window end past the hard cap of 1e6
-    raises. The sums over the rows are einsum reductions, so the result does
-    not depend on the BLAS thread count.
+    bounded at any support size. A window end past the hard cap of 1e6 at
+    the largest mean raises, before any table is built. The sums over the
+    rows are einsum reductions, so the result does not depend on the BLAS
+    thread count.
     """
     gains = np.asarray(a, dtype=float)
     if not np.all((0.0 < gains) & (gains < np.inf)):
         raise ValueError(f"gain must be positive and finite, got {a}")
-    if input_pmf.support_offset < 1:
-        raise ValueError("input law must be supported on {1, 2, ...}")
-    rows = input_pmf.probs > 0.0
-    xs = input_pmf.support[rows].astype(float)
-    w = input_pmf.probs[rows]
+    xs, w = _rows(input_pmf)[:2]
     moments = np.stack((w, w * xs, w * xs * np.log(xs)))
 
     flat = gains.ravel()
@@ -641,6 +647,8 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     lam_top = flat * xs[-1]
     key = np.sqrt(lam_top) // 3.0
     z_end = _chernoff_window(lam_top.max(), _MMPE_TAIL)[1]
+    if z_end > _Z_HARD_CAP:
+        raise RuntimeError(f"output support cutoff exceeded the hard cap {_Z_HARD_CAP}")
     step = max(1, _QUAD_POINTS * _CHUNK_ELEMENTS // int(3 * (z_end + 1)))
     out = np.empty(flat.size)
     for part in np.split(np.arange(flat.size), np.flatnonzero(np.diff(key)) + 1):
@@ -653,25 +661,19 @@ def mmpe(input_pmf: DiscretePmf, a: float | np.ndarray) -> float | np.ndarray:
     return out.reshape(gains.shape)
 
 
-def _panel_rule(f, edges, panels: int, start: float = 0.0):
-    """Composite 16-point Gauss-Legendre integral of f, with its panel-doubling residual.
+def _panel_rule(f, cuts, start: float = 0.0) -> float:
+    """Composite 16-point Gauss-Legendre integral of f over the panels between `cuts`.
 
-    f maps an array of nodes to its values there, and edges(k) gives the k + 1
-    panel edges. The rule runs on `edges(panels)` and on `edges(2 * panels)`,
-    each panel's sum added in turn to `start`. Returns the finer sum and
-    |fine - coarse|, which the caller gates.
+    f maps an array of nodes to its values there; each panel's sum is added
+    in turn to `start`. One call sums one level; the callers compare levels
+    of doubled panels and gate the residual.
     """
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    sums = []
-    for count in (panels, 2 * panels):
-        total = start
-        cuts = edges(count)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            total += half * float(weights @ f(mid + half * nodes))
-        sums.append(total)
-    coarse, fine = sums
-    return fine, abs(fine - coarse)
+    total = start
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total += half * float(weights @ f(mid + half * nodes))
+    return total
 
 
 def i_mmpe_integral(input_pmf: DiscretePmf, gamma: float) -> float:
@@ -683,30 +685,33 @@ def i_mmpe_integral(input_pmf: DiscretePmf, gamma: float) -> float:
     integrand is replaced by its analytic gain-to-zero limit
     E[U ln U] - E[U] ln E[U] (the singularity at zero is removable); the
     error of that is of order a_min^2. Convergence is verified by panel doubling
-    to a relative 1e-10, at 3, 6, 12 or 24 panels per decade; a miss raises.
+    to a relative 1e-10: the levels of 3, 6, 12, 24 and 48 panels per decade
+    are summed once each, in turn, until one is within 1e-10 of the one
+    before it; a miss at 48 raises.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
-    xs = input_pmf.support.astype(float)
-    ws = input_pmf.probs
+    xs, ws = _rows(input_pmf)[:2]
     mean = float(np.einsum("i,i->", ws, xs))
     limit0 = float(np.einsum("i,i->", ws, xs * np.log(xs))) - mean * math.log(mean)
 
     if gamma <= _A_MIN:
         return limit0 * gamma
 
+    def level(panels):
+        cuts = np.logspace(math.log10(_A_MIN), math.log10(gamma), panels + 1)
+        return _panel_rule(lambda aa: mmpe(input_pmf, aa) / aa, cuts, limit0 * _A_MIN)
+
     base = max(1, math.ceil(math.log10(max(gamma / _A_MIN, 10.0)) * _PANELS_PER_DECADE))
+    coarse = level(base)
     # {1, 2, 7} at gains 4 to 10 needs 6 per decade
-    for panels in (base, 2 * base, 4 * base, 8 * base):
-        fine, residual = _panel_rule(
-            lambda aa: mmpe(input_pmf, aa) / aa,
-            lambda count: np.logspace(math.log10(_A_MIN), math.log10(gamma), count + 1),
-            panels,
-            limit0 * _A_MIN,
-        )
+    for panels in (2 * base, 4 * base, 8 * base, 16 * base):
+        fine = level(panels)
+        residual = abs(fine - coarse)
         if residual <= 1e-10 * max(1.0, abs(fine)):
             return float(fine)
+        coarse = fine
     raise RuntimeError(f"gain quadrature did not converge; residual estimate {residual:g}")
 
 
@@ -759,11 +764,12 @@ def truncation_loss_terms(g: float, rho: float) -> TruncationLoss:
     scale = 2.0 * g / math.sqrt(math.pi)
     upper = g * gammaincc(1.5, u)
     # J(u) = e^-u * inner; the factor keeps `inner` itself from underflowing
-    inner, residual = _panel_rule(
-        lambda t: np.sqrt(u + t) * np.log(u + t) * np.exp(-t),
-        lambda panels: np.linspace(0.0, _TAIL_SPAN, panels + 1),
-        _TAIL_SPAN,
+    coarse, inner = (
+        _panel_rule(lambda t: np.sqrt(u + t) * np.log(u + t) * np.exp(-t),
+                    np.linspace(0.0, _TAIL_SPAN, panels + 1))
+        for panels in (_TAIL_SPAN, 2 * _TAIL_SPAN)
     )
+    residual = abs(inner - coarse)
     if residual > 1e-12 * abs(inner):
         raise RuntimeError(f"tail quadrature did not converge; residual estimate {residual:g}")
     t2 = math.log(2.0 * g) * upper + scale * math.exp(-u) * inner

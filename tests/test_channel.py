@@ -52,6 +52,11 @@ class TestChannelParams:
             ChannelParams(3, 1.0, 1.0, -eye)
         with pytest.raises(ValueError):
             ChannelParams(3, 1.0, 1.0, np.eye(4))
+        # a JSON kernel may hold NaN, which passes any check written as "reject if bad"
+        nan = eye.copy()
+        nan[:, 0] = np.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            ChannelParams(3, 1.0, 1.0, nan)
 
 
 class TestCountVector:

@@ -580,6 +580,8 @@ class TestMultinomialSample:
             multinomial_sample(5, np.array([0.5, -0.1, 0.6]), RngStream(0))
         with pytest.raises(ValueError):
             multinomial_sample(5, np.array([0.5, 0.4]), RngStream(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            multinomial_sample(5, np.array([0.5, np.nan, 0.5]), RngStream(0))
 
 
 class TestPoissonChernoff:

@@ -65,9 +65,15 @@ def direct_mi_oracle(xs, ws, a, z_hi=400):
 
 
 class TestPoissonChannelSpec:
-    def test_rejects_zero_supported_input(self):
-        with pytest.raises(ValueError):
-            PoissonChannelSpec(DiscretePmf.from_weights(0, [0.5, 0.5]), 1.0)
+    @pytest.mark.parametrize("gain", [0.5 * _A_MIN, 1.0])
+    @pytest.mark.parametrize("build", [PoissonChannelSpec, mmpe, i_mmpe_integral])
+    def test_rejects_zero_supported_input(self, build, gain):
+        # one support check for every route, on both branches of the gain integral,
+        # before anything takes a logarithm of the law
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"supported on \{1, 2, \.\.\.\}"):
+                build(DiscretePmf.from_weights(0, [0.5, 0.5]), gain)
 
     def test_rejects_non_positive_gain(self):
         with pytest.raises(ValueError):
@@ -410,6 +416,9 @@ class TestInformationDensity:
         for x in (2, 0, 4):  # the zero-weight middle point, and either side of the support
             with pytest.raises(ValueError, match="outside the support"):
                 information_density(x, 0, spec)
+        for z in (-1, 2.5):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                information_density(1, z, spec)
 
 
 class TestSpectrumMc:
@@ -1007,6 +1016,20 @@ class TestIMmpeIntegral:
         for gamma in (0.5, 2.0):
             mi = mutual_information(PoissonChannelSpec(pmf, gamma))
             assert abs(i_mmpe_integral(pmf, gamma) - mi) <= 1e-3
+
+    def test_each_quadrature_level_is_summed_once(self, monkeypatch):
+        # {1, 2, 7} at gain 4 misses the gate between 32 and 64 panels and meets it
+        # between 64 and 128; each panel is one mmpe call, so 32 + 64 + 128 calls
+        pmf = DiscretePmf.from_weights(1, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 3.0])
+        calls = []
+
+        def counted(law, a):
+            calls.append(a)
+            return mmpe(law, a)
+
+        monkeypatch.setattr(mutual_info, "mmpe", counted)
+        assert i_mmpe_integral(pmf, 4.0) == 0.7626681484734367
+        assert len(calls) == 32 + 64 + 128
 
     def test_monotone_in_gamma(self):
         pmf = two_point_13()
