@@ -124,6 +124,17 @@ MUTATIONS = {
         "        return out + self._tails ** (1 - s) * self._tail**s",
         "        return out",
     ),
+    "tails-geometric-remainder-dropped": (
+        "mutual_info.py",
+        "                np.exp(lp[:, :-1]).sum(axis=1) + np.exp(lp[:, -1]) * (z + 1) "
+        "/ (z + 1 - lams[rows])",
+        "                np.exp(lp[:, :-1]).sum(axis=1)",
+    ),
+    "tails-window-starts-at-z-max": (
+        "mutual_info.py",
+        "        k = spec.z_max + 1",
+        "        k = spec.z_max",
+    ),
     "feinstein-exponent-times-2": (
         "coding_experiment.py",
         "    return _least_over_tilts(",

@@ -13,10 +13,11 @@ truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
 (in the tested laws, below e^-60). The spec's rows are the input points of
 positive weight alone, filtered once when it is built. Every Poisson table
-(the output law, also past z_max, `mmpe` and the tilted rows of the
-spectrum tail) walks one row planner, `distributions._row_runs`, under one
-cell budget, _CHUNK_ELEMENTS = 2^16 cells: a 512 KiB block that stays in a
-core's L2 cache, so the working set is a few blocks at any support size.
+(the output law, also past z_max, `mmpe`, and the tilted rows of the
+spectrum tail with their tails past z_max) walks one row planner,
+`distributions._row_runs`, under one cell budget, _CHUNK_ELEMENTS = 2^16
+cells: a 512 KiB block that stays in a core's L2 cache, so the working set
+is a few blocks at any support size.
 Rows plan on the spec's bands, on one window shared by every row, or
 (`mmpe`) on `distributions._chernoff_window`, joining neighbouring runs
 whose tables fit one block together. The blocks come from one walker,
@@ -42,7 +43,11 @@ Blocklength enters only through the information spectrum: the channel is
 memoryless under product inputs, so single-letter quantities scale. The
 spectrum is sampled (`spectrum_mc`), and its left tail is certified by
 the Chernoff-Hölder row sums of `_TiltedRows`: every positive-weight row
-dense on 0..z_max, from the same walker and the spec's own mixture sum.
+dense on 0..z_max, from the same walker and the spec's own mixture sum,
+and each row's exact tail past z_max summed on the walker's blocks with a
+geometric bound on the rest, or Bennett's bound where that tail is below
+1e-300. So the truncation-loss terms below are the one caller of
+`scipy.special` in this module.
 
 Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
 log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
@@ -80,6 +85,7 @@ from .distributions import (
     DiscretePmf,
     RngStream,
     TruncationInterval,
+    _bennett_exponent,
     _chernoff_window,
     _missed_mass,
     _poisson_tables,
@@ -127,6 +133,8 @@ _CHERNOFF_S = np.arange(1, 101) / 100
 # PoissonChannelSpec: a linear mixture sum below this is redone in log space; the cells that
 # underflow or are subnormal in it lose at most 2^-1074 each, far below its last digit
 _LINEAR_FLOOR = 1e-280
+# _TiltedRows: a row sums its exact tail past z_max where its window at this tail ends there
+_TAIL_SUM_FLOOR = 1e-300
 
 
 def _rows(input_pmf: DiscretePmf):
@@ -518,24 +526,38 @@ class _TiltedRows:
 
     `sums(s)` bounds E[exp(-s i(x, Z))] per row: sum_{z <= z_max} p^(1-s)
     P_Z^s, plus T_x^(1-s) T^s, which by Hölder's inequality bounds the terms
-    past z_max; T_x = P[Z > z_max | x], exact (scipy's `gammainc`), and T =
-    sum_x w_x T_x. T_x is part of the reported bound and gates nothing, so it
-    is not Bennett's looser bound on it (`distributions._missed_mass`), which
-    would weaken the Hölder term wherever it counts. `means()` is
-    sum_{z <= z_max} p ln(p / P_Z) per row. Every row is dense on all of
+    past z_max; T_x = P[Z > z_max | x] and T = sum_x w_x T_x. T_x is part of
+    the reported bound, where Bennett's looser bound on it would weaken the
+    Hölder term wherever it counts, so a row whose `_chernoff_window` at
+    _TAIL_SUM_FLOOR = 1e-300 ends past z_max sums it exactly: the walker's
+    blocks on k..n, k = z_max + 1 and n = max(k, ceil(lam_max)) + ceil(12
+    sqrt(lam_max + 1) + 40), give sum_{z=k}^{n-1} p(z|x) plus p(n|x) (n + 1)
+    / (n + 1 - lam), the geometric bound on P[Z >= n | x], which holds as n +
+    1 > lam. Every other row takes Bennett's e^-E(lam, k)
+    (`distributions._bennett_exponent`), at most 1e-300, so no T_x falls below
+    the tail it bounds, and no T_x calls scipy. `means()` is sum_{z <= z_max}
+    p ln(p / P_Z) per row. Every row is dense on all of
     0..z_max (`PoissonChannelSpec._runs_on`), so P_Z is the spec's mixture
     sum over every row with no band, and each call reduces the rows of the
     walker's blocks, at most _CHUNK_ELEMENTS cells each.
     """
 
     def __init__(self, spec: PoissonChannelSpec):
-        from scipy.special import gammainc
-
         self._lams = spec._lams
         self._runs = spec._runs_on(0, spec.z_max)
         self._log_pz = spec._log_mixture(self._runs, 0, spec.z_max)
         self.weights = spec._ws
-        self._tails = gammainc(spec.z_max + 1.0, spec._lams)
+        k = spec.z_max + 1
+        self._tails = np.exp(-_bennett_exponent(self._lams, k))
+        ends = _chernoff_window(self._lams, _TAIL_SUM_FLOOR)[1]
+        first = int(np.searchsorted(ends, spec.z_max, side="right"))
+        if first < self._lams.size:
+            lams, top = self._lams[first:], float(self._lams[-1])
+            n = max(k, math.ceil(top)) + math.ceil(12.0 * math.sqrt(top + 1.0) + 40.0)
+            runs = _row_runs(np.full(lams.size, k), np.full(lams.size, n), _CHUNK_ELEMENTS)
+            self._tails[first:] = np.concatenate([
+                np.exp(lp[:, :-1]).sum(axis=1) + np.exp(lp[:, -1]) * (z + 1) / (z + 1 - lams[rows])
+                for rows, _, z, lp in _poisson_tables(lams, runs)])
         self._tail = float(np.einsum("x,x->", self.weights, self._tails))
 
     def _reduce(self, row_sum) -> np.ndarray:

@@ -276,6 +276,17 @@ def test_readme_commands_parse():
         parser.parse_args(argv)  # a usage error raises SystemExit
 
 
+def test_golden_manifest_commands_parse():
+    # `scripts/golden.py` records the outputs of these commands; the manifest holds every
+    # README command, and a flag the parser no longer takes would leave it stale
+    doc = json.loads((Path(__file__).resolve().parents[1] / "GOLDEN.json").read_text())
+    commands = [entry["argv"] for entry in doc["commands"].values()]
+    assert all(argv in commands for argv in readme_commands())
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error raises SystemExit
+
+
 class TestExperimentCommand:
     def config_text(self):
         return (

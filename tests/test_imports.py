@@ -1,10 +1,11 @@
 """Every name a library module imports is used in it, every private
 module-level name it defines is used somewhere in the package, importing
 the package or the CLI loads neither numpy nor any part of scipy, a
-command loads scipy only when it calls a `scipy.special` function (`mi` and
-`spectrum` do not), the capacity commands run on the standard library
-alone, and the input law, the channel spec, the Poisson entropy and the
-spectrum call no incomplete gamma function.
+command loads scipy only when it calls a `scipy.special` function (`mi`,
+`spectrum` and `experiment` do not), the capacity commands run on the
+standard library alone, and the input law, the channel spec, the Poisson
+entropy, the spectrum and its certified tail call no incomplete gamma
+function.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -199,12 +200,13 @@ def test_every_public_name_has_a_reader():
     assert unread_public_names(names, sources, [(ROOT / "README.md").read_text()]) == []
 
 
-def _fresh_modules(code: str) -> list:
-    """The names in `sys.modules` at the end of a fresh process that runs `code`."""
+def _fresh_modules(code: str, cwd=None) -> list:
+    """The names in `sys.modules` at the end of a fresh process that runs `code` in `cwd`."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, sep='\\n')"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        cwd=cwd,
     )
     return done.stdout.split()
 
@@ -216,11 +218,13 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
-def _run_command(argv) -> list:
-    """The modules a fresh process has loaded after `cli.run(argv)` returned 0."""
+def _run_command(argv, workdir) -> list:
+    """The modules a fresh process has loaded after `cli.run(argv)` returned 0 in `workdir`,
+    which holds EXPERIMENT_CFG as experiment.cfg."""
+    (workdir / "experiment.cfg").write_text(EXPERIMENT_CFG)
     code = ("import contextlib, io\nfrom freqcap import cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run({argv!r}) == 0")
-    return _fresh_modules(code)
+    return _fresh_modules(code, workdir)
 
 
 BOUNDS = ["bounds", "--g", "100", "--r", "40"]
@@ -230,6 +234,8 @@ SIMULATE = ["simulate", "--g", "2", "--r", "3", "--codeword", "3,4,1,0,2,2", "--
 MI = ["mi", "--input", "trunc-gamma", "--g", "20", "--rho", "0.1", "--gain", "0.4", "--i-mmpe"]
 SPECTRUM = ["spectrum", "--input", "trunc-gamma", "--g", "8", "--rho", "0.5", "--gain", "0.4",
             "--n", "500", "--samples", "2000", "--thresholds", "0.3,0.5", "--seed", "7"]
+EXPERIMENT = ["experiment", "--config", "experiment.cfg"]
+EXPERIMENT_CFG = "n=200\ng=8.0\nr=3.2\nrho=0.5\ndelta=0.3\ndecoder=threshold\ntrials=20\nseed=1\n"
 VERIFY = ["verify", "--suite", "appendix"]
 
 
@@ -237,10 +243,10 @@ VERIFY = ["verify", "--suite", "appendix"]
 # and `verify` calls scipy's gammainc, so the test cannot pass vacuously
 @pytest.mark.parametrize("argv, loads_special", [
     (BOUNDS, False), (DNA, False), (FIGURE2, False), (SIMULATE, False), (MI, False),
-    (SPECTRUM, False), (VERIFY, True),
+    (SPECTRUM, False), (EXPERIMENT, False), (VERIFY, True),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special):
-    scipy = [m for m in _run_command(argv) if m.split(".")[0] == "scipy"]
+def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special, tmp_path):
+    scipy = [m for m in _run_command(argv, tmp_path) if m.split(".")[0] == "scipy"]
     assert ("scipy.special" in scipy) is loads_special
     assert bool(scipy) is loads_special
 
@@ -248,18 +254,19 @@ def test_command_loads_scipy_special_only_when_it_calls_it(argv, loads_special):
 # the capacity commands need only `math`; the others cannot run without numpy
 @pytest.mark.parametrize("argv, loads_numpy", [
     (BOUNDS, False), (DNA, False), (FIGURE2, False), (SIMULATE, True), (MI, True),
+    (EXPERIMENT, True),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_only_the_numeric_commands_load_numpy(argv, loads_numpy):
-    roots = {m.split(".")[0] for m in _run_command(argv)}
+def test_only_the_numeric_commands_load_numpy(argv, loads_numpy, tmp_path):
+    roots = {m.split(".")[0] for m in _run_command(argv, tmp_path)}
     assert ("numpy" in roots) is loads_numpy
     if not loads_numpy:
         assert "scipy" not in roots
 
 
-def test_only_the_tilted_rows_call_the_incomplete_gamma(monkeypatch):
-    # the input law takes its cells from math.erf and math.erfc, and every Poisson window is
-    # certified by Bennett's bound in closed form; scipy's incomplete gamma is left to the
-    # exact tails T_x of the certified spectrum tail
+def test_no_table_nor_the_certified_tail_calls_the_incomplete_gamma(monkeypatch):
+    # the input law takes its cells from math.erf and math.erfc, every Poisson window is
+    # certified by Bennett's bound in closed form, and the exact tails T_x of the certified
+    # spectrum tail are sums on the walker's blocks
     import scipy.special
 
     from freqcap.distributions import RngStream, poisson_entropy, truncated_rounded_input_pmf
@@ -275,5 +282,6 @@ def test_only_the_tilted_rows_call_the_incomplete_gamma(monkeypatch):
     poisson_entropy([1e-300, 1e-9, 1.0, 50.0, 149.0, 500.0])
     _LetterTable.build(spec)
     spectrum_mc(spec, 10, 10, RngStream(1))
-    with pytest.raises(AssertionError, match="incomplete gamma"):
-        _TiltedRows(spec)
+    rows = _TiltedRows(spec)
+    rows.sums(0.5)
+    rows.means()

@@ -861,6 +861,71 @@ class TestLeastOverTilts:
             assert positive == 2
 
 
+def exact_tails(spec, rows=slice(None)):
+    """P[Z > z_max | x] of the spec's rows, mpmath's regularized gammainc at 40 digits."""
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.gammainc(spec.z_max + 1, 0, mpmath.mpf(float(lam)),
+                                               regularized=True))
+                         for lam in spec._lams[rows]])
+
+
+def summed_rows(spec):
+    """The rows whose tails past z_max are summed: their 1e-300 window ends past z_max."""
+    ends = distributions._chernoff_window(spec._lams, mutual_info._TAIL_SUM_FLOOR)[1]
+    return ends > spec.z_max
+
+
+class TestTiltedRowTails:
+    """T_x = P[Z > z_max | x], summed on the walker's blocks with a geometric remainder."""
+
+    @pytest.mark.parametrize("g, rho, rtol", [(8.0, 0.5, 1e-12), (200.0, 0.1, 1e-12),
+                                              (500.0, 0.5, 2e-11)])
+    def test_summed_tails_match_mpmath(self, g, rho, rtol):
+        # at g=500 the kernel's own rounding (scipy's gammainc reads 1.2e-11 off there too)
+        spec = PoissonChannelSpec(truncated_rounded_input_pmf(g, rho), 0.4)
+        tails = mutual_info._TiltedRows(spec)._tails
+        summed = summed_rows(spec)
+        assert summed.any()
+        np.testing.assert_allclose(tails[summed], exact_tails(spec, summed), rtol=rtol, atol=0)
+
+    def test_tails_match_mpmath_where_z_max_lies_below_the_largest_mean(self):
+        # means 0.4..1000 against z_max 30: the top rows' tails are near 1, and the window
+        # must reach past their means, not only 12 sqrt(1001) + 40 past z_max, for the
+        # remainder to hold
+        law = DiscretePmf.from_weights(1, np.ones(2500))
+        spec = spec_with_z_max(law, 0.4, 30)
+        assert spec._lams[-1] > spec.z_max + 1
+        tails = mutual_info._TiltedRows(spec)._tails
+        np.testing.assert_allclose(tails, exact_tails(spec), rtol=1e-12, atol=0)
+
+    def test_other_rows_take_bennetts_bound(self):
+        spec = PoissonChannelSpec(truncated_rounded_input_pmf(200.0, 0.1), 0.4)
+        tails = mutual_info._TiltedRows(spec)._tails
+        skipped = ~summed_rows(spec)
+        assert 0 < np.count_nonzero(skipped) < skipped.size
+        bennett = np.exp(-distributions._bennett_exponent(spec._lams[skipped], spec.z_max + 1))
+        np.testing.assert_array_equal(tails[skipped], bennett)
+        assert np.all(tails[skipped] <= 1e-300)
+        assert np.all(tails[skipped] >= exact_tails(spec, skipped))
+
+    def test_remainder_keeps_a_short_window_an_upper_bound(self, monkeypatch):
+        # the tails' window cut to z_max + 1..z_max + 4: the geometric bound past its end
+        # must carry the rest of the tail, about 1e-3 of it at the top row
+        spec = PoissonChannelSpec(truncated_rounded_input_pmf(8.0, 0.5), 0.4)
+        row_runs = mutual_info._row_runs
+
+        def short(lo, hi, budget):
+            if lo[0] == spec.z_max + 1:
+                hi = lo + 3
+            return row_runs(lo, hi, budget)
+
+        monkeypatch.setattr(mutual_info, "_row_runs", short)
+        tails = mutual_info._TiltedRows(spec)._tails
+        exact = exact_tails(spec)
+        assert np.all(tails >= exact * (1 - 1e-13))
+        assert np.all(tails <= exact * (1 + 1e-6))
+
+
 def mmpe_bruteforce(xs, ws, a, z_hi=400):
     """Oracle: posterior-mean estimator error by raw summation."""
     z = np.arange(z_hi)
