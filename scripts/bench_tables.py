@@ -1,6 +1,6 @@
 """Layer benchmark of the banded Poisson tables behind the exact surrogate MI.
 
-Times ten fixed cases, each in its own fresh process, for one or more
+Times eleven fixed cases, each in its own fresh process, for one or more
 source trees, and prints the median CPU and wall seconds of REPEATS runs
 after one warm-up run, and the `tracemalloc` peak of one more, untimed run:
 
@@ -11,6 +11,10 @@ after one warm-up run, and the `tracemalloc` peak of one more, untimed run:
   rho=0.1, gain 0.4: what a `mi` command spends on the exact MI, however
   the work is split between the two;
 - `i_mmpe_integral` at g=200, rho=0.1, gain 0.4;
+- the `_chernoff_window` calls of that `i_mmpe_integral` (180 of them),
+  replayed: the child records them through a wrapper on `mutual_info`'s
+  name, so each tree times the calls its own run makes, and the value, the
+  sum of every window end, shows whether any end moved;
 - one top `mmpe` panel at g=500, rho=0.5: the 16 Gauss-Legendre gains in
   [0.2, 0.4];
 - `mmpe` at g=500, rho=0.5 and the single gain 0.3;
@@ -48,7 +52,8 @@ from _harness import child_env, environment, parse_trees
 REPEATS = 5
 BLAS_THREADS = ("2", "1")
 CASES = ("poisson_entropy_g500", "spec_build_g500", "mutual_information_g500",
-         "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200", "mmpe_panel_g500",
+         "spec_and_mi_g500", "spec_and_mi_g1e4", "i_mmpe_integral_g200",
+         "chernoff_windows_g200", "mmpe_panel_g500",
          "mmpe_gain_g500", "spectrum_g8", "spectrum_tail_g200")
 
 
@@ -64,6 +69,25 @@ def _spectrum_tail(law, gain, n, gap):
     if "z_max" in inspect.signature(_spectrum_log_cdf_bound).parameters:
         return lambda: _spectrum_log_cdf_bound(spec, spec.z_max, n, log_threshold)
     return lambda: _spectrum_log_cdf_bound(spec, n, log_threshold)
+
+
+def _window_replay(law, gain):
+    """Replay of the `_chernoff_window` calls of one `i_mmpe_integral(law, gain)`, recorded
+    through a wrapper on the name `mutual_info` calls; returns the sum of every end."""
+    from freqcap import distributions, mutual_info
+
+    window, calls = distributions._chernoff_window, []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return window(*args, **kwargs)
+
+    mutual_info._chernoff_window = record
+    try:
+        mutual_info.i_mmpe_integral(law, gain)
+    finally:
+        mutual_info._chernoff_window = window
+    return lambda: sum(int(end.sum()) for args, kwargs in calls for end in window(*args, **kwargs))
 
 
 def _child(case):
@@ -82,6 +106,7 @@ def _child(case):
     spec = PoissonChannelSpec(g500, 0.4) if case == "mutual_information_g500" else None
     tail = (_spectrum_tail(truncated_rounded_input_pmf(200.0, 0.5), 0.4, 2000, 0.1)
             if case == "spectrum_tail_g200" else None)
+    replay = _window_replay(g200, 0.4) if case == "chernoff_windows_g200" else None
     run = {
         "poisson_entropy_g500": lambda: float(poisson_entropy(means).sum()),
         "spec_build_g500": lambda: float(np.exp(PoissonChannelSpec(g500, 0.4).log_pz).sum()),
@@ -89,6 +114,7 @@ def _child(case):
         "spec_and_mi_g500": lambda: mutual_information(PoissonChannelSpec(g500, 0.4)),
         "spec_and_mi_g1e4": lambda: mutual_information(PoissonChannelSpec(g1e4, 0.4)),
         "i_mmpe_integral_g200": lambda: i_mmpe_integral(g200, 0.4),
+        "chernoff_windows_g200": replay,
         "mmpe_panel_g500": lambda: float(mmpe(g500, gains).sum()),
         "mmpe_gain_g500": lambda: mmpe(g500, 0.3),
         "spectrum_g8": lambda: spectrum_mc(PoissonChannelSpec(g8, 0.4), 2000, 4000,

@@ -66,8 +66,18 @@ MUTATIONS = {
     ),
     "chernoff-window-lower-end-one-long": (
         "distributions.py",
-        "        lo[far] = np.ceil(excess[far] / _lambert_w_array(arg[far], -1))",
-        "        lo[far] = np.ceil(excess[far] / _lambert_w_array(arg[far], -1)) + 1",
+        "    lo[far] = np.ceil(n)",
+        "    lo[far] = np.ceil(n) + 1",
+    ),
+    "chernoff-window-newton-cut-to-one-step": (
+        "distributions.py",
+        "_WINDOW_STEPS = 6",
+        "_WINDOW_STEPS = 1",
+    ),
+    "chernoff-window-upper-end-starts-at-the-mean": (
+        "distributions.py",
+        "    hi = top + log_inv / 3.0 + np.sqrt(log_inv * log_inv / 9.0 + 2.0 * top * log_inv)",
+        "    hi = top + 0.0 * log_inv",
     ),
     "lambert-w-halley-cut-to-one-step": (
         "special_math.py",

@@ -477,7 +477,9 @@ def feinstein_rhs(
     """(P[density <= log_gamma] + M * exp(-log_gamma)) / p_F, clamped to [0, 1].
 
     p_F is the probability that a random block lands in the fixed-sum input
-    set; it must be positive. Saturation (raw value above one) is flagged.
+    set; it must be positive. log_gamma may be infinite but not NaN, which
+    would otherwise pass as a bound of 1. Saturation (raw value above one) is
+    flagged.
     """
     if p_F <= 0.0:
         raise ValueError("p_F must be positive")
@@ -485,6 +487,8 @@ def feinstein_rhs(
         raise ValueError("spectrum CDF value must lie in [0, 1]")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
+    if math.isnan(log_gamma):
+        raise ValueError("log_gamma must not be NaN")
     try:
         union_term = M * math.exp(-log_gamma)
     except OverflowError:
@@ -517,6 +521,8 @@ class ExperimentConfig:
             raise ValueError("spectrum_samples must be >= 0")
         if self.m is not None and self.m < 2:
             raise ValueError("M must be >= 2")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

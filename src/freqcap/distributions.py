@@ -8,10 +8,11 @@ is built one `_row_runs` run of rows at a time, each run at most one block
 of _CHUNK_ELEMENTS = 2^16 cells (512 KiB of float64), by one walker,
 `_poisson_tables`, on the one kernel `_log_pmf_kernel`. Every Poisson window
 but the channel spec's (`poisson_band`) is `_chernoff_window` at its caller's
-tolerance. One inequality picks and certifies them all: Bennett's Poisson tail
-bound e^-E, with E = `_bennett_exponent`, inverted through Lambert W to pick a
-window and evaluated at its ends by `_missed_mass` to certify the mass it
-leaves out. `poisson_chernoff_lower_tail` is the same bound.
+tolerance. One function picks and certifies them all: the exponent E =
+`_bennett_exponent` of Bennett's Poisson tail bound e^-E, whose root at the
+tolerance Newton's method finds for each window end, and which `_missed_mass`
+evaluates at the ends to certify the mass the window leaves out.
+`poisson_chernoff_lower_tail` is the same bound.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_math import _lambert_w_array, log_factorial
+from .special_math import log_factorial
 from .special_math import regularized_gamma_p  # noqa: F401  (perfbench/spans.py traces this name)
 
 __all__ = [
@@ -58,6 +59,9 @@ _TWO_PI_E = 2.0 * math.pi * math.e
 # `poisson_entropy` refuses a band sum whose band leaves out this much mass or more, times
 # min(1, lam): H is about lam ln(1/lam) at small means, so the gate keeps its relative digits
 _ENTROPY_TAIL_TOL = 1e-14
+# Newton steps `_chernoff_window` takes toward each end: four already give every end on a
+# log grid of means from 1e-12 to 1e6 at tails from 1e-300 to 1/2, and the rest are margin
+_WINDOW_STEPS = 6
 
 
 class RngStream:
@@ -244,26 +248,32 @@ def poisson_band(lam):
 def _chernoff_window(lam, tail, lam_hi=None):
     """Integer window (lo, hi) of Z ~ Poisson(lam) with P[Z < lo] <= tail and P[Z > hi] <= tail.
 
-    int64 arrays of lam, tail and lam_hi broadcast, never decreasing in lam. With lam_hi,
-    hi is taken there, so the window holds for every mean in [lam, lam_hi]: Z grows
-    stochastically with its mean. Bennett's bound exp(-lam h(u)), h(u) = (1 + u) ln(1 + u)
-    - u, on P[Z >= lam (1 + u)] (u > 0) and P[Z <= lam (1 + u)] (-1 <= u < 0) meets
-    tail = e^-L at lam (1 + u) = (L - lam) / W with W = W((L - lam) / (e lam)): W0 gives
-    hi, rounded down, and W-1 gives lo, rounded up, where lam > L (lo = 0 elsewhere).
-    This form is finite at every lam > 0; at lam = L, where W0 = 0, hi is e lam.
+    int64 arrays of lam, tail (in (0, 1)) and lam_hi broadcast, never decreasing in lam.
+    With lam_hi, hi is taken there, so the window holds for every mean in [lam, lam_hi]: Z
+    grows stochastically with its mean. Each end solves E(lam, n) = L, L = ln(1 / tail),
+    with E = `_bennett_exponent`, the function `_missed_mass` certifies the window with:
+    _WINDOW_STEPS Newton steps n <- (n + L - lam) / ln(n / lam), hi rounded down and lo
+    rounded up, where lam > L (lo = 0 elsewhere). E is convex in n and each end starts
+    where E >= L: hi at Bernstein's end lam + L/3 + sqrt(L^2/9 + 2 lam L), lo at the larger
+    of lam - sqrt(2 lam L) and (lam - L)^2 / (4 lam). So every iterate stays on its side
+    of the root, and every step count gives a window that Bennett's bound certifies.
     """
     lam = np.asarray(lam, dtype=float)
     top = lam if lam_hi is None else np.asarray(lam_hi, dtype=float)
     log_inv = -np.log(tail)
-    excess = log_inv - top
-    with np.errstate(invalid="ignore"):
-        hi = np.where(excess == 0.0, math.e * top,
-                      excess / _lambert_w_array(excess / (math.e * top)))
-    excess = np.asarray(log_inv - lam)
-    arg, far = excess / (math.e * lam), excess < 0.0
+    hi = top + log_inv / 3.0 + np.sqrt(log_inv * log_inv / 9.0 + 2.0 * top * log_inv)
+    lam, log_inv_lo = np.broadcast_arrays(lam, log_inv)
+    far = lam > log_inv_lo
+    mean, log_inv_far = lam[far], log_inv_lo[far]
+    n = np.maximum(mean - np.sqrt(2.0 * mean * log_inv_far),
+                   (mean - log_inv_far) ** 2 / (4.0 * mean))
+    # at a subnormal top, hi / top overflows and hi falls to 0, which such a mean certifies
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(_WINDOW_STEPS):
+            hi = (hi + log_inv - top) / np.log(hi / top)
+            n = (n + log_inv_far - mean) / np.log(n / mean)
     lo = np.zeros(far.shape)
-    if far.any():
-        lo[far] = np.ceil(excess[far] / _lambert_w_array(arg[far], -1))
+    lo[far] = np.ceil(n)
     return lo.astype(np.int64), np.floor(hi).astype(np.int64)
 
 
@@ -288,8 +298,8 @@ def _missed_mass(lam, lo, hi):
     """Bennett's bound on P[Z < lo] + P[Z > hi] for Z ~ Poisson(lam): e^-E(lam, lo - 1)
     + e^-E(lam, hi + 1), with E = `_bennett_exponent`.
 
-    The one certificate of every Poisson window, from the inequality that
-    `_chernoff_window` inverts to pick them. A term whose count lies on the
+    The one certificate of every Poisson window, from the function whose root
+    `_chernoff_window` finds to pick them. A term whose count lies on the
     mean's own side bounds nothing tighter than 1, and is 1; lo = 0 leaves
     P[Z > hi] alone, as P[Z < 0] = 0. lam, lo and hi broadcast.
     """

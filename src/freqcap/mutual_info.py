@@ -463,13 +463,16 @@ def spectrum_mc(
     draws from rng.substream(c). A sample longer than that is a chunk of
     its own, drawn from its substream in pieces of 2^15 letters whose
     density sums add up, so memory does not grow with n. The result is
-    therefore bit-reproducible for a fixed seed.
+    therefore bit-reproducible for a fixed seed. A NaN threshold, whose cdf
+    would read 0, is refused.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     thresholds = tuple(float(t) for t in thresholds)
+    if any(math.isnan(t) for t in thresholds):
+        raise ValueError(f"thresholds must not be NaN, got {thresholds}")
 
     table = _LetterTable.build(spec)
     per_chunk = max(1, _SPECTRUM_LETTERS // n)

@@ -2,7 +2,7 @@
 
 Everything here is a pure function of its arguments. Lambert W is Halley's
 iteration in real arithmetic (Corless, Gonnet, Hare, Jeffrey and Knuth
-1996), on floats and on numpy arrays. ln k! below 2^16 is read from a table
+1996), on floats. ln k! below 2^16 is read from a table
 of compensated running sums of ln k, built on first use; above, and the
 regularized incomplete gamma function, are scipy's (`gammaln`, `gammainc`)
 behind domain checks; the tests hold them all to mpmath. All entropic
@@ -61,27 +61,6 @@ _W_STEP_TOL = 1e-8
 _W_MAX_STEPS = 100
 
 
-def _w_branch_point_series(p):
-    """-1 + p - p^2/3: W near its branch point -1/e, with p = sqrt(2 (e x + 1)) for W0 and
-    p = -sqrt(2 (e x + 1)) for W-1 (Corless et al. 4.22)."""
-    return (-1.0 / 3.0 * p + 1.0) * p - 1.0
-
-
-def _w_pade(x):
-    """The (3, 2) Pade approximant of W0 around 0."""
-    num = (12.85106382978723404255 * x + 12.34042553191489361902) * x + 1.0
-    den = (32.53191489361702127660 * x + 14.34042553191489361702) * x + 1.0
-    return x * num / den
-
-
-def _halley_step(w, x, shift, exp):
-    """Halley's step for w e^w = x (Corless et al. 5.9), on floats or arrays, with both
-    sides divided by e^shift: shift = w where w >= 0, so that nothing overflows, else 0."""
-    a, b = exp(w - shift), x * exp(-shift)
-    f = w * a - b
-    return w - f / (w * a + a - (w + 2.0) * f / (2.0 * w + 2.0))
-
-
 def _lambert_w(x: float, branch: int = 0) -> float:
     """Real branch 0 or -1 of Lambert W at a float x, by Halley's iteration.
 
@@ -100,10 +79,13 @@ def _lambert_w(x: float, branch: int = 0) -> float:
     if not x < math.inf:
         return x  # W0(inf) = inf, and nan stays nan
     if abs(x + _INV_E) < 0.3:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = _w_branch_point_series(p if branch == 0 else -p)
+        # -1 + p - p^2/3, p = sqrt(2 (e x + 1)) for W0 and -sqrt(...) for W-1 (4.22)
+        p = math.sqrt(2.0 * (math.e * x + 1.0)) * (1.0 if branch == 0 else -1.0)
+        w = (-1.0 / 3.0 * p + 1.0) * p - 1.0
     elif branch == 0 and -1.0 < x < 1.5:
-        w = _w_pade(x)
+        # the (3, 2) Pade approximant of W0 around 0
+        w = x * ((12.85106382978723404255 * x + 12.34042553191489361902) * x + 1.0) / (
+            (32.53191489361702127660 * x + 14.34042553191489361702) * x + 1.0)
     else:
         w = math.log(abs(x))
         w -= math.log(abs(w))
@@ -111,38 +93,16 @@ def _lambert_w(x: float, branch: int = 0) -> float:
         return w
     divided = w >= 0.0
     for _ in range(_W_MAX_STEPS):
-        following = _halley_step(w, x, w if divided else 0.0, math.exp)
+        # Halley's step (5.9) with both sides of w e^w = x divided by e^shift: shift = w
+        # if the guess is at or above 0, so that nothing overflows, else 0
+        shift = w if divided else 0.0
+        a, b = math.exp(w - shift), x * math.exp(-shift)
+        f = w * a - b
+        following = w - f / (w * a + a - (w + 2.0) * f / (2.0 * w + 2.0))
         if abs(following - w) <= _W_STEP_TOL * abs(following):
             return following
         w = following
     raise ArithmeticError(f"Lambert W iteration did not converge at x={x}")
-
-
-def _lambert_w_array(x, branch: int = 0):
-    """`_lambert_w` on every element of an array x in the branch's domain, unchecked: the
-    same guesses and Halley steps, each element stopping at its own step. numpy's exp
-    may round otherwise than `math.exp`, so an element can differ in its last bit."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):  # each guess is also evaluated outside its own region
-        p = np.sqrt(2.0 * (math.e * x + 1.0))
-        log_x = np.log(np.abs(x))
-        w = log_x - np.log(np.abs(log_x))
-        if branch == 0:
-            w = np.where((-1.0 < x) & (x < 1.5), _w_pade(x), w)
-        near = np.abs(x + _INV_E) < 0.3
-        w = np.where(near, _w_branch_point_series(p if branch == 0 else -p), w)
-        divided = w >= 0.0
-        done = w == -1.0
-        for _ in range(_W_MAX_STEPS):
-            if done.all():
-                return w
-            following = _halley_step(w, x, w * divided, np.exp)
-            converged = np.abs(following - w) <= _W_STEP_TOL * np.abs(following)
-            np.copyto(w, following, where=~done)
-            done |= converged
-    raise ArithmeticError("Lambert W iteration did not converge")
 
 
 def lambert_w0(x: float) -> float:

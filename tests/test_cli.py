@@ -236,6 +236,14 @@ class TestSpectrumCommand:
         assert doc["variance"] == pytest.approx(0.0, abs=1e-12)
         assert (doc["thresholds"], doc["cdf"]) == ([-0.5, 0.5], [0.0, 1.0])
 
+    def test_nan_threshold_is_domain_error(self):
+        # NaN <= value is False for every sample, so its cdf would read 0.0
+        code, out, err = invoke(["spectrum", "--input", "point", "--value", "2", "--gain", "1",
+                                 "--n", "10", "--samples", "50", "--thresholds", "nan,0.5",
+                                 "--seed", "6"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "NaN" in err
+
     def test_threads_flag_is_gone(self):
         argv = ["spectrum", "--input", "point", "--value", "3", "--gain", "1",
                 "--n", "10", "--samples", "20", "--seed", "1"]
@@ -303,6 +311,14 @@ class TestExperimentCommand:
         doc = json.loads(out)
         assert doc["trials"] == 60
         assert invoke(argv) == invoke(argv)
+
+    def test_nan_delta_is_domain_error(self, tmp_path):
+        # a NaN delta makes log_gamma NaN, and the run would report a Feinstein bound of 1.0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.config_text().replace("delta=0.1", "delta=nan"))
+        code, out, err = invoke(["experiment", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "delta" in err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

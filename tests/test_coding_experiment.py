@@ -601,6 +601,11 @@ class TestFeinsteinRhs:
         with pytest.raises(ValueError):
             feinstein_rhs(0.1, 2, 0.0, 0.0)
 
+    def test_rejects_nan_log_gamma(self):
+        # M e^-NaN is NaN, and min(1, NaN) would report a bound of 1, unsaturated
+        with pytest.raises(ValueError, match="log_gamma"):
+            feinstein_rhs(0.1, 2, math.nan, 1.0)
+
 
 def mp_spectrum_log_cdf_bound(law, gain, z_max, n, log_threshold, dps=30):
     """The grid minimum of `_spectrum_log_cdf_bound` in `dps`-digit arithmetic: P_Z
@@ -721,6 +726,12 @@ class TestExperimentConfig:
             ExperimentConfig(n=10, g=2.0, r=1.0, m=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=10, g=2.0, r=1.0, trials=0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        # a NaN delta makes log_gamma NaN, and the Feinstein bound would read 1.0 unsaturated
+        with pytest.raises(ValueError, match="delta"):
+            ExperimentConfig(n=10, g=2.0, r=1.0, delta=delta, m=16)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"

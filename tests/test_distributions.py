@@ -350,7 +350,8 @@ TAILS = (2.0**-53, 1e-16, 1e-20, 1e-30)
 
 
 class TestChernoffWindow:
-    """Bennett's Poisson tail bound inverted through Lambert W, certified by the exact tails."""
+    """Each end found by Newton's method on Bennett's exponent, the function that certifies
+    the window, and certified here by the exact tails."""
 
     @staticmethod
     def assert_certified(lam, tail):
@@ -371,13 +372,26 @@ class TestChernoffWindow:
 
     @pytest.mark.parametrize("tail", TAILS)
     def test_finite_at_the_extremes_and_at_the_switch(self, tail):
-        # lam = ln(1/tail) is where W0 is 0 and where the lower end leaves 0
+        # lam = ln(1/tail) is where the upper root is e lam and where the lower end leaves 0
         switch = -math.log(tail)
         lam = np.array([1e-300, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1e3)])
         lo, hi = self.assert_certified(lam, tail)
         assert lo[0] == hi[0] == 0
         assert np.array_equal(lo, [0, 0, 0, 1])
         assert hi[2] == math.floor(math.e * switch) and abs(hi[3] - hi[1]) <= 1
+
+    @pytest.mark.parametrize("steps", range(6))
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_every_newton_iterate_is_certified_and_holds_the_converged_window(
+        self, monkeypatch, tail, steps
+    ):
+        # E is convex in n and each end starts on the far side of its root, so no iterate
+        # crosses it: a loop cut short, down to none, widens the window and never breaks it
+        lam = np.logspace(-12, 6, 20_001)
+        converged = _chernoff_window(lam, tail)
+        monkeypatch.setattr(distributions, "_WINDOW_STEPS", steps)
+        lo, hi = self.assert_certified(lam, tail)
+        assert np.all(lo <= converged[0]) and np.all(converged[1] <= hi)
 
     def test_array_tail_broadcasts(self):
         lam = np.logspace(-3, 4, 15)[:, None]

@@ -7,7 +7,6 @@ import pytest
 from freqcap import special_math
 from freqcap.special_math import (
     _lambert_w,
-    _lambert_w_array,
     binary_entropy,
     lambert_w0,
     log_factorial,
@@ -141,7 +140,6 @@ class TestLambertWBothBranches:
     @pytest.mark.parametrize("branch", [0, -1])
     def test_branch_point_is_minus_one(self, branch):
         assert _lambert_w(BRANCH_POINT, branch) == -1.0
-        assert _lambert_w_array(np.array([BRANCH_POINT]), branch)[0] == -1.0
 
     def test_tiny_and_infinite_arguments_of_w0(self):
         for x in (5e-324, -5e-324, 2.2e-308, -2.2e-308):
@@ -155,17 +153,6 @@ class TestLambertWBothBranches:
     def test_domain(self, branch, x):
         with pytest.raises(ValueError, match=f"branch {branch}"):
             _lambert_w(x, branch)
-
-    @pytest.mark.parametrize("branch", [0, -1])
-    def test_array_matches_scalar_calls(self, branch):
-        # numpy's exp and math.exp may round apart, which moves W by at most a few ulps
-        x = -np.logspace(-300, math.log10(-BRANCH_POINT), 2001)[:-1]
-        if branch == 0:
-            x = np.concatenate((x, np.logspace(-300, 300, 2001), [0.0]))
-        values = _lambert_w_array(x.reshape(-1, 1), branch)
-        assert values.shape == (x.size, 1)
-        scalar = np.array([_lambert_w(float(v), branch) for v in x])
-        assert np.all(np.abs(values[:, 0] - scalar) <= 4 * np.spacing(np.abs(scalar)))
 
 
 class TestRegularizedGammaP:
