@@ -1,21 +1,23 @@
 """End-to-end CLI benchmark: every command of the README as a fresh process.
 
-Runs each command of the README's CLI section in SAMPLES fresh
-`python -m freqcap.cli` processes per source tree and records, per tree and
-command, the median and quartiles of the process's CPU seconds (user +
-system), its median wall seconds and its median peak RSS (`ru_maxrss`).
-One more, untimed, process per tree and command runs under
-`python -X importtime` and records whether the command loads
-`scipy.special` and whether it loads numpy:
+Runs each command of the README's CLI section, and a bare
+`import freqcap.cli` (the row `import`), in SAMPLES fresh processes per
+source tree and records, per tree and row, the median, quartiles and
+per-process values of the process's CPU seconds (user + system), its
+median wall seconds and its median peak RSS (`ru_maxrss`); each tree after
+the first also gets its paired wins against the first. One more, untimed,
+process per tree and row runs under `python -X importtime` and records
+whether it loads `scipy.special` and whether it loads numpy:
 
     python scripts/bench_cli.py                       # this checkout's src/
     python scripts/bench_cli.py parent=/path/to/other/src change=src > BENCH_cli.json
 
 Each argument is `label=path` to a directory that holds the `freqcap`
-package; results are keyed by label. The trees take turns process by
-process, the first tree alternating, so drift over the run falls on every
-tree alike. Files the commands read or write (the experiment config, its
-trace, the figure table) live in a temporary directory.
+package; results are keyed by label. Row by row, the trees take turns
+process by process (`_harness.alternate`), the first tree alternating, so
+drift over the run falls on every tree alike. Files the commands read or
+write (the experiment config, its trace, the figure table) live in a
+temporary directory.
 """
 
 import json
@@ -26,7 +28,7 @@ import sys
 import tempfile
 import time
 
-from _harness import child_env, environment, parse_trees
+from _harness import alternate, child_env, environment, parse_trees, summarize
 
 SAMPLES = 11
 # the README's CLI examples, in its order; `verify` draws nothing and takes no seed
@@ -49,29 +51,33 @@ EXPERIMENT_CFG = (
 )
 
 
-def _run_once(src, argv, workdir):
-    """(CPU s, wall s, ru_maxrss KiB) of one `python -m freqcap.cli argv` process."""
+# the interpreter arguments of each row: the cold import, then every README command
+ROWS = {"import": ["-c", "import freqcap.cli"],
+        **{name: ["-m", "freqcap.cli", *argv] for name, argv in COMMANDS.items()}}
+
+
+def _run_once(src, args, workdir):
+    """CPU s, wall s and ru_maxrss (KiB) of one `python args` process."""
     with tempfile.TemporaryFile() as log:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "freqcap.cli", *argv], cwd=workdir,
-                                 env=child_env(src), stdout=log, stderr=log)
+        child = subprocess.Popen([sys.executable, *args], cwd=workdir, env=child_env(src),
+                                 stdout=log, stderr=log)
         # wait4 gives this child's own rusage; RUSAGE_CHILDREN would fold in every earlier one
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)
         if child.returncode != 0:
             log.seek(0)
-            raise RuntimeError(f"{' '.join(argv)} exited {child.returncode}: {log.read().decode()}")
-    return usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss
+            raise RuntimeError(f"{' '.join(args)} exited {child.returncode}: {log.read().decode()}")
+    return {"cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall,
+            "ru_maxrss_kb": usage.ru_maxrss}
 
 
-def _imports(src, argv, workdir):
-    """Whether a `python -m freqcap.cli argv` process imports `scipy.special` and whether
-    it imports `numpy`, read from the interpreter's import log (`-X importtime`, one line
-    per module)."""
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "freqcap.cli", *argv],
-                          cwd=workdir, env=child_env(src), capture_output=True, text=True,
-                          check=True)
+def _imports(src, args, workdir):
+    """Whether a `python args` process imports `scipy.special` and whether it imports
+    `numpy`, read from the interpreter's import log (`-X importtime`, one line per module)."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=workdir,
+                          env=child_env(src), capture_output=True, text=True, check=True)
     modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
     # a module loaded through `importlib.import_module`, as the CLI loads numpy, gets no
     # line of its own, so any numpy submodule counts
@@ -80,37 +86,27 @@ def _imports(src, argv, workdir):
 
 
 def main(trees):
-    runs = {label: {name: [] for name in COMMANDS} for label in trees}
+    results = {label: {} for label in trees}
     with tempfile.TemporaryDirectory() as workdir:
         with open(os.path.join(workdir, "experiment.cfg"), "w") as fh:
             fh.write(EXPERIMENT_CFG)
-        imports = {label: {name: _imports(src, argv, workdir)
-                           for name, argv in COMMANDS.items()} for label, src in trees.items()}
-        for sample in range(SAMPLES):
-            for name, argv in COMMANDS.items():
-                # the tree that goes first alternates from sample to sample
-                turns = list(trees.items())[:: -1 if sample % 2 else 1]
-                for label, src in turns:
-                    runs[label][name].append(_run_once(src, argv, workdir))
-    results = {}
-    for label, commands in runs.items():
-        results[label] = {}
-        for name, samples in commands.items():
-            cpu = [s[0] for s in samples]
-            q1, median, q3 = statistics.quantiles(cpu, n=4)
-            results[label][name] = {
-                "cpu_s_median": median,
-                "cpu_s_quartiles": [q1, q3],
-                "cpu_s": cpu,
-                "wall_s_median": statistics.median(s[1] for s in samples),
-                "ru_maxrss_kb_median": statistics.median(s[2] for s in samples),
-                **imports[label][name],
-            }
+        for name, args in ROWS.items():
+            runs = alternate(trees, SAMPLES, lambda label, src: _run_once(src, args, workdir))
+            cpu = summarize(runs, "cpu_s")
+            for label, samples in runs.items():
+                results[label][name] = {
+                    "cpu_s": cpu[label],
+                    "wall_s_median": statistics.median(s["wall_s"] for s in samples),
+                    "ru_maxrss_kb_median": statistics.median(s["ru_maxrss_kb"] for s in samples),
+                    **_imports(trees[label], args, workdir),
+                }
     doc = {
-        "benchmark": f"each README CLI command in {SAMPLES} fresh processes per tree: CPU s "
-                     "(user + system) and wall s of the process, its ru_maxrss (KiB); whether it "
-                     "loads scipy.special and numpy, from one more untimed process",
-        "commands": {name: " ".join(argv) for name, argv in COMMANDS.items()},
+        "benchmark": f"`import freqcap.cli` and each README CLI command in {SAMPLES} fresh "
+                     "processes per tree, the trees alternating process by process: CPU s "
+                     "(user + system; median, quartiles, per process, paired wins against "
+                     "the first tree) and wall s of the process, its ru_maxrss (KiB); whether "
+                     "it loads scipy.special and numpy, from one more untimed process",
+        "rows": {name: " ".join(args) for name, args in ROWS.items()},
         "environment": environment("scipy"),
         "results": results,
     }

@@ -119,6 +119,11 @@ MUTATIONS = {
         "    rows = input_pmf.probs > 0.0",
         "    rows = input_pmf.probs >= 0.0",
     ),
+    "output-law-at-zero-log1p-skipped": (
+        "mutual_info.py",
+        "        if self._log_pz[0] > -math.log(2.0):",
+        "        if self._log_pz[0] > 0.0:",
+    ),
     "rows-support-check-off-by-one": (
         "mutual_info.py",
         "    if input_pmf.support_offset < 1:",

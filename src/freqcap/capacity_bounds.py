@@ -215,7 +215,8 @@ def dna_log_cardinality_lower_bound(
     leading-order value pseudo_rate * L * K^(beta ln|A|); the corrected
     field subtracts the explicit c / (2 beta ln K) penalty with c = 2.773,
     improved to 2.59 under the optimized read count 0.4 * K^(1 - beta ln|A|).
-    Terms of order o(1/ln K) are omitted throughout.
+    Terms of order o(1/ln K) are omitted throughout. A kl_total that leaves
+    K <= 1 strand is refused, since the penalty divides by ln K.
     """
     if not 0.0 < kl_total < math.inf:
         raise ValueError(f"kl_total must be positive and finite, got {kl_total}")
@@ -225,6 +226,10 @@ def dna_log_cardinality_lower_bound(
     lambert_length = beta * lambert_w0(kl_total / beta)
     molecule_length = max(1, math.ceil(lambert_length))
     strand_count = kl_total / molecule_length
+    if not strand_count > 1.0:
+        # ln K = 0 at one strand, and the corrected bound divides by it
+        raise ValueError(f"kl_total {kl_total:g} leaves K = {strand_count:g} strands of "
+                         f"length {molecule_length}; the bound needs K > 1")
     ln_k = math.log(strand_count)
 
     # log-domain normalizer L * K^(beta ln|A|); huge inputs stay finite here

@@ -390,17 +390,21 @@ def truncated_rounded_input_pmf(g: float, rho: float) -> DiscretePmf:
     cells are differences of `math.erf`, above it of `math.erfc`, so that the
     smallest cells, at the top, keep their relative digits. The support is
     {1, ..., ceil(g^(1+rho))} and there is never mass at zero; a support above
-    _SUPPORT_CAP points is refused before anything is allocated.
+    _SUPPORT_CAP points is refused, from (1 + rho) log10 g, before the window is
+    built.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if g < 2.0:
         raise ValueError(f"need g >= 2 so the truncation window keeps solid mass, got {g}")
+    # on the log scale, so a g whose g^(1+rho) overflows a float is refused here too
+    log10_top = (1.0 + rho) * math.log10(g)
+    if log10_top > math.log10(_SUPPORT_CAP):
+        raise ValueError(f"input support g^(1+rho) = 10^{log10_top:.8g} exceeds the cap "
+                         f"{_SUPPORT_CAP}")
     window = TruncationInterval.for_budget(g, rho)
     s_min, s_max = window.s_min, window.s_max
     top = math.ceil(s_max)
-    if top > _SUPPORT_CAP:
-        raise ValueError(f"input support {top} exceeds the cap {_SUPPORT_CAP}")
 
     # sqrt(s / 2g) at the clipped cell boundaries 0..top. The window straddles the median
     # (s_min < 1 and s_max / 2g = g^rho / 2 > 1/2), so both sides hold a boundary, and

@@ -11,13 +11,16 @@ that picks every other Poisson window (`distributions._missed_mass`;
 `band_missed_mass`, at most _BAND_ALLOWANCE = 1e-15), which keeps
 truncation errors in entropies and mutual information below 1e-9 nats.
 The bands change log P_Z only where it is far below any mass that matters
-(in the tested laws, below e^-60). The spec's rows are the input points of
-positive weight alone, filtered once when it is built. Every Poisson table
-(the output law, also past z_max, `mmpe`, and the tilted rows of the
-spectrum tail with their tails past z_max) walks one row planner,
-`distributions._row_runs`, under one cell budget, _CHUNK_ELEMENTS = 2^16
-cells: a 512 KiB block that stays in a core's L2 cache, so the working set
-is a few blocks at any support size.
+(in the tested laws, below e^-60). Where P_Z(0) passes 1/2, as at small
+gains, log P_Z(0) is log1p(sum_x w_x expm1(-lam_x)), the same mixture with
+the 1 that cancels taken out, so it keeps its relative digits where the ln
+of a sum near 1 would keep only absolute ones. The spec's rows are the
+input points of positive weight alone, filtered once when it is built.
+Every Poisson table (the output law, also past z_max, `mmpe`, and the
+tilted rows of the spectrum tail with their tails past z_max) walks one
+row planner, `distributions._row_runs`, under one cell budget,
+_CHUNK_ELEMENTS = 2^16 cells: a 512 KiB block that stays in a core's L2
+cache, so the working set is a few blocks at any support size.
 Rows plan on the spec's bands, on one window shared by every row, or
 (`mmpe`) on `distributions._chernoff_window`, joining neighbouring runs
 whose tables fit one block together. The blocks come from one walker,
@@ -46,8 +49,7 @@ the Chernoff-Hölder row sums of `_TiltedRows`: every positive-weight row
 dense on 0..z_max, from the same walker and the spec's own mixture sum,
 and each row's exact tail past z_max summed on the walker's blocks with a
 geometric bound on the rest, or Bennett's bound where that tail is below
-1e-300. So the truncation-loss terms below are the one caller of
-`scipy.special` in this module.
+1e-300. No function of this module calls `scipy.special`.
 
 Every information density is z ln lam - lam - T[z], with T[z] = ln z! +
 log P_Z(z) tabulated once per spec on 0..z_max and extended exactly past
@@ -71,7 +73,7 @@ term t2. One call of the rule sums one level of panels, and each caller
 gates the residual between a level and the one of half as many panels, so
 every level is summed once: `i_mmpe_integral` doubles its panels until two
 levels in a row agree, and t2 sums 60 and 120 panels. The term t3 and the
-rest of t2 are closed forms in scipy's `gammaincc`.
+rest of t2 are closed forms in `math.erfc` and `math.exp`.
 """
 
 import math
@@ -185,6 +187,12 @@ class PoissonChannelSpec:
         row_entropy = np.zeros(self._ws.size)
         self._log_pz = self._log_mixture(self._bands, 0, self.z_max, row_entropy)
         self._band_entropy = float(np.einsum("i,i->", self._ws, row_entropy))
+        if self._log_pz[0] > -math.log(2.0):
+            # only P_Z(0) can pass 1/2 (P_Z(1) <= 1/e), and ln of a sum near 1 keeps only
+            # its absolute digits; the weights sum to 1, so P_Z(0) - 1 is
+            # sum_x w_x expm1(-lam_x), a sum of terms of one sign, and log1p keeps them all
+            self._log_pz[0] = math.log1p(
+                float(np.einsum("i,i->", self._ws, np.expm1(-self._lams))))
 
     def _choose_bands(self, lo, hi):
         """Certify the row bands and group the rows into `_row_runs` runs.
@@ -759,10 +767,21 @@ class TruncationLoss:
     t3_bound: float
 
 
+def _upper_gamma_three_halves(u: float) -> float:
+    """Q(3/2, u), the regularized upper incomplete gamma function at 3/2, in closed form.
+
+    Q(3/2, u) = erfc(sqrt(u)) + 2 sqrt(u/pi) e^-u. Both terms are positive, and
+    erfc's share is about 1/(2u) at large u, which cancels the 2u by which the
+    rounding of sqrt(u) moves it; within 3.3e-16 of mpmath on [1e-12, 700].
+    """
+    return math.erfc(math.sqrt(u)) + 2.0 * math.sqrt(u / math.pi) * math.exp(-u)
+
+
 def truncation_loss_terms(g: float, rho: float) -> TruncationLoss:
     """Evaluate the three mutual-information truncation-loss terms (see `TruncationLoss`).
 
-    With u = s_max / (2g) = g^rho / 2 and Q(3/2, u) scipy's `gammaincc`:
+    With u = s_max / (2g) = g^rho / 2 and Q(3/2, u) = erfc(sqrt(u)) + 2 sqrt(u/pi) e^-u
+    (`_upper_gamma_three_halves`):
     t1 = s_max * P(1/2, s_min / (2g)), with P(1/2, x) = erf(sqrt(x));
     t3 = g ln(1/s_min) Q(3/2, u) in closed form; t2 = g ln(2g) Q(3/2, u) +
     (2g/sqrt(pi)) J(u), where J(u) = int_u^inf sqrt(s) ln(s) e^-s ds =
@@ -771,15 +790,14 @@ def truncation_loss_terms(g: float, rho: float) -> TruncationLoss:
     raises if the two differ by more than a relative 1e-12. A tail that
     underflows is 0.
     """
-    from scipy.special import gammaincc
-
     if g < 2.0:
         raise ValueError(f"needs g >= 2, got {g}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     window = TruncationInterval.for_budget(g, rho)
     # P(1/2, x) = erf(sqrt(x)): exact to an ulp or two where scipy's gammainc(0.5, x)
-    # loses about 40 ulps at tiny x (9.2e-15 relative at x = 5e-85)
+    # loses about 40 ulps at tiny x (9.2e-15 relative at x = 5e-85); likewise Q(3/2, u),
+    # where scipy's gammaincc(1.5, u) reaches 6.4e-14
     t1 = window.s_max * math.erf(math.sqrt(window.s_min / (2.0 * g)))
 
     # With s = x / (2g) the integrals over (s_max, inf) become
@@ -787,7 +805,7 @@ def truncation_loss_terms(g: float, rho: float) -> TruncationLoss:
     # and (2g/sqrt(pi)) * int_u^inf sqrt(s) e^-s ds = g * Q(3/2, u).
     u = window.s_max / (2.0 * g)
     scale = 2.0 * g / math.sqrt(math.pi)
-    upper = g * gammaincc(1.5, u)
+    upper = g * _upper_gamma_three_halves(u)
     # J(u) = e^-u * inner; the factor keeps `inner` itself from underflowing
     coarse, inner = (
         _panel_rule(lambda t: np.sqrt(u + t) * np.log(u + t) * np.exp(-t),

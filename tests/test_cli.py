@@ -68,6 +68,13 @@ class TestDnaCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("kl", ["1", "0.5"])
+    def test_at_most_one_strand_is_domain_error(self, kl):
+        # the corrected bound divides by ln K, which is 0 at K = 1 and negative below
+        code, out, err = invoke(["dna", "--alphabet", "4", "--beta-log-a", "0.7", "--kl", kl])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"K = {kl} strands" in err
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self):
@@ -200,8 +207,10 @@ class TestMiCommand:
     @pytest.mark.parametrize("argv", [
         # ceil(46500^1.5) = 10,027,195 support points
         ["mi", "--g", "46500", "--rho", "0.5", "--gain", "0.4"],
+        # g^(1+rho) overflows a float; the cap is checked on its logarithm
+        ["mi", "--g", "1e300", "--rho", "0.5", "--gain", "1"],
         ["mi", "--input", "two-point", "--points", "1:0.5,10000001:0.5", "--gain", "1"],
-    ], ids=["trunc-gamma", "two-point"])
+    ], ids=["trunc-gamma", "trunc-gamma-overflowing", "two-point"])
     def test_support_above_cap_is_domain_error(self, argv):
         code, out, err = invoke(argv)
         assert (code, out) == (1, "")
@@ -407,6 +416,12 @@ class TestFigure2Command:
         code, _, _ = invoke(["figure2", "--out", str(out_path), "--beta-log-a", ""])
         assert code == 0
         assert out_path.read_text() == "beta,KL,bound_nats,bound_bits\n"
+
+    def test_grid_with_one_strand_is_domain_error(self, tmp_path):
+        out_path = tmp_path / "fig2.csv"
+        code, out, err = invoke(["figure2", "--out", str(out_path), "--kl", "1,10"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "K = 1 strands" in err
 
     def test_io_error_surfaced_with_path(self):
         code, _, err = invoke(["figure2", "--out", "/nonexistent-dir/f.csv"])

@@ -5,7 +5,7 @@ command loads scipy only when it calls a `scipy.special` function (`mi`,
 `spectrum` and `experiment` do not), the capacity commands run on the
 standard library alone, and the input law, the channel spec, the Poisson
 entropy, the spectrum and its certified tail call no incomplete gamma
-function.
+function, and the truncation-loss terms run where scipy cannot be imported.
 
 An import kept on purpose (a name that another tool rebinds from outside)
 carries `# noqa: F401` on its line and is skipped.
@@ -285,3 +285,13 @@ def test_no_table_nor_the_certified_tail_calls_the_incomplete_gamma(monkeypatch)
     rows = _TiltedRows(spec)
     rows.sums(0.5)
     rows.means()
+
+
+def test_truncation_loss_terms_run_with_scipy_refused():
+    # Q(3/2, u) = erfc(sqrt(u)) + 2 sqrt(u/pi) e^-u and P(1/2, x) = erf(sqrt(x)) come from
+    # `math`; a None entry in sys.modules makes any import of scipy raise ImportError
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            "from freqcap.mutual_info import truncation_loss_terms\n"
+            "for g, rho in ((1e2, 0.1), (1e4, 0.5), (1e28, 0.1)):\n"
+            "    truncation_loss_terms(g, rho)")
+    assert "freqcap.mutual_info" in _fresh_modules(code)

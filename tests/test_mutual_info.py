@@ -219,11 +219,50 @@ def test_underflowing_columns_match_a_log_sum_over_every_row(case):
     dense = dense_tables(spec, np.arange(spec.z_max + 1))[0]
     far = dense <= -1.0
     assert np.allclose(spec.log_pz[far], dense[far], rtol=1e-14, atol=0.0)
-    # ln of a sum near 1 keeps only its absolute digits
-    assert np.max(np.abs(spec.log_pz - dense)[~far], initial=0.0) <= 1e-15
+    # column 0, the one near 0, against mpmath: the log-sum reference keeps only its
+    # absolute digits there
+    assert np.flatnonzero(~far).tolist() == [0]
+    with mpmath.workdps(40):
+        exact = mpmath.log(mpmath.fsum(mpmath.mpf(w) * mpmath.exp(-mpmath.mpf(lam))
+                                       for w, lam in zip(spec._ws, spec._lams)))
+        assert abs(spec.log_pz[0] - exact) <= 1e-15 * abs(exact)
     below = np.sum(dense < math.log(mutual_info._LINEAR_FLOOR))
     assert below == {"point-gain-1e-5": 8, "two-point-1-400-gain-1e-3": 0,
                      "two-point-1-2-gain-1e-5": 6}[case]
+
+
+def mpmath_mi(pmf, gain, z_hi=20):
+    """I(X; Z) summed over every row and z < z_hi at 40 digits; for means far below 1."""
+    keep = pmf.probs > 0.0
+    with mpmath.workdps(40):
+        lams = [mpmath.mpf(gain) * int(x) for x in pmf.support[keep]]
+        ws = [mpmath.mpf(w) for w in pmf.probs[keep]]
+        total = mpmath.mpf(0)
+        for z in range(z_hi):
+            ps = [mpmath.exp(-lam) * lam**z / mpmath.factorial(z) for lam in lams]
+            pz = mpmath.fsum(w * p for w, p in zip(ws, ps))
+            total += mpmath.fsum(w * p * mpmath.log(p / pz) for w, p in zip(ws, ps))
+        return total
+
+
+@pytest.mark.parametrize("make, gain", [(gapped_law, 1e-11), (gapped_law, 1e-8),
+                                        (gapped_law, 1e-5), (two_point_12, 1e-11),
+                                        (two_point_12, 1e-5)])
+def test_small_gain_mi_matches_mpmath(make, gain):
+    # P_Z(0) is near 1 here, and H(Z) and H(Z|X) cancel to the MI's last digits
+    pmf = make()
+    exact = mpmath_mi(pmf, gain)
+    assert abs(mutual_information(PoissonChannelSpec(pmf, gain)) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("gain", [1e-6, 1e-3])
+@pytest.mark.parametrize("make", [gapped_law, lambda: truncated_rounded_input_pmf(8.0, 0.5),
+                                  lambda: truncated_rounded_input_pmf(20.0, 0.1)],
+                         ids=["gapped-1-5-40", "trunc-gamma-8", "trunc-gamma-20"])
+def test_small_gain_mi_matches_i_mmpe_integral(make, gain):
+    pmf = make()
+    mi = mutual_information(PoissonChannelSpec(pmf, gain))
+    assert abs(i_mmpe_integral(pmf, gain) - mi) <= 1e-12 * mi
 
 
 @pytest.mark.parametrize("x0, gain", [(5, 0.7), (1, 1e-5), (50, 1.0)])
@@ -1169,6 +1208,14 @@ class TestTruncationLoss:
             loss = truncation_loss_terms(g, 0.5)
             assert loss.t2 <= loss.t2_bound
             assert loss.t3 <= loss.t3_bound
+
+    def test_upper_gamma_three_halves_matches_mpmath(self):
+        # at the float u itself, so the rounding of u does not count; scipy's
+        # gammaincc(1.5, u) reaches 6.4e-14 on this range
+        for u in [*np.logspace(-12, math.log10(700.0), 200), 0.79, 1.26, 315.0]:
+            with mpmath.workdps(40):
+                exact = mpmath.gammainc(1.5, mpmath.mpf(float(u)), regularized=True)
+                assert abs(mutual_info._upper_gamma_three_halves(float(u)) - exact) <= 1e-15 * exact
 
     @pytest.mark.parametrize("g, rho", [(1e2, 0.1), (1e4, 0.5), (1e24, 0.1), (1e28, 0.1)])
     def test_tail_terms_match_mpmath(self, g, rho):
